@@ -148,22 +148,20 @@ def _parse_scalar(tok: str) -> Any:
 
 
 def parse_element_literal(group: LGroup, text: str) -> Any:
+    if not isinstance(text, str):
+        raise SpecFileError(f"element literal must be a string, got {text!r}")
     text = text.strip()
     if text.startswith("(") and text.endswith(")"):
         toks = text[1:-1].split(",")
     else:
         toks = [text]
     values = [_parse_scalar(t) for t in toks if t.strip()]
-    if group.exact:
-        if group.flat_arity == 1 and isinstance(group, IntegerGroup):
-            if values[0].denominator != 1:
-                raise SpecFileError(f"{text!r} is not an integer")
-            return group.from_flat([int(values[0])])
-        try:
-            return group.from_flat(values)
-        except AlgebraError as exc:
-            raise SpecFileError(str(exc)) from exc
-    return group.from_flat([float(v) for v in values])
+    if not group.exact:
+        values = [float(v) for v in values]
+    try:
+        return group.from_flat(values)
+    except AlgebraError as exc:
+        raise SpecFileError(str(exc)) from exc
 
 
 def parse_catalogue(obj: dict) -> CatalogueSpec:

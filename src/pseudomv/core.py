@@ -9,9 +9,11 @@ two negations coincide and the structure is an ordinary MV-algebra.
 Concrete carriers (lookup tables, group intervals, products) subclass
 :class:`PseudoMV` and supply the three primitives plus equality and
 sampling.  Every derived operation — ⊙, the residua → and ⇝, the lattice,
-the order, the partial addition — is computed from the primitives, so all
-backends share one code path.  Backend shortcuts (integer min/max on
-chains, group lattice operations) appear only in tests, as oracles.
+the order, the partial addition — is defined here from the primitives, and
+these definitions are the specification.  Group intervals Γ(G, u) override
+⊙, ∧, ∨ and ≤ with the group's own operations;
+``tests/test_core.py::test_gamma_native_ops_match_derived_definitions``
+checks them against the definitions here.
 """
 
 from __future__ import annotations

@@ -212,6 +212,11 @@ class IntegerGroup(LGroup):
     def halve(self, a):
         return a // 2 if a % 2 == 0 else None
 
+    def _coerce_scalar(self, v):
+        if isinstance(v, Rational) and v.denominator == 1:
+            return int(v.numerator)
+        raise BackendMismatch(f"integer expected, got {v!r}")
+
     def random_element(self, rng, bound):
         return rng.randint(-8, 8)
 
@@ -717,6 +722,24 @@ class GammaPMV(PseudoMV):
 
     def eq(self, x, y):
         return self.group.eq(x, y)
+
+    # The order of Γ(G, u) is the order of G restricted to [0, u], so the
+    # lattice, the order and x ⊙ y = (x − u + y) ∨ 0 are computed in G.
+    # ``test_gamma_native_ops_match_derived_definitions`` checks them
+    # against the derived definitions in ``PseudoMV``.
+
+    def odot(self, x, y):
+        g = self.group
+        return g.join(g.add(g.sub(x, self.unit), y), self._zero)
+
+    def meet(self, x, y):
+        return self.group.meet(x, y)
+
+    def join(self, x, y):
+        return self.group.join(x, y)
+
+    def leq(self, x, y):
+        return self.group.leq(x, y)
 
     def contains(self, x):
         try:

@@ -676,6 +676,23 @@ GATED_EXTRAS: tuple[str, ...] = (
 )
 
 
+def _memoized(root: SquareRootMap) -> SquareRootMap:
+    """The same map, evaluating each point once.  The suite asks for most
+    root values several times; the cache lives as long as the returned map,
+    so its size follows the suite's point budget."""
+    cache: dict = {}
+    fn = root._fn
+
+    def cached(x):
+        try:
+            return cache[x]
+        except KeyError:
+            value = cache[x] = fn(x)
+            return value
+
+    return SquareRootMap(root.algebra, root.kind, cached, data=root.data)
+
+
 def square_root_properties(algebra: PseudoMV, root: SquareRootMap,
                            budget: int | None = None, seed: int | None = None,
                            negation_compat: bool | None = None) -> dict:
@@ -685,6 +702,7 @@ def square_root_properties(algebra: PseudoMV, root: SquareRootMap,
     when the map is weak-only; the first eight items and the bound extras
     hold for every weak root and are always checked.
     """
+    root = _memoized(root)
     eq, leq = algebra.eq, algebra.leq
     r0 = root(algebra.zero)
     elems = algebra.probe(budget, seed, "props-elems")

@@ -75,6 +75,8 @@ def test_parse_element_literals():
         (F(1, 2), (F(1), F(0), F(-3, 4)))
     z = parse_group("Z")
     assert parse_element_literal(z, "3") == 3
+    assert type(parse_element_literal(z, "3")) is int
+    assert parse_element_literal(parse_group("lex(Z,Z)"), "(3, -1)") == (3, -1)
     with pytest.raises(SpecFileError):
         parse_element_literal(z, "1/2")
     s = parse_group("semi_numeric")
@@ -170,6 +172,26 @@ def test_analyze_parse_error_exits_3(tmp_path):
 
     proc = run_cli("analyze", str(tmp_path / "missing.json"))
     assert proc.returncode == 3
+
+
+@pytest.mark.parametrize("group, unit", [("Z", "2"), ("Z", "3"), ("lex(Z,Z)", "(3,1)")])
+def test_analyze_integer_units(tmp_path, group, unit):
+    # Z halves no odd unit, and no point of Γ(Z, 2) between the bounds
+    path = write(tmp_path, "z.json", {"gamma": {"group": group, "unit": unit}})
+    proc = run_cli("analyze", path, "--samples", "40")
+    assert proc.returncode == 0, proc.stderr
+    payload = json.loads(proc.stdout)
+    assert payload["axioms"]["all_pass"] is True
+    assert payload["sqrt"]["found"] is False
+
+
+@pytest.mark.parametrize("unit", ["()", 1])
+def test_analyze_malformed_unit_exits_3(tmp_path, unit):
+    path = write(tmp_path, "bad.json", {"gamma": {"group": "Z", "unit": unit}})
+    proc = run_cli("analyze", path)
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr
 
 
 def test_analyze_is_deterministic(tmp_path):

@@ -236,20 +236,97 @@ def test_identities_on_scaling_action():
     _identity_suite(algebra, 120)
 
 
+class PrimitivesOnly(pmv.PseudoMV):
+    """The primitives, equality and sampling of ``m``, with every derived
+    operation taken from :class:`PseudoMV`: the specification that a
+    backend's native operations must meet."""
+
+    def __init__(self, m):
+        super().__init__(m.sampler, m.tolerance)
+        self.m = m
+
+    zero = property(lambda self: self.m.zero)
+    one = property(lambda self: self.m.one)
+
+    def oplus(self, x, y):
+        return self.m.oplus(x, y)
+
+    def neg(self, x):
+        return self.m.neg(x)
+
+    def tilde(self, x):
+        return self.m.tilde(x)
+
+    def eq(self, x, y):
+        return self.m.eq(x, y)
+
+    def contains(self, x):
+        return self.m.contains(x)
+
+    def sample(self, rng):
+        return self.m.sample(rng)
+
+
 def test_gamma_derived_ops_match_group_formulas():
     """⊕ = (x+y) ∧ u and ⊙ = (x−u+y) ∨ 0 computed directly in the group
-    must agree with the derived-op route."""
+    must agree with the algebra's operations and with the derived
+    definitions."""
     heis = pmv.HeisenbergGroup()
     m = pmv.gamma(pmv.LexProduct(pmv.RationalGroup(), heis),
                   (F(1), (F(0), F(0), F(0))))
+    spec = PrimitivesOnly(m)
     g, u = m.group, m.unit
     rng = make_rng(5, "gamma-oracle")
     for _ in range(150):
         x, y = m.sample(rng), m.sample(rng)
         assert m.eq(m.oplus(x, y), g.meet(g.add(x, y), u))
-        assert m.eq(m.odot(x, y), g.join(g.add(g.sub(x, u), y), g.zero()))
-        assert m.eq(m.join(x, y), g.join(x, y))
-        assert m.eq(m.meet(x, y), g.meet(x, y))
+        for a in (m, spec):
+            assert m.eq(a.odot(x, y), g.join(g.add(g.sub(x, u), y), g.zero()))
+            assert m.eq(a.join(x, y), g.join(x, y))
+            assert m.eq(a.meet(x, y), g.meet(x, y))
+            assert a.leq(x, y) == g.leq(x, y)
+
+
+def _gamma_points(m, count):
+    """0, u/2, u and ``count`` seeded samples; the whole carrier when
+    enumerable."""
+    if m.enumerable:
+        return list(m.elements())
+    rng = make_rng(9, "native-vs-derived", m.group.dsl)
+    return [m.zero, m.group.halve(m.unit), m.one] + [m.sample(rng) for _ in range(count)]
+
+
+NATIVE_GAMMA_CASES = {
+    "Z,6": lambda: gamma_z(6),
+    "prod(Z,Z),(2,3)": lambda: pmv.gamma(
+        pmv.DirectProductGroup(pmv.IntegerGroup(), pmv.IntegerGroup()), (2, 3)),
+    "Q,1": lambda: pmv.gamma(pmv.RationalGroup(), F(1)),
+    "heis,non-central": lambda: pmv.gamma(pmv.HeisenbergGroup(), (F(1), F(1, 2), F(0))),
+    "lex(Q,heis)": lambda: pmv.gamma(
+        pmv.LexProduct(pmv.RationalGroup(), pmv.HeisenbergGroup()),
+        (F(1), (F(1), F(-1), F(0)))),
+    "prod(lex(D,Q),H(6))": lambda: pmv.gamma(
+        pmv.DirectProductGroup(pmv.LexProduct(pmv.DyadicGroup(), pmv.RationalGroup()),
+                               pmv.PowerDenominatorGroup(6)),
+        ((F(1), F(0)), F(1))),
+    "semi_numeric": lambda: scaling_action_algebra()[0],
+}
+
+
+@pytest.mark.parametrize("case", sorted(NATIVE_GAMMA_CASES))
+def test_gamma_native_ops_match_derived_definitions(case):
+    """Γ computes ⊙ ∧ ∨ ≤ in the group; the derived definitions in core
+    stay the specification.  Exhaustive on enumerable carriers, else on
+    the bounds, u/2 and seeded samples; floats agree within tolerance."""
+    m = NATIVE_GAMMA_CASES[case]()
+    spec = PrimitivesOnly(m)
+    points = _gamma_points(m, 30)
+    for x in points:
+        for y in points:
+            assert m.eq(m.odot(x, y), spec.odot(x, y)), (x, y)
+            assert m.eq(m.meet(x, y), spec.meet(x, y)), (x, y)
+            assert m.eq(m.join(x, y), spec.join(x, y)), (x, y)
+            assert m.leq(x, y) == spec.leq(x, y), (x, y)
 
 
 # ----------------------------------------------------------------------

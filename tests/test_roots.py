@@ -8,6 +8,7 @@ frozen value is re-checked against an in-test doubling oracle.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -365,9 +366,17 @@ def test_property_suite_boolean_exhaustive():
 
 def test_property_suite_dyadic():
     d = dyadic_unit()
-    props = square_root_properties(d, pmv.closed_form(d, "sym"), budget=250)
+    sym = pmv.closed_form(d, "sym")
+    evals = Counter()
+
+    def counted(x):
+        evals[x] += 1
+        return sym(x)
+
+    props = square_root_properties(d, custom_map(d, counted), budget=250)
     for name, res in props.items():
         assert res != SKIPPED and res.passed, name
+    assert max(evals.values()) == 1   # the suite evaluates each point once
 
 
 def test_property_suite_skips_gated_items_for_weak_roots():
