@@ -101,6 +101,8 @@ class SpecFileError(Exception):
 # ----------------------------------------------------------------------
 
 def parse_group(text: str, tolerance: float = 1e-9) -> LGroup:
+    if not isinstance(text, str):
+        raise SpecFileError(f"group expression must be a string, got {text!r}")
     text = text.strip()
 
     def parse(s: str) -> tuple[LGroup, str]:
@@ -215,7 +217,10 @@ def load_algebra(path: str, sampler: SamplerConfig, tolerance: float) -> PseudoM
         except AlgebraError as exc:
             raise SpecFileError(f"bad gamma spec: {exc}") from exc
     if "catalogue" in data:
-        algebra = build_catalogue(parse_catalogue(data["catalogue"]))
+        try:
+            algebra = build_catalogue(parse_catalogue(data["catalogue"]))
+        except (IndexError, TypeError, ValueError, AlgebraError) as exc:
+            raise SpecFileError(f"bad catalogue spec: {exc}") from exc
         return FinitePMV(algebra.table, labels=algebra.labels, sampler=sampler,
                          name=algebra.name)
     raise SpecFileError("expected one of 'finite', 'gamma', 'catalogue'")

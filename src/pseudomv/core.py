@@ -38,16 +38,6 @@ __all__ = [
     "IntervalPMV",
     "derive_seed",
     "make_rng",
-    "oplus",
-    "odot",
-    "arrows",
-    "lattice",
-    "leq",
-    "partial_add",
-    "multiples",
-    "check_axioms",
-    "boolean_skeleton",
-    "is_symmetric",
 ]
 
 AXIOM_NAMES = ("A1", "A2", "A3", "A4", "A5", "A6", "A7", "A8")
@@ -521,60 +511,3 @@ class IntervalPMV(PseudoMV):
         return {"backend": self.backend, "size": self.size,
                 "top": self.parent.format_element(self.top),
                 "parent": self.parent.describe()}
-
-
-# ----------------------------------------------------------------------
-# operation-style entry points mirroring the library surface
-# ----------------------------------------------------------------------
-
-def _check_member(a: PseudoMV, *xs: Any) -> None:
-    for x in xs:
-        if not a.contains(x):
-            raise BackendMismatch(f"{x!r} is not an element of this {a.backend} algebra")
-
-
-def oplus(a: PseudoMV, x: Any, y: Any) -> Any:
-    _check_member(a, x, y)
-    return a.oplus(x, y)
-
-
-def odot(a: PseudoMV, x: Any, y: Any) -> Any:
-    _check_member(a, x, y)
-    return a.odot(x, y)
-
-
-def arrows(a: PseudoMV, x: Any, y: Any) -> tuple[Any, Any]:
-    _check_member(a, x, y)
-    return a.arrows(x, y)
-
-
-def lattice(a: PseudoMV, x: Any, y: Any) -> tuple[Any, Any]:
-    _check_member(a, x, y)
-    return a.lattice(x, y)
-
-
-def leq(a: PseudoMV, x: Any, y: Any) -> bool:
-    _check_member(a, x, y)
-    return a.leq(x, y)
-
-
-def partial_add(a: PseudoMV, x: Any, y: Any) -> Any:
-    _check_member(a, x, y)
-    return a.partial_add(x, y)
-
-
-def multiples(a: PseudoMV, x: Any, n: int) -> tuple[Any, Any]:
-    _check_member(a, x)
-    return a.multiples(x, n)
-
-
-def check_axioms(a: PseudoMV, budget: int | None = None, seed: int | None = None) -> AxiomReport:
-    return a.check_axioms(budget, seed)
-
-
-def boolean_skeleton(a: PseudoMV) -> list:
-    return a.boolean_skeleton()
-
-
-def is_symmetric(a: PseudoMV, budget: int | None = None, seed: int | None = None) -> bool:
-    return a.is_symmetric(budget, seed)

@@ -53,8 +53,6 @@ __all__ = [
     "UnitalLGroup",
     "GammaPMV",
     "gamma",
-    "group_ops",
-    "halve",
     "in_center",
     "power_denominator_member",
     "primorial",
@@ -403,113 +401,115 @@ class HeisenbergGroup(LGroup):
 # products
 # ----------------------------------------------------------------------
 
-class LexProduct(LGroup):
+class _PairGroup(LGroup):
+    """Pairs (a, b) of two factor groups under componentwise addition.
+
+    Subclasses fix the order; ``prefix`` is the DSL constructor name and
+    ``pair_name`` how a shape error names an element.
+    """
+
+    prefix: str
+    pair_name: str
+
+    def __init__(self, first: LGroup, second: LGroup):
+        self.first = first
+        self.second = second
+        self.exact = first.exact and second.exact
+        self.tolerance = max(first.tolerance, second.tolerance)
+        self.abelian = first.abelian and second.abelian
+        self.dsl = f"{self.prefix}({first.dsl},{second.dsl})"
+        self.flat_arity = first.flat_arity + second.flat_arity
+
+    def zero(self):
+        return (self.first.zero(), self.second.zero())
+
+    def add(self, a, b):
+        return (self.first.add(a[0], b[0]), self.second.add(a[1], b[1]))
+
+    def neg(self, a):
+        return (self.first.neg(a[0]), self.second.neg(a[1]))
+
+    def validate(self, a):
+        if not (isinstance(a, tuple) and len(a) == 2):
+            raise BackendMismatch(f"{self.pair_name} expected, got {a!r}")
+        self.first.validate(a[0])
+        self.second.validate(a[1])
+
+    def halve(self, a):
+        h = self.first.halve(a[0])
+        t = self.second.halve(a[1])
+        return None if h is None or t is None else (h, t)
+
+    def center_has(self, a):
+        h = self.first.center_has(a[0])
+        t = self.second.center_has(a[1])
+        return None if h is None or t is None else h and t
+
+    def random_element(self, rng, bound):
+        return (self.first.random_element(rng, bound), self.second.random_element(rng, bound))
+
+    def flatten(self, a):
+        return self.first.flatten(a[0]) + self.second.flatten(a[1])
+
+    def from_flat(self, values):
+        k = self.first.flat_arity
+        if len(values) != self.flat_arity:
+            raise BackendMismatch(
+                f"{self.dsl} element needs {self.flat_arity} coordinates, got {len(values)}")
+        return (self.first.from_flat(values[:k]), self.second.from_flat(values[k:]))
+
+
+class LexProduct(_PairGroup):
     """Componentwise group addition on H × G under the lexicographic order.
 
     This is a lattice order exactly when H is linearly ordered, which the
     constructor enforces.
     """
 
+    prefix = "lex"
+    pair_name = "lex pair"
+
     def __init__(self, head: LGroup, tail: LGroup):
         if not head.linear:
             raise AlgebraError("lexicographic head factor must be linearly ordered")
-        self.head = head
-        self.tail = tail
-        self.exact = head.exact and tail.exact
-        self.tolerance = max(head.tolerance, tail.tolerance)
+        super().__init__(head, tail)
         self.linear = tail.linear
-        self.abelian = head.abelian and tail.abelian
-        self.dsl = f"lex({head.dsl},{tail.dsl})"
-        self.flat_arity = head.flat_arity + tail.flat_arity
-
-    def zero(self):
-        return (self.head.zero(), self.tail.zero())
-
-    def add(self, a, b):
-        return (self.head.add(a[0], b[0]), self.tail.add(a[1], b[1]))
-
-    def neg(self, a):
-        return (self.head.neg(a[0]), self.tail.neg(a[1]))
 
     def cmp(self, a, b):
-        c = self.head.cmp(a[0], b[0])
+        c = self.first.cmp(a[0], b[0])
         if c != 0:
             return c
-        return self.tail.cmp(a[1], b[1])
+        return self.second.cmp(a[1], b[1])
 
     def join(self, a, b):
-        c = self.head.cmp(a[0], b[0])
+        c = self.first.cmp(a[0], b[0])
         if c != 0:
             return b if c < 0 else a
-        return (a[0], self.tail.join(a[1], b[1]))
+        return (a[0], self.second.join(a[1], b[1]))
 
     def meet(self, a, b):
-        c = self.head.cmp(a[0], b[0])
+        c = self.first.cmp(a[0], b[0])
         if c != 0:
             return a if c < 0 else b
-        return (a[0], self.tail.meet(a[1], b[1]))
-
-    def validate(self, a):
-        if not (isinstance(a, tuple) and len(a) == 2):
-            raise BackendMismatch(f"lex pair expected, got {a!r}")
-        self.head.validate(a[0])
-        self.tail.validate(a[1])
-
-    def halve(self, a):
-        h = self.head.halve(a[0])
-        t = self.tail.halve(a[1])
-        return None if h is None or t is None else (h, t)
-
-    def center_has(self, a):
-        h = self.head.center_has(a[0])
-        t = self.tail.center_has(a[1])
-        return None if h is None or t is None else h and t
-
-    def random_element(self, rng, bound):
-        return (self.head.random_element(rng, bound), self.tail.random_element(rng, bound))
+        return (a[0], self.second.meet(a[1], b[1]))
 
     def sample_interval(self, rng, unit, bound):
-        h = self.head.sample_interval(rng, unit[0], bound)
-        t = self.tail.random_element(rng, bound)
+        h = self.first.sample_interval(rng, unit[0], bound)
+        t = self.second.random_element(rng, bound)
         x = (h, t)
         return self.meet(self.join(x, self.zero()), unit)
 
-    def flatten(self, a):
-        return self.head.flatten(a[0]) + self.tail.flatten(a[1])
 
-    def from_flat(self, values):
-        k = self.head.flat_arity
-        if len(values) != self.flat_arity:
-            raise BackendMismatch(
-                f"{self.dsl} element needs {self.flat_arity} coordinates, got {len(values)}")
-        return (self.head.from_flat(values[:k]), self.tail.from_flat(values[k:]))
-
-
-class DirectProductGroup(LGroup):
+class DirectProductGroup(_PairGroup):
     """Componentwise group and order (not lexicographic)."""
 
-    def __init__(self, left: LGroup, right: LGroup):
-        self.left = left
-        self.right = right
-        self.exact = left.exact and right.exact
-        self.tolerance = max(left.tolerance, right.tolerance)
-        self.linear = False
-        self.abelian = left.abelian and right.abelian
-        self.dsl = f"prod({left.dsl},{right.dsl})"
-        self.flat_arity = left.flat_arity + right.flat_arity
-
-    def zero(self):
-        return (self.left.zero(), self.right.zero())
-
-    def add(self, a, b):
-        return (self.left.add(a[0], b[0]), self.right.add(a[1], b[1]))
-
-    def neg(self, a):
-        return (self.left.neg(a[0]), self.right.neg(a[1]))
+    prefix = "prod"
+    pair_name = "product pair"
+    linear = False
 
     def cmp(self, a, b):
-        le = self.left.leq(a[0], b[0]) and self.right.leq(a[1], b[1])
-        ge = self.left.leq(b[0], a[0]) and self.right.leq(b[1], a[1])
+        le = self.first.leq(a[0], b[0]) and self.second.leq(a[1], b[1])
+        ge = self.first.leq(b[0], a[0]) and self.second.leq(b[1], a[1])
         if le and ge:
             return 0
         if le:
@@ -519,50 +519,21 @@ class DirectProductGroup(LGroup):
         return None
 
     def join(self, a, b):
-        return (self.left.join(a[0], b[0]), self.right.join(a[1], b[1]))
+        return (self.first.join(a[0], b[0]), self.second.join(a[1], b[1]))
 
     def meet(self, a, b):
-        return (self.left.meet(a[0], b[0]), self.right.meet(a[1], b[1]))
-
-    def validate(self, a):
-        if not (isinstance(a, tuple) and len(a) == 2):
-            raise BackendMismatch(f"product pair expected, got {a!r}")
-        self.left.validate(a[0])
-        self.right.validate(a[1])
-
-    def halve(self, a):
-        l = self.left.halve(a[0])
-        r = self.right.halve(a[1])
-        return None if l is None or r is None else (l, r)
-
-    def center_has(self, a):
-        l = self.left.center_has(a[0])
-        r = self.right.center_has(a[1])
-        return None if l is None or r is None else l and r
-
-    def random_element(self, rng, bound):
-        return (self.left.random_element(rng, bound), self.right.random_element(rng, bound))
+        return (self.first.meet(a[0], b[0]), self.second.meet(a[1], b[1]))
 
     def sample_interval(self, rng, unit, bound):
-        return (self.left.sample_interval(rng, unit[0], bound),
-                self.right.sample_interval(rng, unit[1], bound))
+        return (self.first.sample_interval(rng, unit[0], bound),
+                self.second.sample_interval(rng, unit[1], bound))
 
     def enumerate_interval(self, lo, hi):
-        ls = self.left.enumerate_interval(lo[0], hi[0])
-        rs = self.right.enumerate_interval(lo[1], hi[1])
+        ls = self.first.enumerate_interval(lo[0], hi[0])
+        rs = self.second.enumerate_interval(lo[1], hi[1])
         if ls is None or rs is None:
             return None
         return [(a, b) for a in ls for b in rs]
-
-    def flatten(self, a):
-        return self.left.flatten(a[0]) + self.right.flatten(a[1])
-
-    def from_flat(self, values):
-        k = self.left.flat_arity
-        if len(values) != self.flat_arity:
-            raise BackendMismatch(
-                f"{self.dsl} element needs {self.flat_arity} coordinates, got {len(values)}")
-        return (self.left.from_flat(values[:k]), self.right.from_flat(values[k:]))
 
 
 # ----------------------------------------------------------------------
@@ -785,28 +756,6 @@ def gamma(group: LGroup | UnitalLGroup, unit: Any = None,
             raise ValueError("unit given twice")
         return GammaPMV(group, sampler)
     return GammaPMV(UnitalLGroup(group, unit), sampler)
-
-
-# ----------------------------------------------------------------------
-# operation-style entry points
-# ----------------------------------------------------------------------
-
-def group_ops(g: LGroup, a: Any, b: Any) -> dict:
-    """One-shot bundle of the basic group computations on a pair."""
-    g.validate(a)
-    g.validate(b)
-    return {
-        "add": g.add(a, b),
-        "neg": g.neg(a),
-        "join": g.join(a, b),
-        "meet": g.meet(a, b),
-        "cmp": g.cmp(a, b),
-    }
-
-
-def halve(g: LGroup, a: Any) -> Any | None:
-    g.validate(a)
-    return g.halve(a)
 
 
 def in_center(g: LGroup, a: Any, budget: int = 256, seed: int = 0) -> bool:

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -20,8 +22,6 @@ from pseudomv.core import SamplerConfig
 
 
 def run_cli(*args, env_extra=None):
-    import os
-
     env = dict(os.environ)
     env.pop("PMV_SEED", None)
     if env_extra:
@@ -194,6 +194,22 @@ def test_analyze_malformed_unit_exits_3(tmp_path, unit):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("payload", [
+    {"gamma": {"group": 1, "unit": "1"}},
+    {"catalogue": {"kind": "chain", "params": [-1]}},
+    {"catalogue": {"kind": "chain", "params": "x"}},
+    {"catalogue": {"kind": "interval", "params": [CHAIN3["catalogue"], 1]}},
+    {"catalogue": {"kind": "product", "params": [CHAIN3["catalogue"]]}},
+], ids=["group-number", "chain-negative", "chain-params-string",
+        "interval-top-not-idempotent", "product-one-param"])
+def test_analyze_malformed_spec_exits_3(tmp_path, payload):
+    path = write(tmp_path, "bad.json", payload)
+    proc = run_cli("analyze", path)
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr
+
+
 def test_analyze_is_deterministic(tmp_path):
     path = write(tmp_path, "lh.json", GAMMA_LEXHEIS)
     a = run_cli("analyze", path, "--seed", "42", "--samples", "150")
@@ -284,3 +300,13 @@ def test_quotient_command(tmp_path):
 def test_usage_error_exit_code():
     proc = run_cli("analyze")  # missing path
     assert proc.returncode == 3
+
+
+def test_cli_import_loads_no_numpy():
+    # the package has no runtime dependency; keep one from coming back unnoticed
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, pseudomv.cli; sys.exit('numpy' in sys.modules)"],
+        capture_output=True, text=True, env=env, check=False,
+    )
+    assert proc.returncode == 0, proc.stderr or "importing pseudomv.cli loaded numpy"

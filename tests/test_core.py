@@ -18,6 +18,7 @@ import pseudomv as pmv
 from pseudomv import UNDEFINED, BackendMismatch, UnsupportedBackend
 from pseudomv.core import make_rng
 from pseudomv.counterexamples import scaling_action_algebra
+from pseudomv.finite import catalogue_closure
 
 
 def gamma_z(n):
@@ -136,13 +137,39 @@ def test_axioms_corrupted_table_fails_with_witness():
     assert witnessed
 
 
-def test_axioms_python_and_vectorized_paths_agree():
-    algebra = pmv.product(pmv.boolean(1), pmv.chain(2))
-    fast = algebra.check_axioms()
-    slow = pmv.PseudoMV.check_axioms(algebra)
-    assert fast.all_pass and slow.all_pass
-    for name in fast.axioms:
-        assert fast.axioms[name].passed == slow.axioms[name].passed
+def _corrupted_tables(count, seed=29):
+    """Seeded tables that differ from a catalogue algebra in one to three
+    entries of ⊕, ⁻ or ∼, and sometimes in the choice of 1."""
+    rng = make_rng(seed, "corrupted-tables")
+    algebras = catalogue_closure(6)
+    for _ in range(count):
+        t = rng.choice(algebras).table
+        rows = [list(r) for r in t.oplus] + [list(t.neg), list(t.tilde)]
+        for _ in range(rng.randint(1, 3)):
+            rng.choice(rows)[rng.randrange(t.n)] = rng.randrange(t.n)
+        one = rng.randrange(t.n) if rng.random() < 0.2 else t.one
+        yield pmv.FinitePMV(pmv.FiniteTable(
+            t.n, tuple(map(tuple, rows[:-2])), tuple(rows[-2]), tuple(rows[-1]),
+            t.zero, one))
+
+
+def test_axioms_table_and_generic_paths_agree():
+    algebras = catalogue_closure(6) + list(_corrupted_tables(120))
+    failing = capped = 0
+    for algebra in algebras:
+        fast = algebra.check_axioms()
+        slow = pmv.PseudoMV.check_axioms(algebra)
+        assert fast.exhaustive and slow.exhaustive
+        assert list(fast.axioms) == list(slow.axioms)
+        for name, r in fast.axioms.items():
+            s = slow.axioms[name]
+            assert (r.passed, r.checked, r.witnesses) == (s.passed, s.checked, s.witnesses), \
+                (algebra.table, name)
+        failing += not fast.all_pass
+        capped += any(len(r.witnesses) == pmv.CheckResult.MAX_WITNESSES
+                      for r in fast.axioms.values())
+    # the corrupted tables reach the failure branches and the witness cap
+    assert failing > 60 and capped > 30, (failing, capped)
 
 
 def test_axioms_sampled_on_infinite_carrier():
@@ -367,24 +394,22 @@ def test_backend_mismatch_errors():
     with pytest.raises(BackendMismatch):
         c.oplus(F(1, 2), 1)
     d = pmv.gamma(pmv.DyadicGroup(), F(1))
-    with pytest.raises(BackendMismatch):
-        pmv.core.oplus(d, F(1, 3), F(0))  # 1/3 is not dyadic
-    with pytest.raises(BackendMismatch):
-        pmv.core.oplus(d, F(2), F(0))  # outside [0, 1]
+    assert not d.contains(F(1, 3))  # 1/3 is not dyadic
+    assert not d.contains(F(2))  # outside [0, 1]
 
 
 def test_operation_entry_points():
     c = pmv.chain(3)
-    assert pmv.core.oplus(c, 1, 1) == 2
-    assert pmv.core.odot(c, 2, 2) == 1
-    assert pmv.core.arrows(c, 2, 1) == (2, 2)
-    assert pmv.core.lattice(c, 1, 2) == (2, 1)
-    assert pmv.core.leq(c, 1, 2)
-    assert pmv.core.partial_add(c, 2, 2) is UNDEFINED
-    assert pmv.core.multiples(c, 1, 3) == (3, 3)
-    assert pmv.core.boolean_skeleton(c) == [0, 3]
-    assert pmv.core.is_symmetric(c)
-    assert pmv.core.check_axioms(c).all_pass
+    assert c.oplus(1, 1) == 2
+    assert c.odot(2, 2) == 1
+    assert c.arrows(2, 1) == (2, 2)
+    assert c.lattice(1, 2) == (2, 1)
+    assert c.leq(1, 2)
+    assert c.partial_add(2, 2) is UNDEFINED
+    assert c.multiples(1, 3) == (3, 3)
+    assert c.boolean_skeleton() == [0, 3]
+    assert c.is_symmetric()
+    assert c.check_axioms().all_pass
 
 
 def test_degenerate_algebra_is_flagged_and_usable():

@@ -12,8 +12,6 @@ from hypothesis import strategies as st
 import pseudomv as pmv
 from pseudomv.core import make_rng
 from pseudomv.lgroups import (
-    group_ops,
-    halve,
     in_center,
     power_denominator_member,
     primorial,
@@ -42,7 +40,7 @@ def test_integer_halving_parity():
     z = pmv.IntegerGroup()
     assert z.halve(4) == 2
     assert z.halve(1) is None
-    assert halve(z, 6) == 3
+    assert z.halve(6) == 3
 
 
 def test_power_denominator_membership():
@@ -160,12 +158,12 @@ def test_direct_product_partial_order():
 
 def test_group_ops_bundle():
     g = pmv.HeisenbergGroup()
-    ops = group_ops(g, heis3(1, 0, 0), heis3(0, 1, 0))
-    assert ops["add"] == heis3(1, 1, 1)
-    assert ops["neg"] == g.neg(heis3(1, 0, 0))
-    assert ops["cmp"] == 1
-    assert ops["join"] == heis3(1, 0, 0)
-    assert ops["meet"] == heis3(0, 1, 0)
+    a, b = heis3(1, 0, 0), heis3(0, 1, 0)
+    assert g.add(a, b) == heis3(1, 1, 1)
+    assert g.neg(a) == heis3(-1, 0, 0)
+    assert g.cmp(a, b) == 1
+    assert g.join(a, b) == heis3(1, 0, 0)
+    assert g.meet(a, b) == heis3(0, 1, 0)
 
 
 # ----------------------------------------------------------------------
