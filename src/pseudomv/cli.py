@@ -44,10 +44,13 @@ from .counterexamples import (
     scaling_action_verdicts,
 )
 from .finite import (
+    SEARCH_CEILING,
+    TABLE_CEILING,
     CatalogueSpec,
     FinitePMV,
     FiniteTable,
     build_catalogue,
+    catalogue_size,
     search_square_rootable,
 )
 from .ideals import (
@@ -74,6 +77,7 @@ from .lgroups import (
     gamma,
 )
 from .roots import (
+    MAX_LADDER_DEPTH,
     SKIPPED,
     Decomposition,
     SquareRootReport,
@@ -181,6 +185,12 @@ def parse_catalogue(obj: dict) -> CatalogueSpec:
     raise SpecFileError(f"unknown catalogue kind {kind!r}")
 
 
+def _check_table_size(size: int, what: str) -> None:
+    if size > TABLE_CEILING:
+        raise SpecFileError(f"{what} needs more than {TABLE_CEILING} elements, "
+                            "the ceiling for finite tables")
+
+
 def load_algebra(path: str, sampler: SamplerConfig, tolerance: float) -> PseudoMV:
     try:
         with open(path, encoding="utf-8") as fh:
@@ -195,8 +205,10 @@ def load_algebra(path: str, sampler: SamplerConfig, tolerance: float) -> PseudoM
     if "finite" in data:
         spec = data["finite"]
         try:
+            n = int(spec["n"])
+            _check_table_size(n, "finite table")
             table = FiniteTable(
-                n=int(spec["n"]),
+                n=n,
                 oplus=tuple(tuple(int(v) for v in row) for row in spec["oplus"]),
                 neg=tuple(int(v) for v in spec["neg"]),
                 tilde=tuple(int(v) for v in spec["tilde"]),
@@ -218,7 +230,9 @@ def load_algebra(path: str, sampler: SamplerConfig, tolerance: float) -> PseudoM
             raise SpecFileError(f"bad gamma spec: {exc}") from exc
     if "catalogue" in data:
         try:
-            algebra = build_catalogue(parse_catalogue(data["catalogue"]))
+            spec = parse_catalogue(data["catalogue"])
+            _check_table_size(catalogue_size(spec), f"catalogue {spec.label()}")
+            algebra = build_catalogue(spec)
         except (IndexError, TypeError, ValueError, AlgebraError) as exc:
             raise SpecFileError(f"bad catalogue spec: {exc}") from exc
         return FinitePMV(algebra.table, labels=algebra.labels, sampler=sampler,
@@ -523,6 +537,19 @@ def cmd_quotient(args: argparse.Namespace) -> int:
 # entry point
 # ----------------------------------------------------------------------
 
+def _int_between(lo: int, hi: int | None = None):
+    """An argparse type: an integer at least ``lo`` and at most ``hi``."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < lo or (hi is not None and value > hi):
+            bounds = f"at least {lo}" if hi is None else f"between {lo} and {hi}"
+            raise argparse.ArgumentTypeError(f"must be {bounds}, got {value}")
+        return value
+
+    parse.__name__ = "int"   # argparse names the type in "invalid int value"
+    return parse
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pseudomv",
@@ -532,7 +559,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--samples", type=int, default=2000)
+        p.add_argument("--samples", type=_int_between(1), default=2000)
         p.add_argument("--tolerance", type=float, default=1e-9)
 
     p = sub.add_parser("analyze", help="full analysis of one algebra file")
@@ -541,7 +568,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("search", help="finite catalogue search: weak root ⇔ Boolean")
-    p.add_argument("--max-size", type=int, default=6)
+    p.add_argument("--max-size", type=_int_between(2, SEARCH_CEILING), default=SEARCH_CEILING)
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("counterexamples",
@@ -551,7 +578,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ladder", help="halving ladder u/2, u/4, ... on a gamma algebra")
     p.add_argument("path")
-    p.add_argument("--depth", type=int, default=10)
+    p.add_argument("--depth", type=_int_between(1, MAX_LADDER_DEPTH), default=10)
     common(p)
     p.set_defaults(func=cmd_ladder)
 

@@ -229,9 +229,6 @@ class PseudoMV(ABC):
         """Right residuum x ⇝ y = y ⊕ x∼."""
         return self.oplus(y, self.tilde(x))
 
-    def arrows(self, x: Any, y: Any) -> tuple[Any, Any]:
-        return self.arrow(x, y), self.snake(x, y)
-
     def join(self, x: Any, y: Any) -> Any:
         """Lattice join x ∨ y = x ⊕ (x∼ ⊙ y)."""
         return self.oplus(x, self.odot(self.tilde(x), y))
@@ -239,9 +236,6 @@ class PseudoMV(ABC):
     def meet(self, x: Any, y: Any) -> Any:
         """Lattice meet x ∧ y = x ⊙ (x⁻ ⊕ y)."""
         return self.odot(x, self.oplus(self.neg(x), y))
-
-    def lattice(self, x: Any, y: Any) -> tuple[Any, Any]:
-        return self.join(x, y), self.meet(x, y)
 
     def leq(self, x: Any, y: Any) -> bool:
         return self.eq(self.meet(x, y), x)
@@ -365,9 +359,6 @@ class PseudoMV(ABC):
         for x in self.probe(budget, seed, "symmetry"):
             res.count(self.eq(self.neg(x), self.tilde(x)), (x,))
         return res
-
-    def is_symmetric(self, budget: int | None = None, seed: int | None = None) -> bool:
-        return self.symmetry_check(budget, seed).passed
 
 
 class ProductPMV(PseudoMV):

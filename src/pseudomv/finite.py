@@ -43,17 +43,21 @@ __all__ = [
     "product",
     "interval",
     "brute_force_weak_sqrt",
-    "check_negation_compat",
     "maximum_of",
     "search_square_rootable",
     "catalogue_closure",
     "find_isomorphism",
     "SEARCH_CEILING",
     "ISO_CEILING",
+    "TABLE_CEILING",
+    "catalogue_size",
 ]
 
 SEARCH_CEILING = 6
 ISO_CEILING = 12
+#: Largest carrier a table read from outside the program may have: every
+#: check on a table is exhaustive, and A1 alone takes n³ steps.
+TABLE_CEILING = 64
 
 
 class AxiomValidationError(AlgebraError):
@@ -328,6 +332,23 @@ def interval(a: FinitePMV, top: int) -> FinitePMV:
     return out.validated()
 
 
+def catalogue_size(spec: CatalogueSpec) -> int:
+    """The largest carrier that building ``spec`` tabulates, found without
+    building anything: a product tabulates its factors too, and an interval
+    its parent.  Boolean sizes stop growing past ``2 * TABLE_CEILING``."""
+    kind, params = spec.kind, spec.params
+    if kind == "chain":
+        return int(params[0]) + 1
+    if kind == "boolean":
+        return 1 << min(max(int(params[0]), 0), TABLE_CEILING.bit_length())
+    if kind == "product":
+        a, b = catalogue_size(params[0]), catalogue_size(params[1])
+        return max(a, b, a * b)
+    if kind == "interval":
+        return catalogue_size(params[0])
+    raise ValueError(f"unknown catalogue kind {kind!r}")
+
+
 def build_catalogue(spec: CatalogueSpec) -> FinitePMV:
     if spec.kind == "chain":
         return chain(int(spec.params[0]))
@@ -388,17 +409,6 @@ def brute_force_weak_sqrt(algebra: FinitePMV) -> WeakSqrtSearch:
             return WeakSqrtSearch("square-mismatch", failing=x)
         mapping[x] = m
     return WeakSqrtSearch("found", mapping=mapping)
-
-
-def check_negation_compat(algebra: FinitePMV, mapping: dict) -> CheckResult:
-    """Exhaustively check r(x⁻) = r(x) → r(0) and r(x∼) = r(x) ⇝ r(0)."""
-    res = CheckResult("negation-compat")
-    r0 = mapping[algebra.zero]
-    for x in algebra.elements():
-        ok = (algebra.eq(mapping[algebra.neg(x)], algebra.arrow(mapping[x], r0))
-              and algebra.eq(mapping[algebra.tilde(x)], algebra.snake(mapping[x], r0)))
-        res.count(ok, (x,))
-    return res
 
 
 # ----------------------------------------------------------------------

@@ -63,9 +63,6 @@ class IdealHandle:
     def __contains__(self, x) -> bool:
         return x in self.members
 
-    def sorted_members(self) -> list:
-        return sorted(self.members)
-
 
 def classify_ideal(algebra: FinitePMV, subset) -> IdealHandle:
     """Verify the ideal axioms and compute the normal / prime / Boolean

@@ -15,6 +15,9 @@ On group intervals Γ(G, u) with computable halving the roots have closed
 forms: (x + u)/2 when u/2 is central, and ((x − u)/2) + u in general (a
 weak root that need not respect the negations).  Closed-form evaluation
 never falls back to brute force; selection is explicit in the API.
+
+The property and variety suites are tables of rows (item, needs negation
+compatibility, domain, predicate): items, order and gating come from them.
 """
 
 from __future__ import annotations
@@ -377,6 +380,22 @@ class Decomposition:
         return all(c.passed for c in self.checks.values())
 
 
+def _embedding_check(name: str, source: PseudoMV, target: PseudoMV,
+                     f: Callable[[Any], Any], pairs) -> CheckResult:
+    """f is an injective ⊕/⁻/∼/0/1 homomorphism from source into target, on
+    the given pairs and at the bounds."""
+    res = CheckResult(name)
+    for x, y in pairs:
+        fx, fy = f(x), f(y)
+        res.count(target.eq(f(source.oplus(x, y)), target.oplus(fx, fy))
+                  and target.eq(f(source.neg(x)), target.neg(fx))
+                  and target.eq(f(source.tilde(x)), target.tilde(fx))
+                  and not (target.eq(fx, fy) and not source.eq(x, y)), (x, y))
+    res.count(target.eq(f(source.zero), target.zero), (source.zero,))
+    res.count(target.eq(f(source.one), target.one), (source.one,))
+    return res
+
+
 def decompose(algebra: PseudoMV, root: SquareRootMap, budget: int | None = None,
               seed: int | None = None) -> Decomposition:
     """Split along the witness idempotent into Boolean × strict parts.
@@ -431,19 +450,9 @@ def decompose(algebra: PseudoMV, root: SquareRootMap, budget: int | None = None,
     def iso(x):
         return (algebra.meet(x, u), algebra.meet(x, v))
 
-    target = ProductPMV(part_bool, part_strict)
-    hom = CheckResult("iso-homomorphism")
-    pairs = _pair_stream(algebra, budget, seed, "decompose-pairs")
-    for x, y in pairs:
-        ok = target.eq(iso(algebra.oplus(x, y)), target.oplus(iso(x), iso(y)))
-        ok = ok and target.eq(iso(algebra.neg(x)), target.neg(iso(x)))
-        ok = ok and target.eq(iso(algebra.tilde(x)), target.tilde(iso(x)))
-        if target.eq(iso(x), iso(y)) and not algebra.eq(x, y):
-            ok = False
-        hom.count(ok, (x, y))
-    hom.count(target.eq(iso(algebra.zero), target.zero), (algebra.zero,))
-    hom.count(target.eq(iso(algebra.one), target.one), (algebra.one,))
-    checks["iso"] = hom
+    checks["iso"] = _embedding_check(
+        "iso-homomorphism", algebra, ProductPMV(part_bool, part_strict), iso,
+        _pair_stream(algebra, budget, seed, "decompose-pairs"))
 
     return Decomposition("product", u, part_bool, part_strict, iso, checks)
 
@@ -530,19 +539,9 @@ def induced_interval_algebra(algebra: PseudoMV, root: SquareRootMap,
     image = ImagePMV(algebra, root)
     checks: dict[str, CheckResult] = {}
 
-    iso = CheckResult("image-isomorphism")
-    pairs = _pair_stream(algebra, budget, seed, "image-pairs")
-    for x, y in pairs:
-        fx, fy = root(x), root(y)
-        ok = image.eq(root(algebra.oplus(x, y)), image.oplus(fx, fy))
-        ok = ok and image.eq(root(algebra.neg(x)), image.neg(fx))
-        ok = ok and image.eq(root(algebra.tilde(x)), image.tilde(fx))
-        if image.eq(fx, fy) and not algebra.eq(x, y):
-            ok = False
-        iso.count(ok, (x, y))
-    iso.count(image.eq(root(algebra.zero), image.zero), (algebra.zero,))
-    iso.count(image.eq(root(algebra.one), image.one), (algebra.one,))
-    checks["isomorphism"] = iso
+    checks["isomorphism"] = _embedding_check(
+        "image-isomorphism", algebra, image, root,
+        _pair_stream(algebra, budget, seed, "image-pairs"))
 
     onto = CheckResult("image-covers-interval")
     r0 = image.zero
@@ -561,6 +560,9 @@ def induced_interval_algebra(algebra: PseudoMV, root: SquareRootMap,
 # ----------------------------------------------------------------------
 # iterates, powers, the halving ladder
 # ----------------------------------------------------------------------
+
+MAX_LADDER_DEPTH = 20
+
 
 def iterate(algebra: PseudoMV, root: SquareRootMap, x: Any, m: int) -> Any:
     if m < 0:
@@ -594,8 +596,8 @@ def dyadic_ladder(algebra: GammaPMV, root: SquareRootMap, depth: int) -> list:
     """
     if not isinstance(algebra, GammaPMV):
         raise UnsupportedBackend("the halving ladder needs a group-interval backend")
-    if not 1 <= depth <= 20:
-        raise ValueError("depth must be between 1 and 20")
+    if not 1 <= depth <= MAX_LADDER_DEPTH:
+        raise ValueError(f"depth must be between 1 and {MAX_LADDER_DEPTH}")
     r0 = root(algebra.zero)
     if not algebra.eq(r0, algebra.neg(r0)):
         raise LadderError("root is not strict; the ladder needs r(0) = r(0)⁻")
@@ -621,76 +623,175 @@ def dyadic_ladder(algebra: GammaPMV, root: SquareRootMap, depth: int) -> list:
 # identity suites
 # ----------------------------------------------------------------------
 
+SKIPPED = "skipped"
+
+
+def _negation_compatible(algebra: PseudoMV, root: Callable, r0, x, rx) -> bool:
+    """r(x⁻) = r(x) → r(0) and r(x∼) = r(x) ⇝ r(0) at x, where rx = r(x)."""
+    return (algebra.eq(root(algebra.neg(x)), algebra.arrow(rx, r0))
+            and algebra.eq(root(algebra.tilde(x)), algebra.snake(rx, r0)))
+
+
+class _Memo(dict):
+    """x ↦ fn(x), evaluating each x once."""
+
+    def __init__(self, fn: Callable[[Any], Any]):
+        self.fn = fn
+
+    def __missing__(self, x):
+        value = self[x] = self.fn(x)
+        return value
+
+
+class _Suite:
+    """The algebra M, the root r (each value computed once), r0 = r(0) and the
+    domains: the points a row's predicate is counted at, each also its witness."""
+
+    def __init__(self, algebra: PseudoMV, root: SquareRootMap, budget: int | None,
+                 seed: int | None, label: str):
+        self.M = algebra
+        self.r = SquareRootMap(root.algebra, root.kind, _Memo(root._fn).__getitem__, root.data)
+        self.r0 = self.r(algebra.zero)
+        self.elems = algebra.probe(budget, seed, f"{label}-elems")
+        self.pairs = _pair_stream(algebra, budget, seed, f"{label}-pairs")
+        self.one = [(algebra.one,)]
+        self.at_r0 = [(self.r0,)]
+        self._intervals: dict = {}
+
+    @property
+    def elements(self):
+        return ((x,) for x in self.elems)
+
+    @property
+    def chains(self):
+        return ((x, self.M.join(x, t)) for x, t in self.pairs)
+
+    @property
+    def idempotents_below_r0(self):
+        M = self.M
+        return [(a,) for a in M.boolean_skeleton() if M.leq(a, self.r0)] if M.enumerable else []
+
+    @property
+    def interval_points(self):
+        """(a, x) for idempotents a and x in [0, a]: all on enumerable carriers,
+        else a in {0, 1, r(0)⁻ ⊙ r(0)⁻} and x projected from a quarter of the
+        elements.  Keeps [0, a] and its root for relative_root_holds."""
+        M = self.M
+        if M.enumerable:
+            tops = M.boolean_skeleton()
+        else:
+            w = M.odot(M.neg(self.r0), M.neg(self.r0))
+            tops = [M.zero, M.one] + ([w] if M.is_boolean_element(w) else [])
+        quarter = self.elems[: max(1, len(self.elems) // 4)]
+        for a in tops:
+            sub = IntervalPMV(M, a)
+            rel = relative_map(self.r, a, sub)
+            self._intervals[a] = (sub, rel, rel(sub.zero))
+            for x in sub.elements() if sub.enumerable else [sub.project(y) for y in quarter]:
+                yield a, x
+
+    def relative_root_holds(self, a: Any, x: Any) -> bool:
+        sub, rel, rel0 = self._intervals[a]
+        rx = rel(x)
+        return sub.eq(sub.odot(rx, rx), x) and _negation_compatible(sub, rel, rel0, x, rx)
+
+
+def _run(rows: tuple, s: _Suite, negation_compat: bool = True) -> dict:
+    """Count each row's predicate over its domain into its item's result, in
+    row order; without negation compatibility gated rows give SKIPPED."""
+    out: dict[str, Any] = {}
+    for item, gated, domain, holds in rows:
+        if gated and not negation_compat:
+            out[item] = SKIPPED
+            continue
+        res = out.setdefault(item, CheckResult(item))
+        for point in getattr(s, domain):
+            res.count(holds(s, *point), point)
+    return out
+
+
+# Rows are (item, needs negation compatibility, domain, predicate): predicate(suite,
+# *point) is counted at each point of the _Suite attribute named by domain.
+_VARIETY_ROWS = (
+    ("square", False, "elements", lambda s, x: s.M.eq(s.M.odot(rx := s.r(x), rx), x)),
+    ("join_absorption", False, "pairs",
+     lambda s, x, y: s.M.eq(s.M.meet(s.r(s.M.join(s.M.odot(y, y), x)), y), y)),
+    ("negation_compat", False, "elements",
+     lambda s, x: _negation_compatible(s.M, s.r, s.r0, x, s.r(x))),
+)
+
+
 def variety_identities(algebra: PseudoMV, root: SquareRootMap,
                        budget: int | None = None, seed: int | None = None) -> dict:
     """The three equations axiomatizing square roots as an equational class:
     the square law, the join-absorption form of maximality, and negation
     compatibility.  Weak roots satisfy the first two only."""
-    eq = algebra.eq
-    r0 = root(algebra.zero)
-    out = {
-        "square": CheckResult("square"),
-        "join_absorption": CheckResult("join_absorption"),
-        "negation_compat": CheckResult("negation_compat"),
-    }
-    for x in algebra.probe(budget, seed, "variety-elems"):
-        out["square"].count(eq(algebra.odot(root(x), root(x)), x), (x,))
-        rx = root(x)
-        ok = (eq(root(algebra.neg(x)), algebra.arrow(rx, r0))
-              and eq(root(algebra.tilde(x)), algebra.snake(rx, r0)))
-        out["negation_compat"].count(ok, (x,))
-    for x, y in _pair_stream(algebra, budget, seed, "variety-pairs"):
-        lhs = algebra.meet(root(algebra.join(algebra.odot(y, y), x)), y)
-        out["join_absorption"].count(eq(lhs, y), (x, y))
-    return out
+    return _run(_VARIETY_ROWS, _Suite(algebra, root, budget, seed, "variety"))
 
 
-SKIPPED = "skipped"
-
-PROPERTY_ITEMS: tuple[str, ...] = (
-    "bounds_and_commutation",      # 1
-    "monotone",                    # 2
-    "meet_below_mixed_products",   # 3
-    "double_square",               # 4
-    "self_negation_meets_below_r0",  # 5
-    "idempotent_fixed_points",     # 6
-    "preserves_meet",              # 7
-    "residuation_bounds",          # 8
-    "preserves_join",              # 9
-    "product_upper_bound",         # 10
-    "boolean_characterization",    # 11
-    "domination_forces_order",     # 12
-    "relative_roots",              # 13
-    "sum_lower_bound",             # 14
-    "iterated_powers",             # 15
+# the fifteen claims, in order
+_CLAIM_ROWS = (
+    ("bounds_and_commutation", False, "one", lambda s, x: s.M.eq(s.r(x), x)),
+    ("bounds_and_commutation", False, "elements", lambda s, x: (
+        s.M.leq(x, xr := s.M.join(x, s.r0)) and s.M.leq(xr, rx := s.r(x))
+        and s.M.leq(s.M.join(s.M.odot(rx, s.r0), s.M.odot(s.r0, rx)), x)
+        and s.M.eq(s.M.odot(rx, x), s.M.odot(x, rx)))),
+    ("monotone", False, "chains", lambda s, x, y: s.M.leq(s.r(x), s.r(y))),
+    ("meet_below_mixed_products", False, "pairs", lambda s, x, y: (
+        s.M.leq(m := s.M.meet(x, y), s.M.odot(s.r(x), s.r(y)))
+        and s.M.leq(m, s.M.odot(s.r(y), s.r(x))))),
+    ("meet_below_mixed_products", False, "idempotents_below_r0", lambda s, a: s.M.eq(a, s.M.zero)),
+    ("double_square", False, "elements", lambda s, x: (
+        s.M.leq(x, rsq := s.r(sq := s.M.odot(x, x))) and s.M.eq(s.M.odot(rsq, rsq), sq))),
+    ("self_negation_meets_below_r0", False, "elements", lambda s, x: s.M.leq(
+        s.M.join(s.M.meet(x, s.M.neg(x)), s.M.meet(x, s.M.tilde(x))), s.r0)),
+    ("idempotent_fixed_points", False, "elements",
+     lambda s, x: s.M.is_boolean_element(rx := s.r(x)) == s.M.eq(rx, x)),
+    ("preserves_meet", False, "pairs",
+     lambda s, x, y: s.M.eq(s.M.meet(s.r(x), s.r(y)), s.r(s.M.meet(x, y)))),
+    ("residuation_bounds", False, "pairs", lambda s, x, y: (
+        s.M.leq(s.M.arrow(rx := s.r(x), ry := s.r(y)), s.r(s.M.arrow(x, y)))
+        and s.M.leq(s.M.snake(rx, ry), s.r(s.M.snake(x, y))))),
+    ("preserves_join", True, "pairs",
+     lambda s, x, y: s.M.eq(s.r(s.M.join(x, y)), s.M.join(s.r(x), s.r(y)))),
+    ("product_upper_bound", True, "pairs", lambda s, x, y: (
+        s.M.leq(s.r(s.M.odot(x, y)), s.M.join(s.M.odot(rx := s.r(x), s.r(y)), s.r0))
+        and s.M.eq(s.r(s.M.odot(x, x)), s.M.join(s.M.odot(rx, rx), s.r0))
+        and s.M.eq(s.r(s.M.odot(up := s.M.join(x, s.r0), up)), up))),
+    ("boolean_characterization", True, "at_r0", lambda s, z: (
+        s.M.is_boolean_element(wl := s.M.odot(nz := s.M.neg(z), nz))
+        and s.M.is_boolean_element(wr := s.M.odot(tz := s.M.tilde(z), tz))
+        and s.M.eq(wl, wr))),
+    ("boolean_characterization", True, "elements", lambda s, x: (
+        (s.M.is_boolean_element(x) == s.M.eq(rx := s.r(x), s.M.oplus(x, s.r0))
+         == s.M.eq(rx, s.M.oplus(s.r0, x))) and s.M.leq(s.r0, rx))),
+    ("domination_forces_order", True, "pairs", lambda s, x, y: (
+        not s.M.leq(y, s.M.meet(s.M.odot(rx := s.r(x), ry := s.r(y)), s.M.odot(ry, rx)))
+        or s.M.leq(y, x))),
+    ("relative_roots", True, "interval_points", _Suite.relative_root_holds),
+    ("sum_lower_bound", True, "pairs", lambda s, x, y: s.M.leq(
+        s.M.oplus(s.M.odot(s.r(x), s.M.neg(s.r0)), s.r(y)), s.r(s.M.oplus(x, y)))),
+    ("iterated_powers", True, "elements", lambda s, x: (
+        power_check(s.M, s.r, x, 1, 1) and power_check(s.M, s.r, x, 2, 1)
+        and power_check(s.M, s.r, x, 2, 2))),
 )
 
-WEAK_SAFE_ITEMS: tuple[str, ...] = PROPERTY_ITEMS[:8] + (
-    "half_sum_upper_bound",
-    "r0_attains_max_self_meet",
+_EXTRA_ROWS = (
+    ("half_sum_upper_bound", False, "elements", lambda s, x: s.M.leq(
+        s.r(x), s.M.meet(s.M.oplus(x, s.r0), s.M.oplus(s.r0, x)))),
+    ("r0_attains_max_self_meet", False, "at_r0", lambda s, z: s.M.eq(s.M.meet(z, s.M.neg(z)), z)),
+    ("r0_attains_max_self_meet", False, "elements", lambda s, x: (
+        s.M.leq(s.M.meet(x, s.M.neg(x)), s.r0) and s.M.leq(s.M.meet(x, s.M.tilde(x)), s.r0))),
+    ("double_oplus_shift", True, "elements", lambda s, y: (
+        s.M.eq(ry := s.r(s.M.oplus(y, y)), s.M.oplus(y, s.r0))
+        and s.M.eq(ry, s.M.oplus(s.r0, y)))),
+    ("negations_agree_at_r0", True, "at_r0", lambda s, z: s.M.eq(s.M.neg(z), s.M.tilde(z))),
 )
 
-GATED_EXTRAS: tuple[str, ...] = (
-    "double_oplus_shift",
-    "negations_agree_at_r0",
-)
-
-
-def _memoized(root: SquareRootMap) -> SquareRootMap:
-    """The same map, evaluating each point once.  The suite asks for most
-    root values several times; the cache lives as long as the returned map,
-    so its size follows the suite's point budget."""
-    cache: dict = {}
-    fn = root._fn
-
-    def cached(x):
-        try:
-            return cache[x]
-        except KeyError:
-            value = cache[x] = fn(x)
-            return value
-
-    return SquareRootMap(root.algebra, root.kind, cached, data=root.data)
+_PROPERTY_ROWS = _CLAIM_ROWS + _EXTRA_ROWS
+PROPERTY_ITEMS = tuple(dict.fromkeys(item for item, *_ in _CLAIM_ROWS))
+WEAK_SAFE_ITEMS = tuple(dict.fromkeys(item for item, gated, *_ in _PROPERTY_ROWS if not gated))
+GATED_EXTRAS = tuple(dict.fromkeys(item for item, gated, *_ in _EXTRA_ROWS if gated))
 
 
 def square_root_properties(algebra: PseudoMV, root: SquareRootMap,
@@ -698,165 +799,12 @@ def square_root_properties(algebra: PseudoMV, root: SquareRootMap,
                            negation_compat: bool | None = None) -> dict:
     """The universally quantified consequence suite for a (weak) square root.
 
-    Items that require negation compatibility are reported as ``"skipped"``
-    when the map is weak-only; the first eight items and the bound extras
-    hold for every weak root and are always checked.
-    """
-    root = _memoized(root)
-    eq, leq = algebra.eq, algebra.leq
-    r0 = root(algebra.zero)
-    elems = algebra.probe(budget, seed, "props-elems")
-    pairs = _pair_stream(algebra, budget, seed, "props-pairs")
-
+    Items, their order and gating come from the rows of the fifteen claims
+    (:data:`PROPERTY_ITEMS`) and the extra bounds.  Items outside
+    :data:`WEAK_SAFE_ITEMS` are ``"skipped"`` without negation compatibility,
+    which is decided on 64 probed elements when ``negation_compat`` is None."""
+    s = _Suite(algebra, root, budget, seed, "props")
     if negation_compat is None:
-        negation_compat = all(
-            eq(root(algebra.neg(x)), algebra.arrow(root(x), r0))
-            and eq(root(algebra.tilde(x)), algebra.snake(root(x), r0))
-            for x in elems[: min(len(elems), 64)]
-        )
-
-    out: dict[str, Any] = {name: CheckResult(name)
-                           for name in PROPERTY_ITEMS + WEAK_SAFE_ITEMS[8:] + GATED_EXTRAS}
-
-    res = out["bounds_and_commutation"]
-    res.count(eq(root(algebra.one), algebra.one), (algebra.one,))
-    for x in elems:
-        rx = root(x)
-        ok = leq(x, algebra.join(x, r0)) and leq(algebra.join(x, r0), rx)
-        ok = ok and leq(algebra.join(algebra.odot(rx, r0), algebra.odot(r0, rx)), x)
-        ok = ok and eq(algebra.odot(rx, x), algebra.odot(x, rx))
-        res.count(ok, (x,))
-
-    res = out["monotone"]
-    for x, s in pairs:
-        y = algebra.join(x, s)
-        res.count(leq(root(x), root(y)), (x, y))
-
-    res = out["meet_below_mixed_products"]
-    for x, y in pairs:
-        m = algebra.meet(x, y)
-        res.count(leq(m, algebra.odot(root(x), root(y)))
-                  and leq(m, algebra.odot(root(y), root(x))), (x, y))
-    if algebra.enumerable:
-        for a in algebra.boolean_skeleton():
-            if leq(a, r0):
-                res.count(eq(a, algebra.zero), (a,))
-
-    res = out["double_square"]
-    for x in elems:
-        sq = algebra.odot(x, x)
-        rsq = root(sq)
-        res.count(leq(x, rsq) and eq(algebra.odot(rsq, rsq), sq), (x,))
-
-    res = out["self_negation_meets_below_r0"]
-    for x in elems:
-        lhs = algebra.join(algebra.meet(x, algebra.neg(x)),
-                           algebra.meet(x, algebra.tilde(x)))
-        res.count(leq(lhs, r0), (x,))
-
-    res = out["idempotent_fixed_points"]
-    for x in elems:
-        rx = root(x)
-        res.count(algebra.is_boolean_element(rx) == eq(rx, x), (x,))
-
-    res = out["preserves_meet"]
-    for x, y in pairs:
-        res.count(eq(algebra.meet(root(x), root(y)), root(algebra.meet(x, y))), (x, y))
-
-    res = out["residuation_bounds"]
-    for x, y in pairs:
-        ok = leq(algebra.arrow(root(x), root(y)), root(algebra.arrow(x, y)))
-        ok = ok and leq(algebra.snake(root(x), root(y)), root(algebra.snake(x, y)))
-        res.count(ok, (x, y))
-
-    res = out["half_sum_upper_bound"]
-    for x in elems:
-        bound = algebra.meet(algebra.oplus(x, r0), algebra.oplus(r0, x))
-        res.count(leq(root(x), bound), (x,))
-
-    res = out["r0_attains_max_self_meet"]
-    res.count(eq(algebra.meet(r0, algebra.neg(r0)), r0), (r0,))
-    for x in elems:
-        res.count(leq(algebra.meet(x, algebra.neg(x)), r0)
-                  and leq(algebra.meet(x, algebra.tilde(x)), r0), (x,))
-
-    if not negation_compat:
-        for name in PROPERTY_ITEMS[8:] + GATED_EXTRAS:
-            out[name] = SKIPPED
-        return out
-
-    res = out["preserves_join"]
-    for x, y in pairs:
-        res.count(eq(root(algebra.join(x, y)), algebra.join(root(x), root(y))), (x, y))
-
-    res = out["product_upper_bound"]
-    for x, y in pairs:
-        ok = leq(root(algebra.odot(x, y)),
-                 algebra.join(algebra.odot(root(x), root(y)), r0))
-        ok = ok and eq(root(algebra.odot(x, x)),
-                       algebra.join(algebra.odot(root(x), root(x)), r0))
-        above = algebra.join(x, r0)
-        ok = ok and eq(root(algebra.odot(above, above)), above)
-        res.count(ok, (x, y))
-
-    res = out["boolean_characterization"]
-    w_left = algebra.odot(algebra.neg(r0), algebra.neg(r0))
-    w_right = algebra.odot(algebra.tilde(r0), algebra.tilde(r0))
-    res.count(algebra.is_boolean_element(w_left)
-              and algebra.is_boolean_element(w_right)
-              and eq(w_left, w_right), (r0,))
-    for x in elems:
-        rx = root(x)
-        idem = algebra.is_boolean_element(x)
-        left = eq(rx, algebra.oplus(x, r0))
-        right = eq(rx, algebra.oplus(r0, x))
-        ok = (idem == left == right) and leq(r0, rx)
-        res.count(ok, (x,))
-
-    res = out["domination_forces_order"]
-    for x, y in pairs:
-        dominated = leq(y, algebra.meet(algebra.odot(root(x), root(y)),
-                                        algebra.odot(root(y), root(x))))
-        res.count(leq(y, x) if dominated else True, (x, y))
-
-    res = out["relative_roots"]
-    if algebra.enumerable:
-        idempotents = algebra.boolean_skeleton()
-    else:
-        idempotents = [algebra.zero, algebra.one]
-        if algebra.is_boolean_element(w_left):
-            idempotents.append(w_left)
-    for a in idempotents:
-        sub = IntervalPMV(algebra, a)
-        rel = relative_map(root, a, sub)
-        sub_elems = (list(sub.elements()) if sub.enumerable
-                     else [sub.project(x) for x in elems[: max(1, len(elems) // 4)]])
-        rel0 = rel(sub.zero)
-        for x in sub_elems:
-            rx = rel(x)
-            ok = sub.eq(sub.odot(rx, rx), x)
-            ok = ok and sub.eq(rel(sub.neg(x)), sub.arrow(rx, rel0))
-            ok = ok and sub.eq(rel(sub.tilde(x)), sub.snake(rx, rel0))
-            res.count(ok, (a, x))
-
-    res = out["sum_lower_bound"]
-    for x, y in pairs:
-        lhs = algebra.oplus(algebra.odot(root(x), algebra.neg(r0)), root(y))
-        res.count(leq(lhs, root(algebra.oplus(x, y))), (x, y))
-
-    res = out["iterated_powers"]
-    for x in elems:
-        ok = (power_check(algebra, root, x, 1, 1)
-              and power_check(algebra, root, x, 2, 1)
-              and power_check(algebra, root, x, 2, 2))
-        res.count(ok, (x,))
-
-    res = out["double_oplus_shift"]
-    for y in elems:
-        ry = root(algebra.oplus(y, y))
-        res.count(eq(ry, algebra.oplus(y, r0)) and eq(ry, algebra.oplus(r0, y)), (y,))
-
-    res = out["negations_agree_at_r0"]
-    res.count(eq(algebra.neg(r0), algebra.tilde(r0)), (r0,))
-
-    return out
+        negation_compat = all(_negation_compatible(algebra, s.r, s.r0, x, s.r(x))
+                              for x in s.elems[:64])
+    return _run(_PROPERTY_ROWS, s, negation_compat)

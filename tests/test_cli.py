@@ -19,6 +19,7 @@ from pseudomv.cli import (
     parse_group,
 )
 from pseudomv.core import SamplerConfig
+from pseudomv.finite import TABLE_CEILING
 
 
 def run_cli(*args, env_extra=None):
@@ -210,6 +211,25 @@ def test_analyze_malformed_spec_exits_3(tmp_path, payload):
     assert "Traceback" not in proc.stderr
 
 
+def chain_table(n):
+    return {"n": n + 1, "oplus": [[min(i + j, n) for j in range(n + 1)] for i in range(n + 1)],
+            "neg": [n - i for i in range(n + 1)], "tilde": [n - i for i in range(n + 1)],
+            "zero": 0, "one": n}
+
+
+@pytest.mark.parametrize("payload, code", [
+    ({"finite": chain_table(TABLE_CEILING - 1)}, 0),
+    ({"finite": chain_table(TABLE_CEILING)}, 3),
+    ({"catalogue": {"kind": "chain", "params": [TABLE_CEILING]}}, 3),
+], ids=["finite-at-ceiling", "finite-above", "catalogue-above"])
+def test_table_size_ceiling(tmp_path, payload, code):
+    # the largest carrier allowed, and the smallest ones above the ceiling
+    proc = run_cli("analyze", write(tmp_path, "big.json", payload), "--samples", "20")
+    assert proc.returncode == code, proc.stderr
+    if code == 3:
+        assert proc.stderr.startswith("error:") and "ceiling" in proc.stderr
+
+
 def test_analyze_is_deterministic(tmp_path):
     path = write(tmp_path, "lh.json", GAMMA_LEXHEIS)
     a = run_cli("analyze", path, "--seed", "42", "--samples", "150")
@@ -243,12 +263,6 @@ def test_search_single_row():
     assert proc.returncode == 0
     lines = [l for l in proc.stdout.splitlines() if l.startswith(("chain", "boolean"))]
     assert lines and all("True" in l for l in lines)
-
-
-def test_search_ceiling_is_enforced():
-    proc = run_cli("search", "--max-size", "7")
-    assert proc.returncode == 1
-    assert "ceiling" in proc.stderr
 
 
 # ----------------------------------------------------------------------
@@ -300,6 +314,25 @@ def test_quotient_command(tmp_path):
 def test_usage_error_exit_code():
     proc = run_cli("analyze")  # missing path
     assert proc.returncode == 3
+
+
+@pytest.mark.parametrize("args", [
+    ["search", "--max-size", "7"],
+    ["search", "--max-size", "0"],
+    ["search", "--max-size", "-1"],
+    ["ladder", "d.json", "--depth", "0"],
+    ["ladder", "d.json", "--depth", "25"],
+    ["analyze", "d.json", "--samples", "-3"],
+    ["counterexamples", "--samples", "0"],
+], ids=["search-max-size-7", "search-max-size-0", "search-max-size-neg1", "ladder-depth-0",
+        "ladder-depth-25", "analyze-samples-neg3", "counterexamples-samples-0"])
+def test_out_of_range_options_exit_3(tmp_path, args):
+    write(tmp_path, "d.json", GAMMA_DYADIC)
+    args = [str(tmp_path / a) if a == "d.json" else a for a in args]
+    proc = run_cli(*args)
+    assert proc.returncode == 3
+    assert "error: argument" in proc.stderr and "Traceback" not in proc.stderr
+    assert proc.stdout == ""
 
 
 def test_cli_import_loads_no_numpy():

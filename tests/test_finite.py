@@ -8,10 +8,11 @@ import pytest
 
 import pseudomv as pmv
 from pseudomv.finite import (
+    TABLE_CEILING,
     CatalogueSpec,
     build_catalogue,
     catalogue_closure,
-    check_negation_compat,
+    catalogue_size,
     maximum_of,
     search_square_rootable,
 )
@@ -67,6 +68,21 @@ def test_build_catalogue_specs():
     assert build_catalogue(CatalogueSpec("chain", (3,))).size == 4
     with pytest.raises(ValueError):
         build_catalogue(CatalogueSpec("ring", (1,)))
+
+
+def test_catalogue_size_without_building():
+    chain3, bool2 = CatalogueSpec("chain", (3,)), CatalogueSpec("boolean", (2,))
+    for spec in (chain3, bool2, CatalogueSpec("product", (chain3, bool2))):
+        assert catalogue_size(spec) == build_catalogue(spec).size
+    # an interval tabulates its parent first
+    assert catalogue_size(CatalogueSpec("interval", (bool2, 1))) == 4
+    # nothing is built, and the size stays a small number past the ceiling,
+    # also when the other factor of a product is empty or invalid
+    huge = CatalogueSpec("boolean", (10 ** 12,))
+    assert TABLE_CEILING < catalogue_size(huge) <= 2 * TABLE_CEILING
+    empty = CatalogueSpec("chain", (-1,))
+    assert catalogue_size(CatalogueSpec("product", (huge, empty))) > TABLE_CEILING
+    assert catalogue_size(CatalogueSpec("product", (empty, huge))) > TABLE_CEILING
 
 
 def test_catalogue_tables_validate():
@@ -153,11 +169,10 @@ def test_maximum_of_detects_maximal_without_maximum():
 def test_negation_compat_check():
     b = pmv.boolean(2)
     search = pmv.brute_force_weak_sqrt(b)
-    res = check_negation_compat(b, search.mapping)
-    assert res.passed
+    assert pmv.verify(b, pmv.table_map(b, search.mapping)).negation_compat.passed
     c1 = pmv.chain(1)
-    res = check_negation_compat(c1, pmv.brute_force_weak_sqrt(c1).mapping)
-    assert res.passed
+    root = pmv.table_map(c1, pmv.brute_force_weak_sqrt(c1).mapping)
+    assert pmv.verify(c1, root).negation_compat.passed
 
 
 # ----------------------------------------------------------------------

@@ -16,6 +16,7 @@ import pytest
 import pseudomv as pmv
 from pseudomv.core import make_rng
 from pseudomv.roots import (
+    GATED_EXTRAS,
     PROPERTY_ITEMS,
     SKIPPED,
     WEAK_SAFE_ITEMS,
@@ -362,6 +363,30 @@ def test_property_suite_boolean_exhaustive():
     props = square_root_properties(b, pmv.identity_map(b))
     for name, res in props.items():
         assert res != SKIPPED and res.passed, name
+    # 4 elements, 16 pairs, r = identity with r(0) = 0, and all 4 elements
+    # idempotent: 0 is the one below r(0), and the intervals [0, a] hold
+    # 1 + 2 + 2 + 4 points
+    assert {name: res.checked for name, res in props.items()} == {
+        "bounds_and_commutation": 1 + 4,
+        "monotone": 16,
+        "meet_below_mixed_products": 16 + 1,
+        "double_square": 4,
+        "self_negation_meets_below_r0": 4,
+        "idempotent_fixed_points": 4,
+        "preserves_meet": 16,
+        "residuation_bounds": 16,
+        "preserves_join": 16,
+        "product_upper_bound": 16,
+        "boolean_characterization": 1 + 4,
+        "domination_forces_order": 16,
+        "relative_roots": 1 + 2 + 2 + 4,
+        "sum_lower_bound": 16,
+        "iterated_powers": 4,
+        "half_sum_upper_bound": 4,
+        "r0_attains_max_self_meet": 1 + 4,
+        "double_oplus_shift": 4,
+        "negations_agree_at_r0": 1,
+    }
 
 
 def test_property_suite_dyadic():
@@ -383,8 +408,15 @@ def test_property_suite_skips_gated_items_for_weak_roots():
     scaling, root = scaling_action_algebra()
     props = square_root_properties(scaling, root, budget=150,
                                    negation_compat=False)
-    for name in PROPERTY_ITEMS[8:]:
-        assert props[name] == SKIPPED
+    skipped = {name for name, res in props.items() if res == SKIPPED}
+    assert skipped == {
+        "preserves_join", "product_upper_bound", "boolean_characterization",
+        "domination_forces_order", "relative_roots", "sum_lower_bound",
+        "iterated_powers", "double_oplus_shift", "negations_agree_at_r0",
+    }
+    assert skipped == set(PROPERTY_ITEMS + GATED_EXTRAS) - set(WEAK_SAFE_ITEMS)
+    assert list(props) == [*PROPERTY_ITEMS, "half_sum_upper_bound",
+                           "r0_attains_max_self_meet", *GATED_EXTRAS]
     for name in WEAK_SAFE_ITEMS[:7]:
         assert props[name].passed, name
 
@@ -392,6 +424,8 @@ def test_property_suite_skips_gated_items_for_weak_roots():
 def test_property_items_cover_the_fifteen_claims():
     assert len(PROPERTY_ITEMS) == 15
     assert WEAK_SAFE_ITEMS[:8] == PROPERTY_ITEMS[:8]
+    assert WEAK_SAFE_ITEMS[8:] == ("half_sum_upper_bound", "r0_attains_max_self_meet")
+    assert GATED_EXTRAS == ("double_oplus_shift", "negations_agree_at_r0")
 
 
 def test_residuation_bound_fails_on_noncommutative_carriers():
