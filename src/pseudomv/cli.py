@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -44,6 +45,7 @@ from .counterexamples import (
     scaling_action_verdicts,
 )
 from .finite import (
+    CATALOGUE_DEPTH_CEILING,
     SEARCH_CEILING,
     TABLE_CEILING,
     CatalogueSpec,
@@ -138,7 +140,7 @@ def parse_group(text: str, tolerance: float = 1e-9) -> LGroup:
 
     try:
         group, rest = parse(text)
-    except (ValueError, IndexError) as exc:
+    except (ValueError, IndexError, RecursionError) as exc:
         raise SpecFileError(f"bad group expression {text!r}: {exc}") from exc
     if rest.strip():
         raise SpecFileError(f"trailing input after group expression: {rest!r}")
@@ -170,7 +172,10 @@ def parse_element_literal(group: LGroup, text: str) -> Any:
         raise SpecFileError(str(exc)) from exc
 
 
-def parse_catalogue(obj: dict) -> CatalogueSpec:
+def parse_catalogue(obj: dict, depth: int = 1) -> CatalogueSpec:
+    """The spec of ``obj``, found ``depth`` levels deep in the file."""
+    if depth > CATALOGUE_DEPTH_CEILING:
+        raise SpecFileError(f"catalogue spec nests deeper than {CATALOGUE_DEPTH_CEILING} levels")
     try:
         kind = obj["kind"]
         params = obj["params"]
@@ -179,9 +184,10 @@ def parse_catalogue(obj: dict) -> CatalogueSpec:
     if kind in ("chain", "boolean"):
         return CatalogueSpec(kind, (int(params[0]),))
     if kind == "product":
-        return CatalogueSpec(kind, (parse_catalogue(params[0]), parse_catalogue(params[1])))
+        return CatalogueSpec(kind, (parse_catalogue(params[0], depth + 1),
+                                    parse_catalogue(params[1], depth + 1)))
     if kind == "interval":
-        return CatalogueSpec(kind, (parse_catalogue(params[0]), int(params[1])))
+        return CatalogueSpec(kind, (parse_catalogue(params[0], depth + 1), int(params[1])))
     raise SpecFileError(f"unknown catalogue kind {kind!r}")
 
 
@@ -199,6 +205,8 @@ def load_algebra(path: str, sampler: SamplerConfig, tolerance: float) -> PseudoM
         raise SpecFileError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise SpecFileError(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise SpecFileError(f"{path} nests too deeply to read") from exc
     if not isinstance(data, dict):
         raise SpecFileError("top level must be an object")
 
@@ -277,7 +285,7 @@ def render_axioms(algebra: PseudoMV, report: AxiomReport) -> dict:
 
 
 def render_root_report(algebra: PseudoMV, report: SquareRootReport) -> dict:
-    out = {
+    return {
         "square": render_check(algebra, report.square),
         "maximality": render_check(algebra, report.maximality),
         "negation_compat": render_check(algebra, report.negation_compat),
@@ -288,7 +296,6 @@ def render_root_report(algebra: PseudoMV, report: SquareRootReport) -> dict:
         "boolean_witness": (None if report.witness_idempotent is None
                             else _fmt(algebra, report.witness_idempotent)),
     }
-    return out
 
 
 def render_decomposition(algebra: PseudoMV, dec: Decomposition) -> dict:
@@ -550,6 +557,17 @@ def _int_between(lo: int, hi: int | None = None):
     return parse
 
 
+def _tolerance(text: str) -> float:
+    """An argparse type: a finite float of at least 0."""
+    value = float(text)
+    if not math.isfinite(value) or value < 0:
+        raise argparse.ArgumentTypeError(f"must be finite and at least 0, got {text}")
+    return value
+
+
+_tolerance.__name__ = "float"
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pseudomv",
@@ -560,7 +578,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--samples", type=_int_between(1), default=2000)
-        p.add_argument("--tolerance", type=float, default=1e-9)
+        p.add_argument("--tolerance", type=_tolerance, default=1e-9)
 
     p = sub.add_parser("analyze", help="full analysis of one algebra file")
     p.add_argument("path")

@@ -14,6 +14,12 @@ these definitions are the specification.  Group intervals Γ(G, u) override
 ⊙, ∧, ∨ and ≤ with the group's own operations;
 ``tests/test_core.py::test_gamma_native_ops_match_derived_definitions``
 checks them against the definitions here.
+
+Every check is a set of rows (item, domain, predicate) over a
+:class:`Domains`, the points it quantifies over, and :func:`run_rows` is
+the one loop that counts a predicate into a :class:`CheckResult`.  The
+only other code that builds one is the table fast path
+``FinitePMV.check_axioms``, which is cross-checked against the rows here.
 """
 
 from __future__ import annotations
@@ -23,7 +29,8 @@ import itertools
 import random
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Any, ClassVar, Iterator
+from functools import cached_property
+from typing import Any, ClassVar, Iterable, Iterator
 
 __all__ = [
     "UNDEFINED",
@@ -33,14 +40,14 @@ __all__ = [
     "SamplerConfig",
     "CheckResult",
     "AxiomReport",
+    "Domains",
+    "run_rows",
     "PseudoMV",
     "ProductPMV",
     "IntervalPMV",
     "derive_seed",
     "make_rng",
 ]
-
-AXIOM_NAMES = ("A1", "A2", "A3", "A4", "A5", "A6", "A7", "A8")
 
 
 class AlgebraError(Exception):
@@ -97,7 +104,6 @@ class SamplerConfig:
     """Reproducible sampling parameters for algebras with infinite carriers."""
 
     seed: int = 0
-    denominator_bound: int = 1024
     sample_count: int = 2000
 
 
@@ -105,8 +111,9 @@ class SamplerConfig:
 class CheckResult:
     """Outcome of one universally quantified check.
 
-    ``witnesses`` holds up to :data:`MAX_WITNESSES` offending inputs in
-    the (deterministic) order they were found.
+    ``name`` is the key of the checked item.  ``witnesses`` holds up to
+    :data:`MAX_WITNESSES` offending inputs in the (deterministic) order they
+    were found.
     """
 
     name: str
@@ -116,12 +123,11 @@ class CheckResult:
 
     MAX_WITNESSES: ClassVar[int] = 3
 
-    def count(self, ok: bool, witness: Any = None) -> None:
-        self.checked += 1
-        if not ok:
-            self.passed = False
-            if witness is not None and len(self.witnesses) < self.MAX_WITNESSES:
-                self.witnesses.append(witness)
+    def fail(self, witness: Any) -> None:
+        """Record a failing point; the first :data:`MAX_WITNESSES` are kept."""
+        self.passed = False
+        if len(self.witnesses) < self.MAX_WITNESSES:
+            self.witnesses.append(witness)
 
     def __bool__(self) -> bool:
         return self.passed
@@ -141,6 +147,94 @@ class AxiomReport:
     @property
     def failing(self) -> list[str]:
         return [name for name, r in self.axioms.items() if not r.passed]
+
+
+class Domains:
+    """The points a check quantifies over, on one algebra.
+
+    An enumerable carrier gives every element, pair or triple.  Otherwise a
+    domain is ``budget`` points sampled from the stream its label names
+    (``budget`` and ``seed`` default to the algebra's sampler), and elements
+    start with 0 and 1.  Elements and pairs labelled like the triples are the
+    leading coordinates of the triples' stream: that is how A1–A8 share one.
+    A check may set ``elems`` or ``pairs`` to points of its own.  A point is
+    a tuple, and is the witness when a row fails at it.
+    """
+
+    def __init__(self, algebra: PseudoMV, budget: int | None = None, seed: int | None = None,
+                 *, elements: str | None = None, pairs: str | None = None,
+                 triples: str | None = None):
+        self.M = algebra
+        self.budget = algebra.sampler.sample_count if budget is None else budget
+        self.seed = algebra.sampler.seed if seed is None else seed
+        self.labels = {"elements": elements, "pairs": pairs, "triples": triples}
+        self.point_cache: dict = {}   # cleared by run_rows at each point
+
+    def rng(self, label: str) -> random.Random:
+        return make_rng(self.seed, label)
+
+    @cached_property
+    def elems(self) -> list:
+        """The elements themselves, not wrapped as points."""
+        M = self.M
+        if M.enumerable:
+            return list(M.elements())
+        rng = self.rng(self.labels["elements"])
+        return [M.zero, M.one] + [M.sample(rng) for _ in range(self.budget - 2)]
+
+    def _tuples(self, domain: str, arity: int) -> Iterator[tuple]:
+        if self.M.enumerable:
+            return itertools.product(self.elems, repeat=arity)
+        rng = self.rng(self.labels[domain])
+        draws = map(self.M.sample, itertools.repeat(rng, arity * self.budget))
+        return zip(*[draws] * arity)     # consecutive draws, ``arity`` at a time
+
+    elements = property(lambda self: zip(self.elems))     # 1-tuples
+    pairs = cached_property(lambda self: list(self._tuples("pairs", 2)))
+    triples = property(lambda self: self._tuples("triples", 3))
+    zero = property(lambda self: [(self.M.zero,)])
+    one = property(lambda self: [(self.M.one,)])
+
+    def walk(self, domain: str) -> str:
+        """The domain whose points are walked for ``domain``: itself, or the
+        triples when ``domain`` is sampled from the triples' stream."""
+        label = self.labels.get(domain)
+        if label is not None and label == self.labels["triples"] and not self.M.enumerable:
+            return "triples"
+        return domain
+
+
+#: how many leading coordinates of a walked point a domain takes
+_ARITY = {"elements": 1, "pairs": 2}
+
+
+def run_rows(rows: Iterable[tuple], domains: Domains) -> dict[str, CheckResult]:
+    """Count each row's predicate at every point of its domain into the
+    :class:`CheckResult` of its item.
+
+    A row is (item, domain, predicate): predicate(domains, *point) is counted
+    at every point of the ``domains`` attribute named by domain, in row order.
+    Consecutive rows walked on one domain share a single walk of it, and
+    ``domains.point_cache`` is cleared at each point of a walk.
+    """
+    out: dict[str, CheckResult] = {}
+    for walk, group in itertools.groupby(rows, key=lambda row: domains.walk(row[1])):
+        counted = [(out.setdefault(item, CheckResult(item)), _ARITY.get(domain), holds)
+                   for item, domain, holds in group]
+        clear, points = domains.point_cache.clear, 0
+        for point in getattr(domains, walk):
+            points += 1
+            clear()
+            for res, arity, holds in counted:
+                # coordinates passed one by one: on float carriers a call
+                # with *point costs about as much as the predicate
+                if not (holds(domains, point[0]) if arity == 1
+                        else holds(domains, point[0], point[1]) if arity == 2
+                        else holds(domains, *point)):
+                    res.fail(point[:arity])
+        for res, _, _ in counted:
+            res.checked += points
+    return out
 
 
 class PseudoMV(ABC):
@@ -268,71 +362,15 @@ class PseudoMV(ABC):
         return self.eq(self.oplus(x, x), x)
 
     # ------------------------------------------------------------------
-    # probing and checks
+    # checks
     # ------------------------------------------------------------------
-
-    def probe(self, budget: int | None = None, seed: int | None = None,
-              label: str = "probe") -> list:
-        """Elements to quantify over: the whole carrier when enumerable,
-        otherwise 0, 1 and ``budget`` seeded samples."""
-        if self.enumerable:
-            return list(self.elements())
-        rng = make_rng(self.sampler.seed if seed is None else seed, label)
-        n = self.sampler.sample_count if budget is None else budget
-        out = [self.zero, self.one]
-        out.extend(self.sample(rng) for _ in range(max(0, n - 2)))
-        return out
 
     def check_axioms(self, budget: int | None = None, seed: int | None = None) -> AxiomReport:
         """Check A1–A8: exhaustively on enumerable carriers, else on
         ``budget`` seeded pseudo-random triples."""
-        res = {name: CheckResult(name) for name in AXIOM_NAMES}
-        zero, one = self.zero, self.one
-        eq = self.eq
-        res["A4"].count(eq(self.neg(one), zero) and eq(self.tilde(one), zero), (one,))
-
-        def singles(x):
-            res["A2"].count(eq(self.oplus(x, zero), x) and eq(self.oplus(zero, x), x), (x,))
-            res["A3"].count(eq(self.oplus(x, one), one) and eq(self.oplus(one, x), one), (x,))
-            res["A8"].count(eq(self.tilde(self.neg(x)), x), (x,))
-
-        def pairs(x, y):
-            res["A5"].count(
-                eq(self.tilde(self.oplus(self.neg(x), self.neg(y))),
-                   self.neg(self.oplus(self.tilde(x), self.tilde(y)))),
-                (x, y))
-            e1 = self.oplus(x, self.odot(self.tilde(x), y))
-            e2 = self.oplus(y, self.odot(self.tilde(y), x))
-            e3 = self.oplus(self.odot(x, self.neg(y)), y)
-            e4 = self.oplus(self.odot(y, self.neg(x)), x)
-            res["A6"].count(eq(e1, e2) and eq(e2, e3) and eq(e3, e4), (x, y))
-            res["A7"].count(
-                eq(self.odot(x, self.oplus(self.neg(x), y)),
-                   self.odot(self.oplus(x, self.tilde(y)), y)),
-                (x, y))
-
-        if self.enumerable:
-            elems = list(self.elements())
-            for x in elems:
-                singles(x)
-            for x, y in itertools.product(elems, elems):
-                pairs(x, y)
-            for x, y, z in itertools.product(elems, elems, elems):
-                res["A1"].count(
-                    eq(self.oplus(self.oplus(x, y), z), self.oplus(x, self.oplus(y, z))),
-                    (x, y, z))
-            return AxiomReport(res, exhaustive=True)
-
-        rng = make_rng(self.sampler.seed if seed is None else seed, "axioms")
-        n = self.sampler.sample_count if budget is None else budget
-        for _ in range(n):
-            x, y, z = self.sample(rng), self.sample(rng), self.sample(rng)
-            singles(x)
-            pairs(x, y)
-            res["A1"].count(
-                eq(self.oplus(self.oplus(x, y), z), self.oplus(x, self.oplus(y, z))),
-                (x, y, z))
-        return AxiomReport(res, exhaustive=False)
+        res = run_rows(_axiom_rows(self), Domains(self, budget, seed, elements="axioms",
+                                            pairs="axioms", triples="axioms"))
+        return AxiomReport(dict(sorted(res.items())), exhaustive=self.enumerable)
 
     def boolean_skeleton(self) -> list:
         """All idempotents {x : x ⊕ x = x}; enumerable carriers only.
@@ -355,10 +393,35 @@ class PseudoMV(ABC):
 
     def symmetry_check(self, budget: int | None = None, seed: int | None = None) -> CheckResult:
         """Check x⁻ = x∼ pointwise (exhaustive or sampled)."""
-        res = CheckResult("symmetric")
-        for x in self.probe(budget, seed, "symmetry"):
-            res.count(self.eq(self.neg(x), self.tilde(x)), (x,))
-        return res
+        eq, neg, tilde = self.eq, self.neg, self.tilde
+        rows = (("symmetric", "elements", lambda d, x: eq(neg(x), tilde(x))),)
+        return run_rows(rows, Domains(self, budget, seed, elements="symmetry"))["symmetric"]
+
+
+def _axiom_rows(M: PseudoMV) -> tuple:
+    """The rows of A1–A8 on M: A4, then the rows on elements, pairs and
+    triples, which a sampled check walks as one stream (A2, A3, A8 | A5, A6, A7 | A1)."""
+    eq, oplus, neg, tilde, odot, zero, one = M.eq, M.oplus, M.neg, M.tilde, M.odot, M.zero, M.one
+
+    def a6(d, x, y):
+        e1 = oplus(x, odot(tilde(x), y))
+        e2 = oplus(y, odot(tilde(y), x))
+        e3 = oplus(odot(x, neg(y)), y)
+        e4 = oplus(odot(y, neg(x)), x)
+        return eq(e1, e2) and eq(e2, e3) and eq(e3, e4)
+
+    return (
+        ("A4", "one", lambda d, x: eq(neg(x), zero) and eq(tilde(x), zero)),
+        ("A2", "elements", lambda d, x: eq(oplus(x, zero), x) and eq(oplus(zero, x), x)),
+        ("A3", "elements", lambda d, x: eq(oplus(x, one), one) and eq(oplus(one, x), one)),
+        ("A8", "elements", lambda d, x: eq(tilde(neg(x)), x)),
+        ("A5", "pairs", lambda d, x, y: eq(tilde(oplus(neg(x), neg(y))),
+                                           neg(oplus(tilde(x), tilde(y))))),
+        ("A6", "pairs", a6),
+        ("A7", "pairs", lambda d, x, y: eq(odot(x, oplus(neg(x), y)),
+                                           odot(oplus(x, tilde(y)), y))),
+        ("A1", "triples", lambda d, x, y, z: eq(oplus(oplus(x, y), z), oplus(x, oplus(y, z)))),
+    )
 
 
 class ProductPMV(PseudoMV):

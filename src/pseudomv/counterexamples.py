@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from .core import CheckResult, SamplerConfig, make_rng
+from .core import CheckResult, Domains, SamplerConfig, make_rng, run_rows
 from .lgroups import ExpSemidirect, GammaPMV, ScalingSemidirect, gamma
 from .roots import SquareRootMap, SquareRootReport, closed_form, custom_map, verify
 
@@ -99,8 +99,11 @@ def _arrow_to_r0(h: float, g: float) -> tuple[float, float]:
 NEGATION_GAP_AT_UNIT_POINT = abs(-0.5 + math.sqrt(2.0) / (1.0 + math.sqrt(2.0)))
 
 
-def _probe_points(algebra: GammaPMV, budget: int, seed: int, grid: int = 9) -> list:
-    pts = []
+def _probe_points(algebra: GammaPMV, budget: int, seed: int, grid: int = 9) -> Domains:
+    """The grid points of [0, u] plus seeded samples up to ``budget``, as
+    the elements of a :class:`Domains`."""
+    domains = Domains(algebra)
+    domains.elems = pts = []
     for i in range(grid):
         for j in range(grid):
             lo = algebra.zero[0]
@@ -113,7 +116,12 @@ def _probe_points(algebra: GammaPMV, budget: int, seed: int, grid: int = 9) -> l
     rng = make_rng(seed, "counterexample-grid", algebra.group.dsl)
     while len(pts) < budget:
         pts.append(algebra.sample(rng))
-    return pts
+    return domains
+
+
+def _within(tolerance: float, lhs: Callable, rhs: Callable) -> Callable:
+    """A row predicate: lhs(p) and rhs(p) agree coordinatewise within ``tolerance``."""
+    return lambda d, p: _pair_gap(lhs(p), rhs(p)) <= tolerance
 
 
 @dataclass
@@ -158,15 +166,14 @@ def scaling_action_verdicts(budget: int = 2000, seed: int = 0,
     standard_witness = NumericWitness(x, left, right, _pair_gap(left, right), tolerance)
 
     weak = closed_form(algebra, "weak")
-    agreement = CheckResult("matches-weak-form")
-    for p in points:
-        agreement.count(_pair_gap(root(p), weak(p)) <= tolerance, (p,))
+    agreement = run_rows((("matches_weak_form", "elements", _within(tolerance, root, weak)),),
+                         points)["matches_weak_form"]
 
     group, unit = algebra.group, algebra.unit
     sym_differs = []
     for variant in ("x+u", "u+x"):
         worst = None
-        for p in points:
+        for p in points.elems:
             summed = group.add(p, unit) if variant == "x+u" else group.add(unit, p)
             cand = group.halve(summed)
             w = NumericWitness(p, root(p), cand, _pair_gap(root(p), cand), tolerance)
@@ -231,31 +238,23 @@ def exp_action_verdicts(budget: int = 2000, seed: int = 0,
     """Verdicts for the exponential-action algebra, including the
     coordinate-change intertwining with the scaling-action root."""
     algebra, root, psi = exp_action_algebra(tolerance)
-    points = _probe_points(algebra, budget, seed)
-
     report = verify(algebra, root, budget=budget, seed=seed)
 
-    negation = CheckResult("negation-closed-form")
-    for p in points:
-        x, y = p
-        expected = (1.0 - x, -math.exp(-x) * y)
-        negation.count(_pair_gap(algebra.neg(p), expected) <= tolerance, (p,))
-
     weak = closed_form(algebra, "weak")
-    agreement = CheckResult("matches-weak-form")
-    for p in points:
-        agreement.count(_pair_gap(root(p), weak(p)) <= tolerance, (p,))
+    checks = run_rows((
+        ("negation_formula", "elements", _within(
+            tolerance, algebra.neg, lambda p: (1.0 - p[0], -math.exp(-p[0]) * p[1]))),
+        ("matches_weak_form", "elements", _within(tolerance, root, weak)),
+    ), _probe_points(algebra, budget, seed))
 
     scaling, scaling_root = scaling_action_algebra(tolerance)
     relabeled = gamma(ExpSemidirect(tolerance), (math.log(2.0), 0.0))
     relabeled_root = closed_form(relabeled, "weak")
-    intertwine = CheckResult("coordinate-change-intertwines")
-    spoints = _probe_points(scaling, budget, seed)
-    for p in spoints:
-        lhs = psi(scaling_root(p))
-        rhs = relabeled_root(psi(p))
-        intertwine.count(_pair_gap(lhs, rhs) <= tolerance, (p,))
-    intertwine.count(relabeled.contains(psi(scaling.one)), (scaling.one,))
+    intertwine = run_rows((
+        ("intertwine", "elements", _within(
+            tolerance, lambda p: psi(scaling_root(p)), lambda p: relabeled_root(psi(p)))),
+        ("intertwine", "one", lambda d, one: relabeled.contains(psi(one))),
+    ), _probe_points(scaling, budget, seed))["intertwine"]
 
     symmetry = algebra.symmetry_check(budget=budget, seed=seed)
     r0 = root(algebra.zero)
@@ -264,8 +263,8 @@ def exp_action_verdicts(budget: int = 2000, seed: int = 0,
 
     return ExpActionReport(
         report=report,
-        negation_formula=negation,
-        weak_form_agreement=agreement,
+        negation_formula=checks["negation_formula"],
+        weak_form_agreement=checks["matches_weak_form"],
         intertwine=intertwine,
         symmetry=symmetry,
         r0_is_half_unit=r0_ok,

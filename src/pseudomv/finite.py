@@ -50,6 +50,7 @@ __all__ = [
     "SEARCH_CEILING",
     "ISO_CEILING",
     "TABLE_CEILING",
+    "CATALOGUE_DEPTH_CEILING",
     "catalogue_size",
 ]
 
@@ -58,6 +59,9 @@ ISO_CEILING = 12
 #: Largest carrier a table read from outside the program may have: every
 #: check on a table is exhaustive, and A1 alone takes n³ steps.
 TABLE_CEILING = 64
+#: Deepest nesting of a catalogue spec read from outside the program (a
+#: chain or Boolean algebra is 1 deep); building recurses once per level.
+CATALOGUE_DEPTH_CEILING = 32
 
 
 class AxiomValidationError(AlgebraError):

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-from .core import AlgebraError, CheckResult, PseudoMV, make_rng
+from .core import AlgebraError, CheckResult, Domains, PseudoMV, run_rows
 from .finite import FinitePMV, FiniteTable
 from .roots import SquareRootMap, table_map, verify
 
@@ -199,12 +199,10 @@ def quotient(algebra: FinitePMV, ideal: IdealHandle,
     checks: dict[str, CheckResult] = {}
     induced = None
     if root is not None:
-        compat = CheckResult("root-respects-congruence")
-        for x in elems:
-            for y in elems:
-                if equivalent(x, y):
-                    compat.count(equivalent(root(x), root(y)), (x, y))
-        checks["congruence"] = compat
+        congruent = Domains(algebra)
+        congruent.pairs = [(x, y) for x in elems for y in elems if equivalent(x, y)]
+        checks.update(run_rows(
+            (("congruence", "pairs", lambda d, x, y: equivalent(root(x), root(y))),), congruent))
         induced = table_map(quot, {proj[x]: proj[root(x)] for x in elems})
         report = verify(quot, induced)
         checks["square"] = report.square
@@ -286,9 +284,9 @@ def strongly_atomless_witness(algebra: PseudoMV, x: Any,
         y = algebra.tilde(root(algebra.neg(x)))
         if good(y):
             return y, value_at(y)
-    rng = make_rng(algebra.sampler.seed if seed is None else seed, "atomless", )
-    n = algebra.sampler.sample_count if budget is None else budget
-    for _ in range(n):
+    domains = Domains(algebra, budget, seed)
+    rng = domains.rng("atomless")
+    for _ in range(domains.budget):
         y = algebra.meet(algebra.sample(rng), x)
         if good(y):
             return y, value_at(y)
@@ -306,14 +304,9 @@ def strongly_atomless_scan(algebra: PseudoMV, budget: int | None = None,
     """
     if isinstance(algebra, FinitePMV) and not is_representable(algebra):
         return {"status": "criterion-inapplicable"}
-    probed = 0
-    missing = []
-    for x in algebra.probe(budget, seed, "atomless-scan"):
-        if algebra.eq(x, algebra.zero):
-            continue
-        probed += 1
-        if strongly_atomless_witness(algebra, x, budget=64, root=root, seed=seed) is None:
-            if len(missing) < CheckResult.MAX_WITNESSES:
-                missing.append(x)
-    status = "witnessed" if not missing else "counterexample"
-    return {"status": status, "probed": probed, "missing": missing}
+    domains = Domains(algebra, budget, seed, elements="atomless-scan")
+    domains.elems = [x for x in domains.elems if not algebra.eq(x, algebra.zero)]
+    res = run_rows((("witnessed", "elements", lambda d, x: strongly_atomless_witness(
+        algebra, x, budget=64, root=root, seed=seed) is not None),), domains)["witnessed"]
+    return {"status": "witnessed" if res.passed else "counterexample",
+            "probed": res.checked, "missing": [x for x, in res.witnesses]}

@@ -37,6 +37,7 @@ from .core import (
     PseudoMV,
     SamplerConfig,
     UnsupportedBackend,
+    make_rng,
 )
 
 __all__ = [
@@ -55,9 +56,10 @@ __all__ = [
     "gamma",
     "in_center",
     "power_denominator_member",
-    "primorial",
-    "primorial_tower_member",
 ]
+
+#: The denominator bound of the points Γ(G, u) samples (``LGroup.sample_interval``).
+SAMPLE_DENOMINATOR_BOUND = 1024
 
 
 def _as_fraction(v: Any) -> Fraction:
@@ -293,10 +295,6 @@ class PowerDenominatorGroup(_FractionGroup):
         self.base = base
         self.dsl = f"H({base})"
 
-    @property
-    def two_divisible(self) -> bool:
-        return self.base % 2 == 0
-
     def member(self, q):
         return power_denominator_member(self.base, q)
 
@@ -317,28 +315,6 @@ def power_denominator_member(base: int, q: Rational) -> bool:
             d //= g
         g = math.gcd(d, base)
     return d == 1
-
-
-_FIRST_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-def primorial(n: int) -> int:
-    """Product of the first n+1 primes: 2, 6, 30, 210, ..."""
-    if not 0 <= n < len(_FIRST_PRIMES):
-        raise ValueError(f"n must be in [0, {len(_FIRST_PRIMES) - 1}]")
-    out = 1
-    for p in _FIRST_PRIMES[: n + 1]:
-        out *= p
-    return out
-
-
-def primorial_tower_member(p: int, n: int, q: Rational) -> bool:
-    """Membership in the n-th stage H(p) of the primorial tower
-    H(2) ⊂ H(6) ⊂ H(30) ⊂ ⋯; requires p to be the product of the first
-    n+1 primes."""
-    if p != primorial(n):
-        raise ValueError(f"{p} is not the product of the first {n + 1} primes")
-    return power_denominator_member(p, q)
 
 
 # ----------------------------------------------------------------------
@@ -651,15 +627,6 @@ class UnitalLGroup:
         if not self.group.lt(self.group.zero(), self.unit):
             raise AlgebraError("unit must be strictly positive")
 
-    def dominated_by_unit_power(self, g: Any, max_doublings: int = 20) -> bool:
-        """Strong-unit probe: g ≤ 2ᵏ·u for some k ≤ max_doublings."""
-        acc = self.unit
-        for _ in range(max_doublings + 1):
-            if self.group.leq(g, acc):
-                return True
-            acc = self.group.add(acc, acc)
-        return False
-
 
 class GammaPMV(PseudoMV):
     """The pseudo MV-algebra on the interval [0, u] of a unital group."""
@@ -720,7 +687,7 @@ class GammaPMV(PseudoMV):
         return self.group.leq(self._zero, x) and self.group.leq(x, self.unit)
 
     def sample(self, rng):
-        return self.group.sample_interval(rng, self.unit, self.sampler.denominator_bound)
+        return self.group.sample_interval(rng, self.unit, SAMPLE_DENOMINATOR_BOUND)
 
     @property
     def enumerable(self):
@@ -765,8 +732,6 @@ def in_center(g: LGroup, a: Any, budget: int = 256, seed: int = 0) -> bool:
     exact = g.center_has(a)
     if exact is not None:
         return exact
-    from .core import make_rng
-
     rng = make_rng(seed, "center", g.dsl)
     for _ in range(budget):
         b = g.random_element(rng, 64)

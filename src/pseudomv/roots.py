@@ -16,24 +16,32 @@ forms: (x + u)/2 when u/2 is central, and ((x − u)/2) + u in general (a
 weak root that need not respect the negations).  Closed-form evaluation
 never falls back to brute force; selection is explicit in the API.
 
-The property and variety suites are tables of rows (item, needs negation
-compatibility, domain, predicate): items, order and gating come from them.
+Every check here is a table of rows (item, domain, predicate) counted by
+:func:`core.run_rows` over a :class:`_Suite`: the :class:`core.Domains` of
+the algebra plus the root, r(0) and the domains that depend on them.  The
+property suite's rows also say whether they need negation compatibility,
+and its items, their order and the gating come from those rows.  Rows are
+shared where laws are: the square and negation-compatibility rows serve
+``verify`` and ``variety_identities``, and ``decompose`` runs the boolean,
+strict and square rows on its interval factors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Callable
 
 from .core import (
     AlgebraError,
     CheckResult,
+    Domains,
     IntervalPMV,
     ProductPMV,
     PseudoMV,
     UNDEFINED,
     UnsupportedBackend,
-    make_rng,
+    run_rows,
 )
 from .finite import FinitePMV, brute_force_weak_sqrt
 from .lgroups import GammaPMV, in_center
@@ -117,10 +125,10 @@ def product_map(algebra: ProductPMV, left: SquareRootMap, right: SquareRootMap) 
                          lambda x: (left(x[0]), right(x[1])), data=(left, right))
 
 
-def relative_map(root: SquareRootMap, top: Any, sub: IntervalPMV) -> SquareRootMap:
+def relative_map(root: Callable[[Any], Any], top: Any, sub: IntervalPMV) -> SquareRootMap:
     """The induced root x ↦ r(x) ⊙ a on the interval [0, a] below an
     idempotent a."""
-    parent = root.algebra
+    parent = sub.parent
     return SquareRootMap(sub, "relative",
                          lambda x: parent.odot(root(x), top), data=top)
 
@@ -178,9 +186,8 @@ def closed_form(algebra: GammaPMV, variant: str, witness: Any = None) -> SquareR
 def _evaluable_everywhere(algebra: PseudoMV, root: SquareRootMap, probes: int = 16) -> bool:
     """Closed forms can construct but still hit unhalvable points (整-valued
     carriers with an even unit); probe before trusting the map."""
-    points = algebra.probe(budget=probes, seed=algebra.sampler.seed, label="root-probe")
     try:
-        for x in points[:probes]:
+        for x in Domains(algebra, probes, elements="root-probe").elems[:probes]:
             root(x)
     except HalvingUnavailable:
         return False
@@ -241,63 +248,120 @@ class SquareRootReport:
         return self.is_weak_square_root and self.negation_compat.passed
 
 
-def _pair_stream(algebra: PseudoMV, budget: int | None, seed: int | None, label: str):
-    if algebra.enumerable:
-        elems = list(algebra.elements())
-        return [(x, y) for x in elems for y in elems]
-    rng = make_rng(algebra.sampler.seed if seed is None else seed, label)
-    n = algebra.sampler.sample_count if budget is None else budget
-    return [(algebra.sample(rng), algebra.sample(rng)) for _ in range(n)]
+class _Memo(dict):
+    """x ↦ fn(x), evaluating each x once."""
+
+    def __init__(self, fn: Callable[[Any], Any]):
+        self.fn = fn
+
+    def __missing__(self, x):
+        value = self[x] = self.fn(x)
+        return value
+
+
+class _Suite(Domains):
+    """The domains of ``algebra`` plus the root r, r0 = r(0) and the domains
+    that depend on them.  ``r`` evaluates each point once: for the whole
+    suite, or with ``per_point`` only while run_rows is at one point."""
+
+    def __init__(self, algebra: PseudoMV, root: Callable[[Any], Any], budget: int | None,
+                 seed: int | None, per_point: bool = False, **labels: str):
+        super().__init__(algebra, budget, seed, **labels)
+        memo = _Memo(root)
+        self.r = memo.__getitem__
+        if per_point:
+            self.point_cache = memo
+        self._intervals: dict = {}
+
+    r0 = cached_property(lambda self: self.r(self.M.zero))
+    at_r0 = property(lambda self: [(self.r0,)])
+    above_r0 = property(lambda self: ((self.M.join(x, self.r0),) for x in self.elems))
+    chains = property(lambda self: ((x, self.M.join(x, t)) for x, t in self.pairs))
+
+    @property
+    def squares_below(self):
+        """(y, x) with y ⊙ y ≤ x: every such pair, or x = (y ⊙ y) ∨ t for
+        sampled y and t from the ``verify-max`` stream."""
+        M = self.M
+        if M.enumerable:
+            yield from ((y, x) for y in self.elems for yy in [M.odot(y, y)]
+                        for x in self.elems if M.leq(yy, x))
+            return
+        rng = self.rng("verify-max")
+        for _ in range(self.budget):
+            y = M.sample(rng)
+            yield y, M.join(M.odot(y, y), M.sample(rng))
+
+    @property
+    def idempotents_below_r0(self):
+        M = self.M
+        return [(a,) for a in M.boolean_skeleton() if M.leq(a, self.r0)] if M.enumerable else []
+
+    @property
+    def interval_points(self):
+        """(a, x) for idempotents a and x in [0, a]: all on enumerable carriers,
+        else a in {0, 1, r(0)⁻ ⊙ r(0)⁻} and x projected from a quarter of the
+        elements.  Keeps [0, a] and its root for relative_root_holds."""
+        M = self.M
+        if M.enumerable:
+            tops = M.boolean_skeleton()
+        else:
+            w = M.odot(M.neg(self.r0), M.neg(self.r0))
+            tops = [M.zero, M.one] + ([w] if M.is_boolean_element(w) else [])
+        quarter = self.elems[: max(1, len(self.elems) // 4)]
+        for a in tops:
+            sub = IntervalPMV(M, a)
+            rel = relative_map(self.r, a, sub)
+            self._intervals[a] = (sub, rel, rel(sub.zero))
+            for x in sub.elements() if sub.enumerable else [sub.project(y) for y in quarter]:
+                yield a, x
+
+    def relative_root_holds(self, a: Any, x: Any) -> bool:
+        sub, rel, rel0 = self._intervals[a]
+        rx = rel(x)
+        return sub.eq(sub.odot(rx, rx), x) and _negation_compatible(sub, rel, rel0, x, rx)
+
+
+def _negation_compatible(algebra: PseudoMV, root: Callable, r0, x, rx) -> bool:
+    """r(x⁻) = r(x) → r(0) and r(x∼) = r(x) ⇝ r(0) at x, where rx = r(x)."""
+    return (algebra.eq(root(algebra.neg(x)), algebra.arrow(rx, r0))
+            and algebra.eq(root(algebra.tilde(x)), algebra.snake(rx, r0)))
+
+
+# Rows are (item, domain, predicate): predicate(suite, *point) is counted at
+# each point of the _Suite attribute named by domain (core.run_rows).
+_SQUARE_ROW = ("square", "elements", lambda s, x: s.M.eq(s.M.odot(rx := s.r(x), rx), x))
+_NEGATION_ROW = ("negation_compat", "elements",
+                 lambda s, x: _negation_compatible(s.M, s.r, s.r0, x, s.r(x)))
+
+_VERIFY_ROWS = (
+    _SQUARE_ROW,
+    _NEGATION_ROW,
+    # sound direction only: the arrow equation forces the residuum bound
+    # (r(x) ⊙ r(x⁻) = r(x) ∧ r(0) ≤ r(0)); the converse rests on the
+    # residuation bound, which noncommutative carriers violate
+    ("residuum_cross", "elements", lambda s, x: (
+        s.M.leq(s.M.odot(rx := s.r(x), rnx := s.r(s.M.neg(x))), s.r0)
+        or not s.M.eq(rnx, s.M.arrow(rx, s.r0)))),
+    ("standard", "elements",
+     lambda s, x: s.M.eq(s.M.odot(rx := s.r(x), s.r0), s.M.odot(s.r0, rx))),
+    ("maximality", "squares_below", lambda s, y, x: s.M.leq(y, s.r(x))),
+)
 
 
 def verify(algebra: PseudoMV, root: SquareRootMap, budget: int | None = None,
            seed: int | None = None) -> SquareRootReport:
     """Check the square law pointwise, maximality on (conditioned) pairs,
     negation compatibility through both defining equations plus the
-    residuum cross-check r(x) ⊙ r(x⁻) ≤ r(0), and the standardness law."""
-    eq, leq = algebra.eq, algebra.leq
-    r0 = root(algebra.zero)
-    elems = algebra.probe(budget, seed, "verify-elems")
+    residuum cross-check r(x) ⊙ r(x⁻) ≤ r(0), and the standardness law.
+    The laws on elements share one walk that evaluates r(x), r(x⁻) and r(x∼)
+    once per point and keeps nothing across points."""
+    s = _Suite(algebra, root, budget, seed, per_point=True, elements="verify-elems")
+    res = run_rows(_VERIFY_ROWS, s)
+    square, maximality, negation = res["square"], res["maximality"], res["negation_compat"]
+    r0 = s.r0
 
-    square = CheckResult("square")
-    for x in elems:
-        rx = root(x)
-        square.count(eq(algebra.odot(rx, rx), x), (x,))
-
-    maximality = CheckResult("maximality")
-    if algebra.enumerable:
-        for y in elems:
-            yy = algebra.odot(y, y)
-            for x in elems:
-                if leq(yy, x):
-                    maximality.count(leq(y, root(x)), (y, x))
-    else:
-        rng = make_rng(algebra.sampler.seed if seed is None else seed, "verify-max")
-        n = algebra.sampler.sample_count if budget is None else budget
-        for _ in range(n):
-            y = algebra.sample(rng)
-            x = algebra.join(algebra.odot(y, y), algebra.sample(rng))
-            maximality.count(leq(y, root(x)), (y, x))
-
-    negation = CheckResult("negation-compat")
-    cross = CheckResult("residuum-cross")
-    for x in elems:
-        rx = root(x)
-        left_ok = eq(root(algebra.neg(x)), algebra.arrow(rx, r0))
-        right_ok = eq(root(algebra.tilde(x)), algebra.snake(rx, r0))
-        negation.count(left_ok and right_ok, (x,))
-        # sound direction only: the arrow equation forces the residuum
-        # bound (r(x) ⊙ r(x⁻) = r(x) ∧ r(0) ≤ r(0)); the converse rests on
-        # the residuation bound, which noncommutative carriers violate
-        residuum_ok = leq(algebra.odot(rx, root(algebra.neg(x))), r0)
-        cross.count(residuum_ok if left_ok else True, (x,))
-
-    standard = CheckResult("standard")
-    for x in elems:
-        rx = root(x)
-        standard.count(eq(algebra.odot(rx, r0), algebra.odot(r0, rx)), (x,))
-
-    strict = eq(r0, algebra.neg(r0))
+    strict = algebra.eq(r0, algebra.neg(r0))
     witness = None
     if negation.passed:
         candidate = algebra.odot(algebra.neg(r0), algebra.neg(r0))
@@ -310,9 +374,9 @@ def verify(algebra: PseudoMV, root: SquareRootMap, budget: int | None = None,
         classification = "weak-only"
     elif witness is None:
         classification = "not-a-square-root"
-    elif eq(witness, algebra.one):
+    elif algebra.eq(witness, algebra.one):
         classification = "boolean"
-    elif eq(witness, algebra.zero):
+    elif algebra.eq(witness, algebra.zero):
         classification = "strict"
     else:
         classification = "product"
@@ -321,12 +385,12 @@ def verify(algebra: PseudoMV, root: SquareRootMap, budget: int | None = None,
         square=square,
         maximality=maximality,
         negation_compat=negation,
-        standard=standard,
+        standard=res["standard"],
         strict=strict,
         r0=r0,
         witness_idempotent=witness,
         classification=classification,
-        residuum_cross=cross if square.passed and maximality.passed else None,
+        residuum_cross=res["residuum_cross"] if square.passed and maximality.passed else None,
     )
 
 
@@ -380,80 +444,60 @@ class Decomposition:
         return all(c.passed for c in self.checks.values())
 
 
-def _embedding_check(name: str, source: PseudoMV, target: PseudoMV,
-                     f: Callable[[Any], Any], pairs) -> CheckResult:
-    """f is an injective ⊕/⁻/∼/0/1 homomorphism from source into target, on
-    the given pairs and at the bounds."""
-    res = CheckResult(name)
-    for x, y in pairs:
+def _embedding_rows(item: str, f: Callable[[Any], Any], target: PseudoMV) -> tuple:
+    """Rows checking that f is an injective ⊕/⁻/∼/0/1 homomorphism from the
+    suite's algebra into ``target``, on its pairs and at the bounds."""
+    def on_pair(s, x, y):
         fx, fy = f(x), f(y)
-        res.count(target.eq(f(source.oplus(x, y)), target.oplus(fx, fy))
-                  and target.eq(f(source.neg(x)), target.neg(fx))
-                  and target.eq(f(source.tilde(x)), target.tilde(fx))
-                  and not (target.eq(fx, fy) and not source.eq(x, y)), (x, y))
-    res.count(target.eq(f(source.zero), target.zero), (source.zero,))
-    res.count(target.eq(f(source.one), target.one), (source.one,))
-    return res
+        return (target.eq(f(s.M.oplus(x, y)), target.oplus(fx, fy))
+                and target.eq(f(s.M.neg(x)), target.neg(fx))
+                and target.eq(f(s.M.tilde(x)), target.tilde(fx))
+                and not (target.eq(fx, fy) and not s.M.eq(x, y)))
+
+    return ((item, "pairs", on_pair),
+            (item, "zero", lambda s, z: target.eq(f(z), target.zero)),
+            (item, "one", lambda s, o: target.eq(f(o), target.one)))
+
+
+_BOOLEAN_ROWS = (
+    ("boolean", "zero", lambda s, z: s.M.eq(s.r0, z)),
+    ("boolean", "elements", lambda s, x: s.M.is_boolean_element(x)),
+)
+_STRICT_ROW = ("strict", "at_r0", lambda s, z: s.M.eq(z, s.M.neg(z)))
 
 
 def decompose(algebra: PseudoMV, root: SquareRootMap, budget: int | None = None,
               seed: int | None = None) -> Decomposition:
     """Split along the witness idempotent into Boolean × strict parts.
 
-    Trivial witnesses (0 or 1) yield the bare classification.  A proper
-    witness u yields the interval factors [0, u] and [0, u⁻] with their
-    induced roots, and the map x ↦ (x ∧ u, x ∧ u⁻), which is verified to
-    be a homomorphism on enumerated or sampled pairs.
+    Trivial witnesses (0 or 1) yield the bare classification, checked by the
+    boolean or strict rows.  A proper witness u yields the factors [0, u] and
+    [0, u⁻] with their induced roots, checked by the boolean rows and by the
+    strict and square rows at the projected elements, and the map
+    x ↦ (x ∧ u, x ∧ u⁻), verified to be a homomorphism on the pairs.
     """
     u = boolean_witness(algebra, root)
-    checks: dict[str, CheckResult] = {}
-    elems = algebra.probe(budget, seed, "decompose-elems")
-
+    s = _Suite(algebra, root, budget, seed, per_point=True,
+               elements="decompose-elems", pairs="decompose-pairs")
     if algebra.eq(u, algebra.one):
-        res = CheckResult("all-idempotent")
-        r0 = root(algebra.zero)
-        res.count(algebra.eq(r0, algebra.zero), (algebra.zero,))
-        for x in elems:
-            res.count(algebra.is_boolean_element(x), (x,))
-        checks["boolean"] = res
-        return Decomposition("boolean", u, checks=checks)
-
+        return Decomposition("boolean", u, checks=run_rows(_BOOLEAN_ROWS, s))
     if algebra.eq(u, algebra.zero):
-        res = CheckResult("strict")
-        res.count(is_strict(algebra, root), (root(algebra.zero),))
-        checks["strict"] = res
-        return Decomposition("strict", u, checks=checks)
+        return Decomposition("strict", u, checks=run_rows((_STRICT_ROW,), s))
 
     v = algebra.neg(u)
     part_bool = IntervalPMV(algebra, u)
     part_strict = IntervalPMV(algebra, v)
-    root_bool = relative_map(root, u, part_bool)
-    root_strict = relative_map(root, v, part_strict)
-
-    bool_check = CheckResult("boolean-part")
-    bool_check.count(part_bool.eq(root_bool(part_bool.zero), part_bool.zero),
-                     (part_bool.zero,))
-    for x in elems:
-        xb = part_bool.project(x)
-        bool_check.count(part_bool.is_boolean_element(xb), (xb,))
-    checks["boolean_part"] = bool_check
-
-    strict_check = CheckResult("strict-part")
-    s0 = root_strict(part_strict.zero)
-    strict_check.count(part_strict.eq(s0, part_strict.neg(s0)), (s0,))
-    for x in elems:
-        xs = part_strict.project(x)
-        rs = root_strict(xs)
-        strict_check.count(part_strict.eq(part_strict.odot(rs, rs), xs), (xs,))
-    checks["strict_part"] = strict_check
+    checks: dict[str, CheckResult] = {}
+    for item, part, rows in (("boolean_part", part_bool, _BOOLEAN_ROWS),
+                             ("strict_part", part_strict, (_STRICT_ROW, _SQUARE_ROW))):
+        factor = _Suite(part, relative_map(root, part.top, part), budget, seed, per_point=True)
+        factor.elems = [part.project(x) for x in s.elems]
+        checks.update(run_rows([(item, domain, holds) for _, domain, holds in rows], factor))
 
     def iso(x):
         return (algebra.meet(x, u), algebra.meet(x, v))
 
-    checks["iso"] = _embedding_check(
-        "iso-homomorphism", algebra, ProductPMV(part_bool, part_strict), iso,
-        _pair_stream(algebra, budget, seed, "decompose-pairs"))
-
+    checks.update(run_rows(_embedding_rows("iso", iso, ProductPMV(part_bool, part_strict)), s))
     return Decomposition("product", u, part_bool, part_strict, iso, checks)
 
 
@@ -537,18 +581,10 @@ def induced_interval_algebra(algebra: PseudoMV, root: SquareRootMap,
     """Build the image algebra on [r(0), 1] and verify that x ↦ r(x) is an
     isomorphism onto it and that every point above r(0) is in the image."""
     image = ImagePMV(algebra, root)
-    checks: dict[str, CheckResult] = {}
-
-    checks["isomorphism"] = _embedding_check(
-        "image-isomorphism", algebra, image, root,
-        _pair_stream(algebra, budget, seed, "image-pairs"))
-
-    onto = CheckResult("image-covers-interval")
-    r0 = image.zero
-    for x in algebra.probe(budget, seed, "image-onto"):
-        y = algebra.join(x, r0)
-        onto.count(algebra.eq(root(algebra.odot(y, y)), y), (y,))
-    checks["onto"] = onto
+    s = _Suite(algebra, root, budget, seed, per_point=True,
+               elements="image-onto", pairs="image-pairs")
+    checks = run_rows(_embedding_rows("isomorphism", s.r, image) + (
+        ("onto", "above_r0", lambda s, y: s.M.eq(s.r(s.M.odot(y, y)), y)),), s)
 
     axioms = image.check_axioms(budget, seed)
     for name, res in axioms.axioms.items():
@@ -626,98 +662,11 @@ def dyadic_ladder(algebra: GammaPMV, root: SquareRootMap, depth: int) -> list:
 SKIPPED = "skipped"
 
 
-def _negation_compatible(algebra: PseudoMV, root: Callable, r0, x, rx) -> bool:
-    """r(x⁻) = r(x) → r(0) and r(x∼) = r(x) ⇝ r(0) at x, where rx = r(x)."""
-    return (algebra.eq(root(algebra.neg(x)), algebra.arrow(rx, r0))
-            and algebra.eq(root(algebra.tilde(x)), algebra.snake(rx, r0)))
-
-
-class _Memo(dict):
-    """x ↦ fn(x), evaluating each x once."""
-
-    def __init__(self, fn: Callable[[Any], Any]):
-        self.fn = fn
-
-    def __missing__(self, x):
-        value = self[x] = self.fn(x)
-        return value
-
-
-class _Suite:
-    """The algebra M, the root r (each value computed once), r0 = r(0) and the
-    domains: the points a row's predicate is counted at, each also its witness."""
-
-    def __init__(self, algebra: PseudoMV, root: SquareRootMap, budget: int | None,
-                 seed: int | None, label: str):
-        self.M = algebra
-        self.r = SquareRootMap(root.algebra, root.kind, _Memo(root._fn).__getitem__, root.data)
-        self.r0 = self.r(algebra.zero)
-        self.elems = algebra.probe(budget, seed, f"{label}-elems")
-        self.pairs = _pair_stream(algebra, budget, seed, f"{label}-pairs")
-        self.one = [(algebra.one,)]
-        self.at_r0 = [(self.r0,)]
-        self._intervals: dict = {}
-
-    @property
-    def elements(self):
-        return ((x,) for x in self.elems)
-
-    @property
-    def chains(self):
-        return ((x, self.M.join(x, t)) for x, t in self.pairs)
-
-    @property
-    def idempotents_below_r0(self):
-        M = self.M
-        return [(a,) for a in M.boolean_skeleton() if M.leq(a, self.r0)] if M.enumerable else []
-
-    @property
-    def interval_points(self):
-        """(a, x) for idempotents a and x in [0, a]: all on enumerable carriers,
-        else a in {0, 1, r(0)⁻ ⊙ r(0)⁻} and x projected from a quarter of the
-        elements.  Keeps [0, a] and its root for relative_root_holds."""
-        M = self.M
-        if M.enumerable:
-            tops = M.boolean_skeleton()
-        else:
-            w = M.odot(M.neg(self.r0), M.neg(self.r0))
-            tops = [M.zero, M.one] + ([w] if M.is_boolean_element(w) else [])
-        quarter = self.elems[: max(1, len(self.elems) // 4)]
-        for a in tops:
-            sub = IntervalPMV(M, a)
-            rel = relative_map(self.r, a, sub)
-            self._intervals[a] = (sub, rel, rel(sub.zero))
-            for x in sub.elements() if sub.enumerable else [sub.project(y) for y in quarter]:
-                yield a, x
-
-    def relative_root_holds(self, a: Any, x: Any) -> bool:
-        sub, rel, rel0 = self._intervals[a]
-        rx = rel(x)
-        return sub.eq(sub.odot(rx, rx), x) and _negation_compatible(sub, rel, rel0, x, rx)
-
-
-def _run(rows: tuple, s: _Suite, negation_compat: bool = True) -> dict:
-    """Count each row's predicate over its domain into its item's result, in
-    row order; without negation compatibility gated rows give SKIPPED."""
-    out: dict[str, Any] = {}
-    for item, gated, domain, holds in rows:
-        if gated and not negation_compat:
-            out[item] = SKIPPED
-            continue
-        res = out.setdefault(item, CheckResult(item))
-        for point in getattr(s, domain):
-            res.count(holds(s, *point), point)
-    return out
-
-
-# Rows are (item, needs negation compatibility, domain, predicate): predicate(suite,
-# *point) is counted at each point of the _Suite attribute named by domain.
 _VARIETY_ROWS = (
-    ("square", False, "elements", lambda s, x: s.M.eq(s.M.odot(rx := s.r(x), rx), x)),
-    ("join_absorption", False, "pairs",
+    _SQUARE_ROW,
+    ("join_absorption", "pairs",
      lambda s, x, y: s.M.eq(s.M.meet(s.r(s.M.join(s.M.odot(y, y), x)), y), y)),
-    ("negation_compat", False, "elements",
-     lambda s, x: _negation_compatible(s.M, s.r, s.r0, x, s.r(x))),
+    _NEGATION_ROW,
 )
 
 
@@ -726,10 +675,12 @@ def variety_identities(algebra: PseudoMV, root: SquareRootMap,
     """The three equations axiomatizing square roots as an equational class:
     the square law, the join-absorption form of maximality, and negation
     compatibility.  Weak roots satisfy the first two only."""
-    return _run(_VARIETY_ROWS, _Suite(algebra, root, budget, seed, "variety"))
+    return run_rows(_VARIETY_ROWS, _Suite(algebra, root, budget, seed, elements="variety-elems",
+                                          pairs="variety-pairs"))
 
 
-# the fifteen claims, in order
+# the fifteen claims, in order; a row here is (item, needs negation
+# compatibility, domain, predicate)
 _CLAIM_ROWS = (
     ("bounds_and_commutation", False, "one", lambda s, x: s.M.eq(s.r(x), x)),
     ("bounds_and_commutation", False, "elements", lambda s, x: (
@@ -792,6 +743,7 @@ _PROPERTY_ROWS = _CLAIM_ROWS + _EXTRA_ROWS
 PROPERTY_ITEMS = tuple(dict.fromkeys(item for item, *_ in _CLAIM_ROWS))
 WEAK_SAFE_ITEMS = tuple(dict.fromkeys(item for item, gated, *_ in _PROPERTY_ROWS if not gated))
 GATED_EXTRAS = tuple(dict.fromkeys(item for item, gated, *_ in _EXTRA_ROWS if gated))
+_PROPERTY_ORDER = tuple(dict.fromkeys(item for item, *_ in _PROPERTY_ROWS))
 
 
 def square_root_properties(algebra: PseudoMV, root: SquareRootMap,
@@ -803,8 +755,10 @@ def square_root_properties(algebra: PseudoMV, root: SquareRootMap,
     (:data:`PROPERTY_ITEMS`) and the extra bounds.  Items outside
     :data:`WEAK_SAFE_ITEMS` are ``"skipped"`` without negation compatibility,
     which is decided on 64 probed elements when ``negation_compat`` is None."""
-    s = _Suite(algebra, root, budget, seed, "props")
+    s = _Suite(algebra, root, budget, seed, elements="props-elems", pairs="props-pairs")
     if negation_compat is None:
         negation_compat = all(_negation_compatible(algebra, s.r, s.r0, x, s.r(x))
                               for x in s.elems[:64])
-    return _run(_PROPERTY_ROWS, s, negation_compat)
+    out = run_rows([(item, domain, holds) for item, gated, domain, holds in _PROPERTY_ROWS
+                    if negation_compat or not gated], s)
+    return {item: out.get(item, SKIPPED) for item in _PROPERTY_ORDER}

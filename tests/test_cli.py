@@ -19,7 +19,7 @@ from pseudomv.cli import (
     parse_group,
 )
 from pseudomv.core import SamplerConfig
-from pseudomv.finite import TABLE_CEILING
+from pseudomv.finite import CATALOGUE_DEPTH_CEILING, TABLE_CEILING
 
 
 def run_cli(*args, env_extra=None):
@@ -38,8 +38,19 @@ def run_cli(*args, env_extra=None):
 
 def write(tmp_path, name, payload):
     path = tmp_path / name
-    path.write_text(json.dumps(payload), encoding="utf-8")
+    text = payload if isinstance(payload, str) else json.dumps(payload)
+    path.write_text(text, encoding="utf-8")
     return str(path)
+
+
+def nested_product(depth):
+    """A catalogue spec ``depth`` levels deep, as text: json.dump recurses
+    once per level too."""
+    leaf = '{"kind": "boolean", "params": [0]}'
+    spec = leaf
+    for _ in range(depth - 1):
+        spec = f'{{"kind": "product", "params": [{leaf}, {spec}]}}'
+    return f'{{"catalogue": {spec}}}'
 
 
 CHAIN3 = {"catalogue": {"kind": "chain", "params": [3]}}
@@ -201,8 +212,13 @@ def test_analyze_malformed_unit_exits_3(tmp_path, unit):
     {"catalogue": {"kind": "chain", "params": "x"}},
     {"catalogue": {"kind": "interval", "params": [CHAIN3["catalogue"], 1]}},
     {"catalogue": {"kind": "product", "params": [CHAIN3["catalogue"]]}},
+    nested_product(600),
+    '{"finite": {"n": 1, "oplus": ' + "[" * 1500 + "]" * 1500 + "}}",
+    nested_product(CATALOGUE_DEPTH_CEILING + 1),
+    {"gamma": {"group": "lex(" * 1200 + "Q" + ",Q)" * 1200, "unit": "1"}},
 ], ids=["group-number", "chain-negative", "chain-params-string",
-        "interval-top-not-idempotent", "product-one-param"])
+        "interval-top-not-idempotent", "product-one-param", "product-600-deep",
+        "finite-1500-brackets", "catalogue-above-depth-ceiling", "group-1200-deep"])
 def test_analyze_malformed_spec_exits_3(tmp_path, payload):
     path = write(tmp_path, "bad.json", payload)
     proc = run_cli("analyze", path)
@@ -221,9 +237,11 @@ def chain_table(n):
     ({"finite": chain_table(TABLE_CEILING - 1)}, 0),
     ({"finite": chain_table(TABLE_CEILING)}, 3),
     ({"catalogue": {"kind": "chain", "params": [TABLE_CEILING]}}, 3),
-], ids=["finite-at-ceiling", "finite-above", "catalogue-above"])
+    (nested_product(CATALOGUE_DEPTH_CEILING), 0),
+], ids=["finite-at-ceiling", "finite-above", "catalogue-above", "catalogue-at-depth-ceiling"])
 def test_table_size_ceiling(tmp_path, payload, code):
-    # the largest carrier allowed, and the smallest ones above the ceiling
+    # the largest carrier allowed, the smallest ones above the ceiling, and
+    # the deepest catalogue spec allowed
     proc = run_cli("analyze", write(tmp_path, "big.json", payload), "--samples", "20")
     assert proc.returncode == code, proc.stderr
     if code == 3:
@@ -324,8 +342,12 @@ def test_usage_error_exit_code():
     ["ladder", "d.json", "--depth", "25"],
     ["analyze", "d.json", "--samples", "-3"],
     ["counterexamples", "--samples", "0"],
+    ["analyze", "d.json", "--tolerance", "-1"],
+    ["analyze", "d.json", "--tolerance", "nan"],
+    ["analyze", "d.json", "--tolerance", "inf"],
 ], ids=["search-max-size-7", "search-max-size-0", "search-max-size-neg1", "ladder-depth-0",
-        "ladder-depth-25", "analyze-samples-neg3", "counterexamples-samples-0"])
+        "ladder-depth-25", "analyze-samples-neg3", "counterexamples-samples-0",
+        "analyze-tolerance-neg1", "analyze-tolerance-nan", "analyze-tolerance-inf"])
 def test_out_of_range_options_exit_3(tmp_path, args):
     write(tmp_path, "d.json", GAMMA_DYADIC)
     args = [str(tmp_path / a) if a == "d.json" else a for a in args]

@@ -1,0 +1,68 @@
+"""Cost gates that do not depend on the machine: group operations per Γ
+operation, and root evaluations per check."""
+
+from __future__ import annotations
+
+from fractions import Fraction as F
+
+import pseudomv as pmv
+from pseudomv.core import make_rng
+from pseudomv.lgroups import LGroup
+from pseudomv.roots import custom_map
+
+
+def _counted(op):
+    def call(self, *args):
+        self.ops += 1
+        return getattr(self.group, op)(*args)
+    return call
+
+
+def _forwarded(op):
+    return lambda self, *args: getattr(self.group, op)(*args)
+
+
+class CountingGroup(LGroup):
+    """Forwards to ``group`` and counts the operations asked of it: add, neg,
+    cmp, meet, join and halve.  ``sub``, ``eq``, ``leq`` and ``lt`` are
+    LGroup's own, built from those; calls the group makes to its own factors
+    are not counted."""
+
+    add, neg, cmp, meet, join, halve = map(_counted, ("add", "neg", "cmp", "meet", "join", "halve"))
+    zero, validate, center_has, random_element, sample_interval = map(
+        _forwarded, ("zero", "validate", "center_has", "random_element", "sample_interval"))
+
+    def __init__(self, group: LGroup):
+        self.group, self.ops = group, 0
+        self.exact, self.tolerance, self.linear, self.abelian, self.dsl = (
+            group.exact, group.tolerance, group.linear, group.abelian, group.dsl)
+
+
+def counted_lex_heis():
+    group = CountingGroup(pmv.LexProduct(pmv.RationalGroup(), pmv.HeisenbergGroup()))
+    return pmv.gamma(group, (F(1), (F(0), F(0), F(0)))), group
+
+
+def test_gamma_order_and_product_cost_in_group_operations():
+    m, group = counted_lex_heis()
+    rng = make_rng(0, "costs")
+    for _ in range(25):
+        x, y = m.sample(rng), m.sample(rng)
+        group.ops = 0
+        m.leq(x, y)
+        assert group.ops == 1          # one cmp
+        group.ops = 0
+        m.odot(x, y)
+        assert group.ops == 4          # (x − u + y) ∨ 0: add, neg, add, join
+
+
+def test_verify_root_evaluations_on_lex_heis():
+    m, _ = counted_lex_heis()
+    sym = pmv.closed_form(m, "sym")
+    points = []
+    root = custom_map(m, lambda x: points.append(x) or sym(x))
+    rep = pmv.verify(m, root, budget=40, seed=1)
+    assert rep.classification == "strict"
+    # laws that each evaluate r by themselves cost 6 per element, 1 per
+    # maximality pair and 1 for r(0)
+    assert len(points) <= 7 * 40 + 1

@@ -11,12 +11,7 @@ from hypothesis import strategies as st
 
 import pseudomv as pmv
 from pseudomv.core import make_rng
-from pseudomv.lgroups import (
-    in_center,
-    power_denominator_member,
-    primorial,
-    primorial_tower_member,
-)
+from pseudomv.lgroups import in_center, power_denominator_member
 
 
 def heis3(a, b, c):
@@ -51,23 +46,10 @@ def test_power_denominator_membership():
     assert power_denominator_member(1, F(7)) and not power_denominator_member(1, F(1, 2))
 
 
-def test_primorial_tower():
-    assert primorial(0) == 2 and primorial(1) == 6 and primorial(2) == 30
-    assert primorial_tower_member(6, 1, F(1, 3))
-    assert not primorial_tower_member(2, 0, F(1, 3))
-    with pytest.raises(ValueError):
-        primorial_tower_member(4, 1, F(1, 2))
-    # each stage properly contains the previous one: 1/p_n enters at stage n
-    assert primorial_tower_member(30, 2, F(1, 5))
-    assert not primorial_tower_member(6, 1, F(1, 5))
-
-
 def test_power_denominator_group_halving():
     h6 = pmv.PowerDenominatorGroup(6)
-    assert h6.two_divisible
     assert h6.halve(F(1, 6)) == F(1, 12)  # 1/12 = 3/36
     h3 = pmv.PowerDenominatorGroup(3)
-    assert not h3.two_divisible
     assert h3.halve(F(1, 3)) is None
     assert h3.halve(F(2, 9)) == F(1, 9)
 
@@ -235,16 +217,6 @@ def test_gamma_scaling_action_interval():
     assert m.contains((1.0, 0.4)) and not m.contains((1.0, -0.4))
     assert m.contains((2.0, -0.4)) and not m.contains((2.0, 0.4))
     assert m.check_axioms(budget=400).all_pass
-
-
-def test_strong_unit_probe():
-    unital = pmv.UnitalLGroup(pmv.DyadicGroup(), F(1))
-    assert unital.dominated_by_unit_power(F(1000, 1))
-    rng = make_rng(7, "strong-unit")
-    g = pmv.LexProduct(pmv.RationalGroup(), pmv.HeisenbergGroup())
-    unital2 = pmv.UnitalLGroup(g, (F(1), heis3(0, 0, 0)))
-    for _ in range(50):
-        assert unital2.dominated_by_unit_power(g.random_element(rng, 16))
 
 
 def test_halving_unique_against_doubling():
