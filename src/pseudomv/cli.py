@@ -97,6 +97,14 @@ EXIT_VIOLATION = 1
 EXIT_AXIOMS = 2
 EXIT_PARSE = 3
 
+#: The largest ``--samples``: a run allocates and takes time in proportion
+#: to it (50,000 samples on ``D`` take about 20 s).
+SAMPLES_CEILING = 100_000
+
+#: How many characters of a malformed group expression or literal an
+#: error message echoes.
+ECHO_PREFIX = 20
+
 
 class SpecFileError(Exception):
     """The input file does not describe an algebra."""
@@ -108,7 +116,7 @@ class SpecFileError(Exception):
 
 def parse_group(text: str, tolerance: float = 1e-9) -> LGroup:
     if not isinstance(text, str):
-        raise SpecFileError(f"group expression must be a string, got {text!r}")
+        raise SpecFileError(f"group expression must be a string, got {type(text).__name__}")
     text = text.strip()
 
     def parse(s: str) -> tuple[LGroup, str]:
@@ -126,7 +134,11 @@ def parse_group(text: str, tolerance: float = 1e-9) -> LGroup:
                 return ctor(left, right), rest[1:]
         if s.startswith("H("):
             close = s.index(")")
-            return PowerDenominatorGroup(int(s[2:close])), s[close + 1:]
+            try:
+                base = int(s[2:close])
+            except ValueError:
+                raise SpecFileError(f"bad H(p) base {_prefix(s[2:close])}") from None
+            return PowerDenominatorGroup(base), s[close + 1:]
         for name, make in (
             ("heis", HeisenbergGroup),
             ("semi_numeric", lambda: ScalingSemidirect(tolerance)),
@@ -136,15 +148,20 @@ def parse_group(text: str, tolerance: float = 1e-9) -> LGroup:
         ):
             if s.startswith(name):
                 return make(), s[len(name):]
-        raise SpecFileError(f"unknown group constructor near {s[:20]!r}")
+        raise SpecFileError(f"unknown group constructor near {_prefix(s)}")
 
     try:
         group, rest = parse(text)
     except (ValueError, IndexError, RecursionError) as exc:
-        raise SpecFileError(f"bad group expression {text!r}: {exc}") from exc
+        raise SpecFileError(f"bad group expression {_prefix(text)}: {exc}") from exc
     if rest.strip():
-        raise SpecFileError(f"trailing input after group expression: {rest!r}")
+        raise SpecFileError(f"trailing input after group expression: {_prefix(rest.strip())}")
     return group
+
+
+def _prefix(text: str) -> str:
+    """``text`` quoted, cut to its first ``ECHO_PREFIX`` characters."""
+    return repr(text[:ECHO_PREFIX]) + ("..." if len(text) > ECHO_PREFIX else "")
 
 
 def _parse_scalar(tok: str) -> Any:
@@ -152,12 +169,12 @@ def _parse_scalar(tok: str) -> Any:
     try:
         return Fraction(tok)
     except (ValueError, ZeroDivisionError) as exc:
-        raise SpecFileError(f"bad numeric literal {tok!r}") from exc
+        raise SpecFileError(f"bad numeric literal {_prefix(tok)}") from exc
 
 
 def parse_element_literal(group: LGroup, text: str) -> Any:
     if not isinstance(text, str):
-        raise SpecFileError(f"element literal must be a string, got {text!r}")
+        raise SpecFileError(f"element literal must be a string, got {type(text).__name__}")
     text = text.strip()
     if text.startswith("(") and text.endswith(")"):
         toks = text[1:-1].split(",")
@@ -544,13 +561,12 @@ def cmd_quotient(args: argparse.Namespace) -> int:
 # entry point
 # ----------------------------------------------------------------------
 
-def _int_between(lo: int, hi: int | None = None):
+def _int_between(lo: int, hi: int):
     """An argparse type: an integer at least ``lo`` and at most ``hi``."""
     def parse(text: str) -> int:
         value = int(text)
-        if value < lo or (hi is not None and value > hi):
-            bounds = f"at least {lo}" if hi is None else f"between {lo} and {hi}"
-            raise argparse.ArgumentTypeError(f"must be {bounds}, got {value}")
+        if not lo <= value <= hi:
+            raise argparse.ArgumentTypeError(f"must be between {lo} and {hi}, got {value}")
         return value
 
     parse.__name__ = "int"   # argparse names the type in "invalid int value"
@@ -577,7 +593,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--samples", type=_int_between(1), default=2000)
+        p.add_argument("--samples", type=_int_between(1, SAMPLES_CEILING), default=2000)
         p.add_argument("--tolerance", type=_tolerance, default=1e-9)
 
     p = sub.add_parser("analyze", help="full analysis of one algebra file")

@@ -16,9 +16,14 @@ at desk scale:
   ``exact = False`` and a comparison tolerance because their halving maps
   involve irrational square roots.
 
-Exact carriers store :class:`fractions.Fraction` payloads and never hold
-floats.  The Γ-construction turns the interval [0, u] of a unital group
-into a pseudo MV-algebra via x ⊕ y = (x+y) ∧ u, x⁻ = u−x, x∼ = −x+u.
+Exact carriers store reduced :class:`fractions.Fraction` payloads and
+never hold floats.  Their operations compute on numerator and denominator
+through a few module-private kernels (``_add``, ``_sub``, ``_neg``,
+``_mul``, ``_cmp``), which skip the operator dispatch and the
+``numbers.Rational`` checks of ``Fraction``'s own operators and build each
+result with the public ``Fraction(n, d)``.  The Γ-construction turns the
+interval [0, u] of a unital group into a pseudo MV-algebra via
+x ⊕ y = (x+y) ∧ u, x⁻ = u−x, x∼ = −x+u.
 """
 
 from __future__ import annotations
@@ -70,6 +75,38 @@ def _as_fraction(v: Any) -> Fraction:
     if isinstance(v, Rational):
         return Fraction(v.numerator, v.denominator)
     raise BackendMismatch(f"exact payload expected, got {v!r}")
+
+
+# Exact kernels.  Arguments are Fractions or ints (both expose
+# ``numerator`` and ``denominator``); results are reduced Fractions, equal
+# to what the Fraction operators give on the arguments as Fractions.
+
+def _add(a, b):
+    da, db = a.denominator, b.denominator
+    if da == db:
+        return Fraction(a.numerator + b.numerator, da)
+    return Fraction(a.numerator * db + b.numerator * da, da * db)
+
+
+def _sub(a, b):
+    da, db = a.denominator, b.denominator
+    if da == db:
+        return Fraction(a.numerator - b.numerator, da)
+    return Fraction(a.numerator * db - b.numerator * da, da * db)
+
+
+def _neg(a):
+    return Fraction(-a.numerator, a.denominator)
+
+
+def _mul(a, b):
+    return Fraction(a.numerator * b.numerator, a.denominator * b.denominator)
+
+
+def _cmp(a, b):
+    x = a.numerator * b.denominator
+    y = b.numerator * a.denominator
+    return (x > y) - (x < y)
 
 
 def _format_rational(q: Rational) -> str:
@@ -233,14 +270,26 @@ class _FractionGroup(LGroup):
     def zero(self):
         return Fraction(0)
 
-    def add(self, a, b):
-        return a + b
+    add = staticmethod(_add)
+    sub = staticmethod(_sub)
+    neg = staticmethod(_neg)
+    cmp = staticmethod(_cmp)
 
-    def neg(self, a):
-        return -a
+    # One cross-multiplication each; ties keep LGroup's choices (join
+    # returns a, meet returns b).  Payloads are reduced, so equal values
+    # have equal numerators and denominators.
 
-    def cmp(self, a, b):
-        return (a > b) - (a < b)
+    def eq(self, a, b):
+        return a.numerator == b.numerator and a.denominator == b.denominator
+
+    def leq(self, a, b):
+        return a.numerator * b.denominator <= b.numerator * a.denominator
+
+    def join(self, a, b):
+        return b if a.numerator * b.denominator < b.numerator * a.denominator else a
+
+    def meet(self, a, b):
+        return a if a.numerator * b.denominator < b.numerator * a.denominator else b
 
     def validate(self, a):
         if not isinstance(a, Rational):
@@ -338,15 +387,19 @@ class HeisenbergGroup(LGroup):
         return (Fraction(0), Fraction(0), Fraction(0))
 
     def add(self, a, b):
-        return (a[0] + b[0], a[1] + b[1], a[2] + b[2] + a[0] * b[1])
+        return (_add(a[0], b[0]), _add(a[1], b[1]), _add(_add(a[2], b[2]), _mul(a[0], b[1])))
 
     def neg(self, a):
-        return (-a[0], -a[1], -a[2] + a[0] * a[1])
+        return (_neg(a[0]), _neg(a[1]), _sub(_mul(a[0], a[1]), a[2]))
+
+    def sub(self, a, b):
+        """a + (−b) = (a₀−b₀, a₁−b₁, a₂−b₂−(a₀−b₀)·b₁): 5 rational
+        operations instead of 9."""
+        d = _sub(a[0], b[0])
+        return (d, _sub(a[1], b[1]), _sub(_sub(a[2], b[2]), _mul(d, b[1])))
 
     def cmp(self, a, b):
-        if a == b:
-            return 0
-        return -1 if a < b else 1
+        return _cmp(a[0], b[0]) or _cmp(a[1], b[1]) or _cmp(a[2], b[2])
 
     def validate(self, a):
         if not (isinstance(a, tuple) and len(a) == 3
@@ -404,6 +457,9 @@ class _PairGroup(LGroup):
 
     def neg(self, a):
         return (self.first.neg(a[0]), self.second.neg(a[1]))
+
+    def sub(self, a, b):
+        return (self.first.sub(a[0], b[0]), self.second.sub(a[1], b[1]))
 
     def validate(self, a):
         if not (isinstance(a, tuple) and len(a) == 2):

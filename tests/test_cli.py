@@ -2,19 +2,27 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import pseudomv as pmv
 from pseudomv.cli import (
+    SAMPLES_CEILING,
     SpecFileError,
+    _build_parser,
     load_algebra,
+    main,
     parse_element_literal,
     parse_group,
 )
@@ -225,6 +233,8 @@ def test_analyze_malformed_spec_exits_3(tmp_path, payload):
     assert proc.returncode == 3
     assert proc.stderr.startswith("error:")
     assert "Traceback" not in proc.stderr
+    # the error echoes a prefix of the input, not the whole of it
+    assert len(proc.stderr.encode()) < 200
 
 
 def chain_table(n):
@@ -342,11 +352,14 @@ def test_usage_error_exit_code():
     ["ladder", "d.json", "--depth", "25"],
     ["analyze", "d.json", "--samples", "-3"],
     ["counterexamples", "--samples", "0"],
+    ["analyze", "d.json", "--samples", str(SAMPLES_CEILING + 1)],
+    ["analyze", "d.json", "--samples", "1000000000"],
     ["analyze", "d.json", "--tolerance", "-1"],
     ["analyze", "d.json", "--tolerance", "nan"],
     ["analyze", "d.json", "--tolerance", "inf"],
 ], ids=["search-max-size-7", "search-max-size-0", "search-max-size-neg1", "ladder-depth-0",
         "ladder-depth-25", "analyze-samples-neg3", "counterexamples-samples-0",
+        "analyze-samples-100001", "analyze-samples-1e9",
         "analyze-tolerance-neg1", "analyze-tolerance-nan", "analyze-tolerance-inf"])
 def test_out_of_range_options_exit_3(tmp_path, args):
     write(tmp_path, "d.json", GAMMA_DYADIC)
@@ -357,6 +370,11 @@ def test_out_of_range_options_exit_3(tmp_path, args):
     assert proc.stdout == ""
 
 
+def test_samples_ceiling_is_accepted():
+    args = _build_parser().parse_args(["analyze", "d.json", "--samples", str(SAMPLES_CEILING)])
+    assert args.samples == SAMPLES_CEILING == 100_000
+
+
 def test_cli_import_loads_no_numpy():
     # the package has no runtime dependency; keep one from coming back unnoticed
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
@@ -365,3 +383,106 @@ def test_cli_import_loads_no_numpy():
         capture_output=True, text=True, env=env, check=False,
     )
     assert proc.returncode == 0, proc.stderr or "importing pseudomv.cli loaded numpy"
+
+
+# ----------------------------------------------------------------------
+# fuzzing main over small documents
+# ----------------------------------------------------------------------
+
+# Sizes stay far below TABLE_CEILING and CATALOGUE_DEPTH_CEILING: at most
+# two group factors with unit coordinates up to 3, and catalogue specs of
+# at most two leaves, so no carrier has more than 16 elements.
+small_q = st.fractions(min_value=-1, max_value=3, max_denominator=4)
+group_texts = st.recursive(
+    st.sampled_from(["Z", "Q", "D", "H(2)", "H(3)", "heis", "semi_numeric"]),
+    lambda inner: st.builds("{}({},{})".format, st.sampled_from(["lex", "prod"]), inner, inner),
+    max_leaves=2)
+
+
+def tuple_text(values):
+    return "(" + ",".join(map(str, values)) + ")"
+
+
+def gamma_documents(group):
+    """A unit of the right arity for ``group``, or of any arity."""
+    k = parse_group(group).flat_arity
+    units = st.one_of(st.lists(small_q, min_size=k, max_size=k).map(tuple_text),
+                      st.lists(small_q, min_size=1, max_size=5).map(tuple_text),
+                      small_q.map(str))
+    return st.builds(lambda u: {"gamma": {"group": group, "unit": u}}, units)
+
+
+catalogue_specs = st.recursive(
+    st.one_of(st.builds(lambda k: {"kind": "chain", "params": [k]}, st.integers(-1, 3)),
+              st.builds(lambda k: {"kind": "boolean", "params": [k]}, st.integers(-1, 2))),
+    lambda inner: st.one_of(
+        st.builds(lambda a, b: {"kind": "product", "params": [a, b]}, inner, inner),
+        st.builds(lambda a, i: {"kind": "interval", "params": [a, i]}, inner, st.integers(-1, 5))),
+    max_leaves=2)
+finite_specs = st.integers(1, 4).flatmap(lambda n: st.one_of(
+    st.just(chain_table(n - 1)),
+    st.fixed_dictionaries({
+        "n": st.just(n),
+        "oplus": st.lists(st.lists(st.integers(-1, n), min_size=n, max_size=n),
+                          min_size=n, max_size=n),
+        "neg": st.lists(st.integers(0, n - 1), min_size=n, max_size=n),
+        "tilde": st.lists(st.integers(0, n - 1), min_size=n, max_size=n),
+        "zero": st.integers(0, n - 1),
+        "one": st.integers(0, n - 1)})))
+documents = st.one_of(
+    group_texts.flatmap(gamma_documents),
+    st.builds(lambda s: {"catalogue": s}, catalogue_specs),
+    st.builds(lambda s: {"finite": s}, finite_specs))
+malformed = st.one_of(
+    st.sampled_from(["", "{", "[1,", "nul", '{"gamma": }']),
+    st.one_of(st.none(), st.integers(), st.text(max_size=5),
+              st.lists(st.integers(), max_size=3)).map(json.dumps),
+    st.sampled_from([
+        {"other": {}},
+        {"gamma": {"group": "X", "unit": "1"}},
+        {"gamma": {"group": "lex(Q", "unit": "1"}},
+        {"gamma": {"group": "H()", "unit": "1"}},
+        {"gamma": {"group": ["Q"], "unit": "1"}},
+        {"gamma": {"group": "Q", "unit": "0"}},
+        {"gamma": {"group": "Q", "unit": "(1,2)"}},
+        {"gamma": {"group": "Q"}},
+        {"catalogue": {"kind": "cube", "params": [1]}},
+        {"catalogue": {"kind": "chain"}},
+        {"catalogue": {"kind": "chain", "params": [TABLE_CEILING]}},
+        {"finite": {"n": 2}},
+        {"finite": {"n": 2, "oplus": [[0]], "neg": [1, 0], "tilde": [1, 0],
+                    "zero": 0, "one": 1}},
+    ]))
+commands = st.one_of(
+    st.builds(lambda k, s: ["analyze", "--samples", str(k), "--seed", str(s)],
+              st.integers(1, 20), st.integers(0, 9)),
+    st.builds(lambda d: ["ladder", "--depth", str(d)], st.integers(1, 3)))
+
+
+def run_main(document, command):
+    """``main`` on ``document`` (an object, or raw text), in process: an
+    exception escaping ``main`` fails the test, as a traceback would."""
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "doc.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(document if isinstance(document, str) else json.dumps(document))
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command[0], path, *command[1:]])
+    return code, err.getvalue()
+
+
+@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(documents, commands)
+def test_main_fuzz_exit_codes(document, command):
+    code, err = run_main(document, command)
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err
+
+
+@settings(max_examples=60, deadline=None)
+@given(malformed, commands)
+def test_main_fuzz_parse_errors_exit_3(document, command):
+    code, err = run_main(document, command)
+    assert code == 3
+    assert err.startswith("error:") and "Traceback" not in err

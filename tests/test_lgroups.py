@@ -252,3 +252,58 @@ def test_rational_lattice_identities(a, b):
     assert g.join(a, b) == max(a, b)
     assert g.meet(a, b) == min(a, b)
     assert g.add(g.join(a, b), g.meet(a, b)) == g.add(a, b)
+
+
+# ----------------------------------------------------------------------
+# exact kernels against the Fraction operators
+# ----------------------------------------------------------------------
+
+BIG = 10**40
+scalars = st.one_of(
+    st.sampled_from([0, F(0), 1, -1]),
+    st.integers(-BIG, BIG),
+    st.fractions(min_value=-8, max_value=8, max_denominator=64),
+    st.builds(F, st.integers(-BIG, BIG), st.integers(1, BIG)),
+)
+dyadics = st.builds(F, st.integers(-BIG, BIG), st.integers(0, 140).map(lambda k: 2**k))
+triples = st.tuples(scalars, scalars, scalars).map(lambda t: tuple(F(v) for v in t))
+
+
+def reduced_fraction(r):
+    return type(r) is F and r.denominator > 0 and math.gcd(r.numerator, r.denominator) == 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(scalars, scalars)
+def test_fraction_group_kernels_match_operators(a, b):
+    g = pmv.RationalGroup()
+    fa, fb = F(a), F(b)
+    for got, want in ((g.add(a, b), fa + fb), (g.sub(a, b), fa - fb), (g.neg(a), -fa)):
+        assert got == want and reduced_fraction(got)
+    assert g.cmp(a, b) == (fa > fb) - (fa < fb)
+    assert (g.eq(a, b), g.leq(a, b), g.lt(a, b)) == (fa == fb, fa <= fb, fa < fb)
+    # LGroup's tie choices: join returns a and meet returns b on equal inputs
+    assert g.join(a, b) is (b if fa < fb else a)
+    assert g.meet(a, b) is (a if fa < fb else b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(triples, triples)
+def test_heisenberg_kernels_match_operators(a, b):
+    h = pmv.HeisenbergGroup()
+    assert h.add(a, b) == (a[0] + b[0], a[1] + b[1], a[2] + b[2] + a[0] * b[1])
+    assert h.neg(a) == (-a[0], -a[1], -a[2] + a[0] * a[1])
+    assert h.sub(a, b) == h.add(a, h.neg(b))
+    assert all(reduced_fraction(v) for v in h.add(a, b) + h.neg(a) + h.sub(a, b))
+    assert h.cmp(a, b) == (a > b) - (a < b)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.tuples(scalars, triples), st.tuples(scalars, triples),
+       st.tuples(dyadics, scalars), st.tuples(dyadics, scalars))
+def test_pair_group_sub_is_add_of_neg(x, y, p, q):
+    x, y = (F(x[0]), x[1]), (F(y[0]), y[1])
+    lex = pmv.LexProduct(pmv.RationalGroup(), pmv.HeisenbergGroup())
+    assert lex.sub(x, y) == lex.add(x, lex.neg(y))
+    prod = pmv.DirectProductGroup(pmv.DyadicGroup(), pmv.RationalGroup())
+    assert prod.sub(p, q) == prod.add(p, prod.neg(q))
