@@ -45,9 +45,7 @@ from .lgroups import (
     PowerDenominatorGroup,
     RationalGroup,
     ScalingSemidirect,
-    UnitalLGroup,
     gamma,
-    in_center,
 )
 from .counterexamples import (
     exp_action_algebra,

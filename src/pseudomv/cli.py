@@ -27,6 +27,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from fractions import Fraction
 from typing import Any
@@ -105,6 +106,18 @@ SAMPLES_CEILING = 100_000
 #: error message echoes.
 ECHO_PREFIX = 20
 
+#: The most digits the numerator or the denominator of a numeric literal may
+#: have, counted as written before reduction (``1e999`` has 1,000).  Reports
+#: format products of two coordinates, which then stay within Python's
+#: 4,300-digit limit for converting an int to a string.
+LITERAL_DIGITS_CEILING = 1000
+
+#: The numeric literals ``Fraction`` reads: ``p/q`` or a decimal with an
+#: optional exponent, digits grouped by underscores.
+_DIGITS = r"\d+(?:_\d+)*"
+_LITERAL = re.compile(rf"[-+]?(?:(?P<p>{_DIGITS})/(?P<q>{_DIGITS})|(?P<int>{_DIGITS})?"
+                      rf"(?:\.(?P<frac>{_DIGITS})?)?(?:e(?P<exp>[-+]?{_DIGITS}))?)", re.IGNORECASE)
+
 
 class SpecFileError(Exception):
     """The input file does not describe an algebra."""
@@ -164,8 +177,30 @@ def _prefix(text: str) -> str:
     return repr(text[:ECHO_PREFIX]) + ("..." if len(text) > ECHO_PREFIX else "")
 
 
+def _literal_digits(tok: str) -> float:
+    """The digits of the numerator or the denominator that ``tok`` writes,
+    whichever has more, read from the text alone: ``Fraction`` would first
+    expand the exponent, which takes minutes for ``1e10000000``.  0 when
+    ``tok`` is no literal, which ``Fraction`` then rejects."""
+    m = _LITERAL.fullmatch(tok)
+    if m is None:
+        return 0
+    digits = lambda group: len((m[group] or "").replace("_", ""))
+    if m["q"] is not None:
+        return max(digits("p"), digits("q"))
+    try:
+        exp = int(m["exp"] or 0)
+    except ValueError:      # more digits than int() reads: far above the ceiling
+        return math.inf
+    frac = digits("frac")
+    return max(digits("int") + frac + max(0, exp - frac), 1 + max(0, frac - exp))
+
+
 def _parse_scalar(tok: str) -> Any:
     tok = tok.strip()
+    if _literal_digits(tok) > LITERAL_DIGITS_CEILING:
+        raise SpecFileError(f"numeric literal {_prefix(tok)} has more than "
+                            f"{LITERAL_DIGITS_CEILING} digits, the ceiling for literals")
     try:
         return Fraction(tok)
     except (ValueError, ZeroDivisionError) as exc:
@@ -182,7 +217,10 @@ def parse_element_literal(group: LGroup, text: str) -> Any:
         toks = [text]
     values = [_parse_scalar(t) for t in toks if t.strip()]
     if not group.exact:
-        values = [float(v) for v in values]
+        try:
+            values = [float(v) for v in values]
+        except OverflowError as exc:
+            raise SpecFileError(f"literal {_prefix(text)} does not fit a float") from exc
     try:
         return group.from_flat(values)
     except AlgebraError as exc:
@@ -240,7 +278,7 @@ def load_algebra(path: str, sampler: SamplerConfig, tolerance: float) -> PseudoM
                 zero=int(spec["zero"]),
                 one=int(spec["one"]),
             )
-        except (KeyError, TypeError, ValueError, AlgebraError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError, AlgebraError) as exc:
             raise SpecFileError(f"bad finite table: {exc}") from exc
         return FinitePMV(table, sampler=sampler, name="file")
     if "gamma" in data:
@@ -258,7 +296,7 @@ def load_algebra(path: str, sampler: SamplerConfig, tolerance: float) -> PseudoM
             spec = parse_catalogue(data["catalogue"])
             _check_table_size(catalogue_size(spec), f"catalogue {spec.label()}")
             algebra = build_catalogue(spec)
-        except (IndexError, TypeError, ValueError, AlgebraError) as exc:
+        except (IndexError, TypeError, ValueError, OverflowError, AlgebraError) as exc:
             raise SpecFileError(f"bad catalogue spec: {exc}") from exc
         return FinitePMV(algebra.table, labels=algebra.labels, sampler=sampler,
                          name=algebra.name)

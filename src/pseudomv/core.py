@@ -247,9 +247,8 @@ class PseudoMV(ABC):
 
     backend: str = "abstract"
 
-    def __init__(self, sampler: SamplerConfig | None = None, tolerance: float = 0.0):
+    def __init__(self, sampler: SamplerConfig | None = None):
         self.sampler = sampler if sampler is not None else SamplerConfig()
-        self.tolerance = tolerance
 
     # ------------------------------------------------------------------
     # primitives
@@ -277,7 +276,7 @@ class PseudoMV(ABC):
 
     @abstractmethod
     def eq(self, x: Any, y: Any) -> bool:
-        """Element equality; exact, or within ``tolerance`` on float carriers."""
+        """Element equality; exact, or within the group's tolerance on float carriers."""
 
     @abstractmethod
     def contains(self, x: Any) -> bool: ...
@@ -430,10 +429,8 @@ class ProductPMV(PseudoMV):
 
     backend = "product"
 
-    def __init__(self, left: PseudoMV, right: PseudoMV,
-                 sampler: SamplerConfig | None = None):
-        super().__init__(sampler or left.sampler,
-                         max(left.tolerance, right.tolerance))
+    def __init__(self, left: PseudoMV, right: PseudoMV):
+        super().__init__(left.sampler)
         self.left = left
         self.right = right
 
@@ -510,7 +507,7 @@ class IntervalPMV(PseudoMV):
             raise BackendMismatch(f"interval endpoint {top!r} not in the algebra")
         if not parent.is_boolean_element(top):
             raise AlgebraError("interval endpoint must be idempotent")
-        super().__init__(parent.sampler, parent.tolerance)
+        super().__init__(parent.sampler)
         self.parent = parent
         self.top = top
 

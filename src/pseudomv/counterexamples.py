@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from .core import CheckResult, Domains, SamplerConfig, make_rng, run_rows
+from .core import CheckResult, Domains, make_rng, run_rows
 from .lgroups import ExpSemidirect, GammaPMV, ScalingSemidirect, gamma
 from .roots import SquareRootMap, SquareRootReport, closed_form, custom_map, verify
 
@@ -67,20 +67,18 @@ def _pair_gap(a: tuple, b: tuple) -> float:
 # the scaling-action algebra
 # ----------------------------------------------------------------------
 
-def scaling_action_algebra(tolerance: float = 1e-9,
-                           sampler: SamplerConfig | None = None,
-                           ) -> tuple[GammaPMV, SquareRootMap]:
+def scaling_action_algebra(tolerance: float = 1e-9) -> tuple[GammaPMV, SquareRootMap]:
     """The interval [ (1,0), (2,0) ] of the scaling semidirect product,
     with the explicit weak root r(h, g) = (√(2h), 2g/(√(2h)+2))."""
     group = ScalingSemidirect(tolerance)
-    algebra = gamma(group, (2.0, 0.0), sampler)
+    algebra = gamma(group, (2.0, 0.0))
 
     def root_formula(x):
         h, g = x
         s = math.sqrt(2.0 * h)
         return (s, 2.0 * g / (s + 2.0))
 
-    return algebra, custom_map(algebra, root_formula, data="sqrt-scaling")
+    return algebra, custom_map(algebra, root_formula)
 
 
 def _root_of_negation(h: float, g: float) -> tuple[float, float]:
@@ -99,17 +97,21 @@ def _arrow_to_r0(h: float, g: float) -> tuple[float, float]:
 NEGATION_GAP_AT_UNIT_POINT = abs(-0.5 + math.sqrt(2.0) / (1.0 + math.sqrt(2.0)))
 
 
-def _probe_points(algebra: GammaPMV, budget: int, seed: int, grid: int = 9) -> Domains:
-    """The grid points of [0, u] plus seeded samples up to ``budget``, as
-    the elements of a :class:`Domains`."""
+#: Grid lines per coordinate of the probe points.
+_GRID = 9
+
+
+def _probe_points(algebra: GammaPMV, budget: int, seed: int) -> Domains:
+    """The :data:`_GRID` × :data:`_GRID` grid points of [0, u] plus seeded
+    samples up to ``budget``, as the elements of a :class:`Domains`."""
     domains = Domains(algebra)
     domains.elems = pts = []
-    for i in range(grid):
-        for j in range(grid):
+    for i in range(_GRID):
+        for j in range(_GRID):
             lo = algebra.zero[0]
             hi = algebra.one[0]
-            h = lo + (hi - lo) * i / (grid - 1)
-            g = -1.0 + 2.0 * j / (grid - 1)
+            h = lo + (hi - lo) * i / (_GRID - 1)
+            g = -1.0 + 2.0 * j / (_GRID - 1)
             p = (h, g)
             if algebra.contains(p):
                 pts.append(p)
@@ -134,7 +136,6 @@ class ScalingActionReport:
     sym_form_differs: list[NumericWitness]
     symmetry: CheckResult
     r0_is_half_unit: bool
-    tolerance: float
 
 
 def scaling_action_verdicts(budget: int = 2000, seed: int = 0,
@@ -194,7 +195,6 @@ def scaling_action_verdicts(budget: int = 2000, seed: int = 0,
         sym_form_differs=sym_differs,
         symmetry=symmetry,
         r0_is_half_unit=r0_ok,
-        tolerance=tolerance,
     )
 
 
@@ -202,14 +202,12 @@ def scaling_action_verdicts(budget: int = 2000, seed: int = 0,
 # the exponential-action algebra
 # ----------------------------------------------------------------------
 
-def exp_action_algebra(tolerance: float = 1e-9,
-                       sampler: SamplerConfig | None = None,
-                       ) -> tuple[GammaPMV, SquareRootMap, Callable]:
+def exp_action_algebra(tolerance: float = 1e-9) -> tuple[GammaPMV, SquareRootMap, Callable]:
     """The interval [ (0,0), (1,0) ] of the exponential-action group with
     r(x, y) = ((x+1)/2, y/(e^{(x−1)/2}+1)), and the coordinate change
     ψ(h, g) = (ln h, g) from the scaling-action presentation."""
     group = ExpSemidirect(tolerance)
-    algebra = gamma(group, (1.0, 0.0), sampler)
+    algebra = gamma(group, (1.0, 0.0))
 
     def root_formula(p):
         x, y = p
@@ -219,7 +217,7 @@ def exp_action_algebra(tolerance: float = 1e-9,
         h, g = p
         return (math.log(h), g)
 
-    return algebra, custom_map(algebra, root_formula, data="exp-action"), psi
+    return algebra, custom_map(algebra, root_formula), psi
 
 
 @dataclass
@@ -230,7 +228,6 @@ class ExpActionReport:
     intertwine: CheckResult
     symmetry: CheckResult
     r0_is_half_unit: bool
-    tolerance: float
 
 
 def exp_action_verdicts(budget: int = 2000, seed: int = 0,
@@ -268,5 +265,4 @@ def exp_action_verdicts(budget: int = 2000, seed: int = 0,
         intertwine=intertwine,
         symmetry=symmetry,
         r0_is_half_unit=r0_ok,
-        tolerance=tolerance,
     )

@@ -148,12 +148,8 @@ def enumerate_ideals(algebra: FinitePMV) -> list[IdealHandle]:
 @dataclass
 class QuotientResult:
     algebra: FinitePMV
-    projection: tuple[int, ...]
     root: SquareRootMap | None
     checks: dict = field(default_factory=dict)
-
-    def project(self, x: int) -> int:
-        return self.projection[x]
 
 
 def quotient(algebra: FinitePMV, ideal: IdealHandle,
@@ -208,7 +204,7 @@ def quotient(algebra: FinitePMV, ideal: IdealHandle,
         checks["square"] = report.square
         checks["maximality"] = report.maximality
         checks["negation_compat"] = report.negation_compat
-    return QuotientResult(quot, tuple(proj), induced, checks)
+    return QuotientResult(quot, induced, checks)
 
 
 def is_r_invariant(algebra: FinitePMV, ideal: IdealHandle, root: SquareRootMap) -> bool:

@@ -24,6 +24,10 @@ through a few module-private kernels (``_add``, ``_sub``, ``_neg``,
 result with the public ``Fraction(n, d)``.  The Γ-construction turns the
 interval [0, u] of a unital group into a pseudo MV-algebra via
 x ⊕ y = (x+y) ∧ u, x⁻ = u−x, x∼ = −x+u.
+
+Γ(G, u) samples its points with denominators at most the module constant
+:data:`SAMPLE_DENOMINATOR_BOUND`, and every group decides centre
+membership exactly through ``center_has``.
 """
 
 from __future__ import annotations
@@ -31,7 +35,6 @@ from __future__ import annotations
 import math
 import random
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
 from typing import Any
@@ -42,7 +45,6 @@ from .core import (
     PseudoMV,
     SamplerConfig,
     UnsupportedBackend,
-    make_rng,
 )
 
 __all__ = [
@@ -56,10 +58,8 @@ __all__ = [
     "DirectProductGroup",
     "ScalingSemidirect",
     "ExpSemidirect",
-    "UnitalLGroup",
     "GammaPMV",
     "gamma",
-    "in_center",
     "power_denominator_member",
 ]
 
@@ -125,9 +125,7 @@ class LGroup(ABC):
     """
 
     exact: bool = True
-    tolerance: float = 0.0
     linear: bool = True
-    abelian: bool = True
     dsl: str = "?"
     flat_arity: int = 1
 
@@ -178,22 +176,23 @@ class LGroup(ABC):
         """The unique b with b + b = a, or None when the carrier has none."""
         return None
 
-    def center_has(self, a: Any) -> bool | None:
-        """Exact center membership where decidable; None defers to sampling."""
-        return True if self.abelian else None
+    def center_has(self, a: Any) -> bool:
+        """Whether a commutes with every element.  True here; every
+        non-abelian group overrides it with an exact test."""
+        return True
 
     @abstractmethod
-    def random_element(self, rng: random.Random, bound: int) -> Any:
+    def random_element(self, rng: random.Random) -> Any:
         """An arbitrary small element (used by commutation/order probes)."""
 
-    def sample_interval(self, rng: random.Random, unit: Any, bound: int) -> Any:
+    def sample_interval(self, rng: random.Random, unit: Any) -> Any:
         """A seeded point of [0, unit]: coordinates of bounded denominator,
         clamped into the interval."""
-        x = self.random_element(rng, bound)
+        x = self.random_element(rng)
         return self.meet(self.join(x, self.zero()), unit)
 
-    def enumerate_interval(self, lo: Any, hi: Any) -> list | None:
-        """The whole interval [lo, hi] when finite and enumerable, else None."""
+    def enumerate_interval(self, hi: Any) -> list | None:
+        """The whole interval [0, hi] when finite and enumerable, else None."""
         return None
 
     def flatten(self, a: Any) -> list:
@@ -254,14 +253,14 @@ class IntegerGroup(LGroup):
             return int(v.numerator)
         raise BackendMismatch(f"integer expected, got {v!r}")
 
-    def random_element(self, rng, bound):
+    def random_element(self, rng):
         return rng.randint(-8, 8)
 
-    def sample_interval(self, rng, unit, bound):
+    def sample_interval(self, rng, unit):
         return rng.randint(0, unit)
 
-    def enumerate_interval(self, lo, hi):
-        return list(range(lo, hi + 1))
+    def enumerate_interval(self, hi):
+        return list(range(hi + 1))
 
 
 class _FractionGroup(LGroup):
@@ -304,15 +303,15 @@ class _FractionGroup(LGroup):
         h = _as_fraction(a) / 2
         return h if self.member(h) else None
 
-    def _denominator(self, rng: random.Random, bound: int) -> int:
-        return rng.randint(1, max(1, bound))
+    def _denominator(self, rng: random.Random) -> int:
+        return rng.randint(1, SAMPLE_DENOMINATOR_BOUND)
 
-    def random_element(self, rng, bound):
-        d = self._denominator(rng, bound)
+    def random_element(self, rng):
+        d = self._denominator(rng)
         return Fraction(rng.randint(-2 * d, 2 * d), d)
 
-    def sample_interval(self, rng, unit, bound):
-        d = self._denominator(rng, bound)
+    def sample_interval(self, rng, unit):
+        d = self._denominator(rng)
         hi = int(_as_fraction(unit) * d)
         q = Fraction(rng.randint(0, max(hi, 0)), d)
         return self.meet(q, unit)
@@ -331,8 +330,8 @@ class DyadicGroup(_FractionGroup):
         d = q.denominator
         return d & (d - 1) == 0
 
-    def _denominator(self, rng, bound):
-        return 1 << rng.randint(0, max(0, bound.bit_length() - 1))
+    def _denominator(self, rng):
+        return 1 << rng.randint(0, SAMPLE_DENOMINATOR_BOUND.bit_length() - 1)
 
 
 class PowerDenominatorGroup(_FractionGroup):
@@ -347,9 +346,9 @@ class PowerDenominatorGroup(_FractionGroup):
     def member(self, q):
         return power_denominator_member(self.base, q)
 
-    def _denominator(self, rng, bound):
+    def _denominator(self, rng):
         d = 1
-        while d * self.base <= bound and rng.random() < 0.75:
+        while d * self.base <= SAMPLE_DENOMINATOR_BOUND and rng.random() < 0.75:
             d *= self.base
         return d
 
@@ -380,7 +379,6 @@ class HeisenbergGroup(LGroup):
     """
 
     dsl = "heis"
-    abelian = False
     flat_arity = 3
 
     def zero(self):
@@ -413,7 +411,7 @@ class HeisenbergGroup(LGroup):
     def center_has(self, a):
         return a[0] == 0 and a[1] == 0
 
-    def random_element(self, rng, bound):
+    def random_element(self, rng):
         d = 1 << rng.randint(0, 4)
         return tuple(Fraction(rng.randint(-2 * d, 2 * d), d) for _ in range(3))
 
@@ -444,8 +442,6 @@ class _PairGroup(LGroup):
         self.first = first
         self.second = second
         self.exact = first.exact and second.exact
-        self.tolerance = max(first.tolerance, second.tolerance)
-        self.abelian = first.abelian and second.abelian
         self.dsl = f"{self.prefix}({first.dsl},{second.dsl})"
         self.flat_arity = first.flat_arity + second.flat_arity
 
@@ -473,12 +469,10 @@ class _PairGroup(LGroup):
         return None if h is None or t is None else (h, t)
 
     def center_has(self, a):
-        h = self.first.center_has(a[0])
-        t = self.second.center_has(a[1])
-        return None if h is None or t is None else h and t
+        return self.first.center_has(a[0]) and self.second.center_has(a[1])
 
-    def random_element(self, rng, bound):
-        return (self.first.random_element(rng, bound), self.second.random_element(rng, bound))
+    def random_element(self, rng):
+        return (self.first.random_element(rng), self.second.random_element(rng))
 
     def flatten(self, a):
         return self.first.flatten(a[0]) + self.second.flatten(a[1])
@@ -525,9 +519,9 @@ class LexProduct(_PairGroup):
             return a if c < 0 else b
         return (a[0], self.second.meet(a[1], b[1]))
 
-    def sample_interval(self, rng, unit, bound):
-        h = self.first.sample_interval(rng, unit[0], bound)
-        t = self.second.random_element(rng, bound)
+    def sample_interval(self, rng, unit):
+        h = self.first.sample_interval(rng, unit[0])
+        t = self.second.random_element(rng)
         x = (h, t)
         return self.meet(self.join(x, self.zero()), unit)
 
@@ -556,13 +550,13 @@ class DirectProductGroup(_PairGroup):
     def meet(self, a, b):
         return (self.first.meet(a[0], b[0]), self.second.meet(a[1], b[1]))
 
-    def sample_interval(self, rng, unit, bound):
-        return (self.first.sample_interval(rng, unit[0], bound),
-                self.second.sample_interval(rng, unit[1], bound))
+    def sample_interval(self, rng, unit):
+        return (self.first.sample_interval(rng, unit[0]),
+                self.second.sample_interval(rng, unit[1]))
 
-    def enumerate_interval(self, lo, hi):
-        ls = self.first.enumerate_interval(lo[0], hi[0])
-        rs = self.second.enumerate_interval(lo[1], hi[1])
+    def enumerate_interval(self, hi):
+        ls = self.first.enumerate_interval(hi[0])
+        rs = self.second.enumerate_interval(hi[1])
         if ls is None or rs is None:
             return None
         return [(a, b) for a in ls for b in rs]
@@ -576,7 +570,6 @@ class _FloatPairGroup(LGroup):
     """Lexicographically ordered pairs of floats with a comparison tolerance."""
 
     exact = False
-    abelian = False
     flat_arity = 2
 
     def __init__(self, tolerance: float = 1e-9):
@@ -604,6 +597,11 @@ class _FloatPairGroup(LGroup):
 
     def center_has(self, a):
         return self.eq(a, self.zero())
+
+    def sample_interval(self, rng, unit):
+        zero = self.zero()
+        x = (rng.uniform(zero[0], unit[0]), rng.uniform(-1.0, 1.0))
+        return self.meet(self.join(x, zero), unit)
 
 
 class ScalingSemidirect(_FloatPairGroup):
@@ -633,12 +631,8 @@ class ScalingSemidirect(_FloatPairGroup):
         s = math.sqrt(a[0])
         return (s, a[1] / (s + 1.0))
 
-    def random_element(self, rng, bound):
+    def random_element(self, rng):
         return (math.exp(rng.uniform(-0.7, 0.7)), rng.uniform(-2.0, 2.0))
-
-    def sample_interval(self, rng, unit, bound):
-        x = (rng.uniform(1.0, unit[0]), rng.uniform(-1.0, 1.0))
-        return self.meet(self.join(x, self.zero()), unit)
 
 
 class ExpSemidirect(_FloatPairGroup):
@@ -659,43 +653,28 @@ class ExpSemidirect(_FloatPairGroup):
     def halve(self, a):
         return (a[0] / 2.0, a[1] / (math.exp(a[0] / 2.0) + 1.0))
 
-    def random_element(self, rng, bound):
+    def random_element(self, rng):
         return (rng.uniform(-0.7, 0.7), rng.uniform(-2.0, 2.0))
 
-    def sample_interval(self, rng, unit, bound):
-        x = (rng.uniform(0.0, unit[0]), rng.uniform(-1.0, 1.0))
-        return self.meet(self.join(x, self.zero()), unit)
-
 
 # ----------------------------------------------------------------------
-# unital groups and the Γ-construction
+# the Γ-construction
 # ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class UnitalLGroup:
-    """A group with a designated strong unit u > 0."""
-
-    group: LGroup
-    unit: Any
-
-    def __post_init__(self):
-        self.group.validate(self.unit)
-        if not self.group.lt(self.group.zero(), self.unit):
-            raise AlgebraError("unit must be strictly positive")
-
 
 class GammaPMV(PseudoMV):
     """The pseudo MV-algebra on the interval [0, u] of a unital group."""
 
     backend = "gamma-interval"
 
-    def __init__(self, unital: UnitalLGroup, sampler: SamplerConfig | None = None):
-        super().__init__(sampler, unital.group.tolerance)
-        self.unital = unital
-        self.group = unital.group
-        self.unit = unital.unit
-        self._zero = self.group.zero()
-        self._interval = self.group.enumerate_interval(self._zero, self.unit)
+    def __init__(self, group: LGroup, unit: Any, sampler: SamplerConfig | None = None):
+        group.validate(unit)
+        if not group.lt(group.zero(), unit):
+            raise AlgebraError("unit must be strictly positive")
+        super().__init__(sampler)
+        self.group = group
+        self.unit = unit
+        self._zero = group.zero()
+        self._interval = group.enumerate_interval(unit)
 
     @property
     def zero(self):
@@ -743,7 +722,7 @@ class GammaPMV(PseudoMV):
         return self.group.leq(self._zero, x) and self.group.leq(x, self.unit)
 
     def sample(self, rng):
-        return self.group.sample_interval(rng, self.unit, SAMPLE_DENOMINATOR_BOUND)
+        return self.group.sample_interval(rng, self.unit)
 
     @property
     def enumerable(self):
@@ -771,26 +750,6 @@ class GammaPMV(PseudoMV):
         }
 
 
-def gamma(group: LGroup | UnitalLGroup, unit: Any = None,
-          sampler: SamplerConfig | None = None) -> GammaPMV:
-    """Build Γ(G, u).  Accepts a :class:`UnitalLGroup` or a group plus unit."""
-    if isinstance(group, UnitalLGroup):
-        if unit is not None:
-            raise ValueError("unit given twice")
-        return GammaPMV(group, sampler)
-    return GammaPMV(UnitalLGroup(group, unit), sampler)
-
-
-def in_center(g: LGroup, a: Any, budget: int = 256, seed: int = 0) -> bool:
-    """Center membership: exact where the backend decides it, otherwise
-    sampled commutation against ``budget`` random elements."""
-    g.validate(a)
-    exact = g.center_has(a)
-    if exact is not None:
-        return exact
-    rng = make_rng(seed, "center", g.dsl)
-    for _ in range(budget):
-        b = g.random_element(rng, 64)
-        if not g.eq(g.add(a, b), g.add(b, a)):
-            return False
-    return True
+def gamma(group: LGroup, unit: Any, sampler: SamplerConfig | None = None) -> GammaPMV:
+    """Build Γ(G, u) for a strong unit u > 0."""
+    return GammaPMV(group, unit, sampler)

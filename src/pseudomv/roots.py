@@ -44,7 +44,7 @@ from .core import (
     run_rows,
 )
 from .finite import FinitePMV, brute_force_weak_sqrt
-from .lgroups import GammaPMV, in_center
+from .lgroups import GammaPMV
 
 __all__ = [
     "SquareRootMap",
@@ -97,12 +97,10 @@ class SquareRootMap:
     mixed, product, relative, custom-numeric.
     """
 
-    def __init__(self, algebra: PseudoMV, kind: str, fn: Callable[[Any], Any],
-                 data: Any = None):
+    def __init__(self, algebra: PseudoMV, kind: str, fn: Callable[[Any], Any]):
         self.algebra = algebra
         self.kind = kind
         self._fn = fn
-        self.data = data
 
     def __call__(self, x: Any) -> Any:
         return self._fn(x)
@@ -117,24 +115,22 @@ def identity_map(algebra: PseudoMV) -> SquareRootMap:
 
 def table_map(algebra: FinitePMV, mapping: dict) -> SquareRootMap:
     table = dict(mapping)
-    return SquareRootMap(algebra, "table", lambda x: table[x], data=table)
+    return SquareRootMap(algebra, "table", lambda x: table[x])
 
 
 def product_map(algebra: ProductPMV, left: SquareRootMap, right: SquareRootMap) -> SquareRootMap:
-    return SquareRootMap(algebra, "product",
-                         lambda x: (left(x[0]), right(x[1])), data=(left, right))
+    return SquareRootMap(algebra, "product", lambda x: (left(x[0]), right(x[1])))
 
 
 def relative_map(root: Callable[[Any], Any], top: Any, sub: IntervalPMV) -> SquareRootMap:
     """The induced root x ↦ r(x) ⊙ a on the interval [0, a] below an
     idempotent a."""
     parent = sub.parent
-    return SquareRootMap(sub, "relative",
-                         lambda x: parent.odot(root(x), top), data=top)
+    return SquareRootMap(sub, "relative", lambda x: parent.odot(root(x), top))
 
 
-def custom_map(algebra: PseudoMV, fn: Callable[[Any], Any], data: Any = None) -> SquareRootMap:
-    return SquareRootMap(algebra, "custom-numeric", fn, data=data)
+def custom_map(algebra: PseudoMV, fn: Callable[[Any], Any]) -> SquareRootMap:
+    return SquareRootMap(algebra, "custom-numeric", fn)
 
 
 def closed_form(algebra: GammaPMV, variant: str, witness: Any = None) -> SquareRootMap:
@@ -160,7 +156,7 @@ def closed_form(algebra: GammaPMV, variant: str, witness: Any = None) -> SquareR
         return h
 
     if variant == "sym":
-        if not in_center(group, half_unit):
+        if not group.center_has(half_unit):
             raise NotCentral(f"u/2 = {group.format_element(half_unit)} is not central in {group.dsl}")
         return SquareRootMap(
             algebra, "closed-form-sym",
@@ -179,15 +175,19 @@ def closed_form(algebra: GammaPMV, variant: str, witness: Any = None) -> SquareR
             strict_part = halve_or_raise(group.add(algebra.meet(x, neg_w), neg_w))
             return algebra.join(boolean_part, strict_part)
 
-        return SquareRootMap(algebra, "mixed", mixed, data=witness)
+        return SquareRootMap(algebra, "mixed", mixed)
     raise ValueError(f"unknown closed form variant {variant!r}")
 
 
-def _evaluable_everywhere(algebra: PseudoMV, root: SquareRootMap, probes: int = 16) -> bool:
+#: How many points of the carrier a closed form is evaluated at before it is trusted.
+_ROOT_PROBES = 16
+
+
+def _evaluable_everywhere(algebra: PseudoMV, root: SquareRootMap) -> bool:
     """Closed forms can construct but still hit unhalvable points (整-valued
     carriers with an even unit); probe before trusting the map."""
     try:
-        for x in Domains(algebra, probes, elements="root-probe").elems[:probes]:
+        for x in Domains(algebra, _ROOT_PROBES, elements="root-probe").elems[:_ROOT_PROBES]:
             root(x)
     except HalvingUnavailable:
         return False
@@ -436,7 +436,6 @@ class Decomposition:
     witness: Any
     boolean_part: PseudoMV | None = None
     strict_part: PseudoMV | None = None
-    iso: Callable[[Any], tuple] | None = None
     checks: dict = field(default_factory=dict)
 
     @property
@@ -498,7 +497,7 @@ def decompose(algebra: PseudoMV, root: SquareRootMap, budget: int | None = None,
         return (algebra.meet(x, u), algebra.meet(x, v))
 
     checks.update(run_rows(_embedding_rows("iso", iso, ProductPMV(part_bool, part_strict)), s))
-    return Decomposition("product", u, part_bool, part_strict, iso, checks)
+    return Decomposition("product", u, part_bool, part_strict, checks)
 
 
 class ImagePMV(PseudoMV):
@@ -512,7 +511,7 @@ class ImagePMV(PseudoMV):
     backend = "image-interval"
 
     def __init__(self, parent: PseudoMV, root: SquareRootMap):
-        super().__init__(parent.sampler, parent.tolerance)
+        super().__init__(parent.sampler)
         self.parent = parent
         self.root = root
         self._r0 = root(parent.zero)
@@ -567,7 +566,6 @@ class ImagePMV(PseudoMV):
 @dataclass
 class InducedInterval:
     algebra: ImagePMV
-    to_image: SquareRootMap
     checks: dict
 
     @property
@@ -590,7 +588,7 @@ def induced_interval_algebra(algebra: PseudoMV, root: SquareRootMap,
     for name, res in axioms.axioms.items():
         checks[f"axiom-{name}"] = res
 
-    return InducedInterval(image, SquareRootMap(image, "custom-numeric", root), checks)
+    return InducedInterval(image, checks)
 
 
 # ----------------------------------------------------------------------

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 import pseudomv as pmv
 from pseudomv.cli import (
+    LITERAL_DIGITS_CEILING,
     SAMPLES_CEILING,
     SpecFileError,
     _build_parser,
@@ -224,9 +225,14 @@ def test_analyze_malformed_unit_exits_3(tmp_path, unit):
     '{"finite": {"n": 1, "oplus": ' + "[" * 1500 + "]" * 1500 + "}}",
     nested_product(CATALOGUE_DEPTH_CEILING + 1),
     {"gamma": {"group": "lex(" * 1200 + "Q" + ",Q)" * 1200, "unit": "1"}},
+    {"gamma": {"group": "Q", "unit": "1e10000000"}},
+    {"gamma": {"group": "semi_numeric", "unit": "(1e400,0)"}},
+    '{"catalogue": {"kind": "chain", "params": [1e400]}}',
+    '{"finite": {"n": 1e400, "oplus": [], "neg": [], "tilde": [], "zero": 0, "one": 0}}',
 ], ids=["group-number", "chain-negative", "chain-params-string",
         "interval-top-not-idempotent", "product-one-param", "product-600-deep",
-        "finite-1500-brackets", "catalogue-above-depth-ceiling", "group-1200-deep"])
+        "finite-1500-brackets", "catalogue-above-depth-ceiling", "group-1200-deep",
+        "q-unit-1e10000000", "semi-unit-1e400", "chain-param-1e400", "finite-n-1e400"])
 def test_analyze_malformed_spec_exits_3(tmp_path, payload):
     path = write(tmp_path, "bad.json", payload)
     proc = run_cli("analyze", path)
@@ -248,10 +254,16 @@ def chain_table(n):
     ({"finite": chain_table(TABLE_CEILING)}, 3),
     ({"catalogue": {"kind": "chain", "params": [TABLE_CEILING]}}, 3),
     (nested_product(CATALOGUE_DEPTH_CEILING), 0),
-], ids=["finite-at-ceiling", "finite-above", "catalogue-above", "catalogue-at-depth-ceiling"])
+    ({"gamma": {"group": "Q", "unit": f"1e{LITERAL_DIGITS_CEILING - 1}"}}, 0),
+    ({"gamma": {"group": "Q", "unit": "1/" + "9" * LITERAL_DIGITS_CEILING}}, 0),
+    ({"gamma": {"group": "Q", "unit": f"1e{LITERAL_DIGITS_CEILING}"}}, 3),
+    ({"gamma": {"group": "Q", "unit": f"1e-{LITERAL_DIGITS_CEILING}"}}, 3),
+], ids=["finite-at-ceiling", "finite-above", "catalogue-above", "catalogue-at-depth-ceiling",
+        "literal-exponent-at-ceiling", "literal-denominator-at-ceiling", "literal-exponent-above",
+        "literal-negative-exponent-above"])
 def test_table_size_ceiling(tmp_path, payload, code):
-    # the largest carrier allowed, the smallest ones above the ceiling, and
-    # the deepest catalogue spec allowed
+    # the largest carrier allowed, the smallest ones above the ceiling, the
+    # deepest catalogue spec allowed, and the longest numeric literals allowed
     proc = run_cli("analyze", write(tmp_path, "big.json", payload), "--samples", "20")
     assert proc.returncode == code, proc.stderr
     if code == 3:

@@ -267,7 +267,7 @@ class PrimitivesOnly(pmv.PseudoMV):
     backend's native operations must meet."""
 
     def __init__(self, m):
-        super().__init__(m.sampler, m.tolerance)
+        super().__init__(m.sampler)
         self.m = m
 
     zero = property(lambda self: self.m.zero)

@@ -34,8 +34,7 @@ class CountingGroup(LGroup):
 
     def __init__(self, group: LGroup):
         self.group, self.ops = group, 0
-        self.exact, self.tolerance, self.linear, self.abelian, self.dsl = (
-            group.exact, group.tolerance, group.linear, group.abelian, group.dsl)
+        self.exact, self.linear, self.dsl = group.exact, group.linear, group.dsl
 
 
 def counted_lex_heis():

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import pseudomv as pmv
 from pseudomv.core import make_rng
-from pseudomv.lgroups import in_center, power_denominator_member
+from pseudomv.lgroups import power_denominator_member
 
 
 def heis3(a, b, c):
@@ -68,7 +68,7 @@ def test_heisenberg_neg_and_halve():
     g = pmv.HeisenbergGroup()
     rng = make_rng(2, "heis")
     for _ in range(80):
-        a = g.random_element(rng, 32)
+        a = g.random_element(rng)
         assert g.add(a, g.neg(a)) == g.zero()
         assert g.add(g.neg(a), a) == g.zero()
         h = g.halve(a)
@@ -78,11 +78,11 @@ def test_heisenberg_neg_and_halve():
 
 def test_heisenberg_center():
     g = pmv.HeisenbergGroup()
-    assert not in_center(g, heis3(1, 0, 0))
+    assert not g.center_has(heis3(1, 0, 0))
     # explicit commutator witness
     a, b = heis3(1, 0, 0), heis3(0, 1, 0)
     assert g.add(a, b) != g.add(b, a)
-    assert in_center(g, heis3(0, 0, 5))
+    assert g.center_has(heis3(0, 0, 5))
 
 
 def test_heisenberg_positive_cone_closed():
@@ -90,13 +90,13 @@ def test_heisenberg_positive_cone_closed():
     rng = make_rng(3, "heis-cone")
     positives = []
     while len(positives) < 40:
-        a = g.random_element(rng, 16)
+        a = g.random_element(rng)
         if g.lt(g.zero(), a):
             positives.append(a)
     for a in positives[:20]:
         for b in positives[:20]:
             assert g.lt(g.zero(), g.add(a, b))
-        c = g.random_element(rng, 16)
+        c = g.random_element(rng)
         conj = g.add(g.add(g.neg(c), a), c)
         assert g.lt(g.zero(), conj)
 
@@ -108,8 +108,8 @@ def test_heisenberg_positive_cone_closed():
 def test_lex_product_order_and_center():
     g = pmv.LexProduct(pmv.RationalGroup(), pmv.HeisenbergGroup())
     u_half = (F(1, 2), heis3(0, 0, 0))
-    assert in_center(g, u_half)
-    assert not in_center(g, (F(0), heis3(1, 0, 0)))
+    assert g.center_has(u_half)
+    assert not g.center_has((F(0), heis3(1, 0, 0)))
     assert g.lt((F(0), heis3(5, 5, 5)), (F(1, 100), heis3(0, 0, 0)))
     assert g.halve((F(1), heis3(1, 1, 1))) == (F(1, 2), (F(1, 2), F(1, 2), F(3, 8)))
 
@@ -124,7 +124,7 @@ def test_lex_order_translation_invariant():
     g = pmv.LexProduct(pmv.RationalGroup(), pmv.HeisenbergGroup())
     rng = make_rng(4, "lex-mono")
     for _ in range(100):
-        a, b, c = (g.random_element(rng, 16) for _ in range(3))
+        a, b, c = (g.random_element(rng) for _ in range(3))
         if g.leq(a, b):
             assert g.leq(g.add(c, a), g.add(c, b))
             assert g.leq(g.add(a, c), g.add(b, c))
@@ -165,11 +165,11 @@ def test_scaling_semidirect_halve_roundtrip():
     g = pmv.ScalingSemidirect()
     rng = make_rng(6, "scal")
     for _ in range(60):
-        a = g.random_element(rng, 0)
+        a = g.random_element(rng)
         h = g.halve(a)
         assert g.eq(g.add(h, h), a)
-    assert not in_center(g, (2.0, 0.0))
-    assert in_center(g, (1.0, 0.0))
+    assert not g.center_has((2.0, 0.0))
+    assert g.center_has((1.0, 0.0))
 
 
 def test_exp_semidirect_law_and_halve():
@@ -184,14 +184,14 @@ def test_exp_semidirect_law_and_halve():
 
 
 # ----------------------------------------------------------------------
-# unital groups and Γ
+# Γ
 # ----------------------------------------------------------------------
 
 def test_unit_must_be_positive():
     with pytest.raises(pmv.AlgebraError):
-        pmv.UnitalLGroup(pmv.IntegerGroup(), 0)
+        pmv.gamma(pmv.IntegerGroup(), 0)
     with pytest.raises(pmv.AlgebraError):
-        pmv.UnitalLGroup(pmv.IntegerGroup(), -2)
+        pmv.gamma(pmv.IntegerGroup(), -2)
 
 
 def test_gamma_z2_is_the_three_element_chain():
@@ -224,7 +224,7 @@ def test_halving_unique_against_doubling():
     rng = make_rng(8, "halve")
     for g in groups:
         for _ in range(50):
-            a = g.random_element(rng, 64)
+            a = g.random_element(rng)
             assert g.halve(g.add(a, a)) == a
 
 
@@ -234,6 +234,91 @@ def test_sampled_interval_points_stay_inside():
     rng = make_rng(9, "interval")
     for _ in range(200):
         assert m.contains(m.sample(rng))
+
+
+# ----------------------------------------------------------------------
+# centres and sample streams
+# ----------------------------------------------------------------------
+
+def lex_q_heis():
+    return pmv.LexProduct(pmv.RationalGroup(), pmv.HeisenbergGroup())
+
+
+# (group, unit) for every kind of carrier, abelian or not
+CENTRE_CASES = {
+    "Z": (pmv.IntegerGroup, 2),
+    "Q": (pmv.RationalGroup, F(1)),
+    "D": (pmv.DyadicGroup, F(1)),
+    "H(6)": (lambda: pmv.PowerDenominatorGroup(6), F(1)),
+    "heis": (pmv.HeisenbergGroup, heis3(1, F(1, 2), 0)),
+    "semi_numeric": (pmv.ScalingSemidirect, (2.0, 0.0)),
+    "exp_numeric": (pmv.ExpSemidirect, (1.0, 0.0)),
+    "lex(Q,heis)": (lex_q_heis, (F(1), heis3(0, 0, 0))),
+    "prod(D,Q)": (lambda: pmv.DirectProductGroup(pmv.DyadicGroup(), pmv.RationalGroup()),
+                  (F(1), F(1))),
+    "lex(Z,Z)": (lambda: pmv.LexProduct(pmv.IntegerGroup(), pmv.IntegerGroup()), (2, 0)),
+}
+
+
+def commutes_with_samples(g, a, budget=256):
+    """The sampled reference: a commutes with ``budget`` seeded elements."""
+    rng = make_rng(0, "center", g.dsl)
+    return all(g.eq(g.add(a, b), g.add(b, a))
+               for b in (g.random_element(rng) for _ in range(budget)))
+
+
+@pytest.mark.parametrize("name", list(CENTRE_CASES))
+def test_center_has_is_exact(name):
+    make, unit = CENTRE_CASES[name]
+    g = make()
+    points = [g.zero()]
+    half = g.halve(unit)
+    if half is not None:
+        points.append(half)
+    rng = make_rng(1, "centre-points", name)
+    points += [g.random_element(rng) for _ in range(20)]
+    verdicts = [g.center_has(a) for a in points]
+    assert all(type(v) is bool for v in verdicts)
+    assert verdicts == [commutes_with_samples(g, a) for a in points]
+    assert verdicts[0]
+
+
+# The first five points of the stream ``analyze --seed 0`` draws A1–A8
+# from.  A sampler that draws differently changes these on purpose.
+STREAM_PINS = [
+    (pmv.RationalGroup, F(1), ["6/7", "131/316", "533/889", "42/103", "414/751"]),
+    (pmv.DyadicGroup, F(1), ["1", "13/16", "51/256", "23/32", "49/64"]),
+    (lambda: pmv.PowerDenominatorGroup(6), F(1),
+     ["25/216", "85/216", "1/3", "173/216", "2/3"]),
+    (pmv.HeisenbergGroup, heis3(1, F(1, 2), 0),
+     ["(0, 0, 1)", "(0, 0, 0)", "(1, 1/2, 0)", "(0, 0, 0)", "(1, 1/2, 0)"]),
+    (lex_q_heis, (F(1), heis3(0, 0, 0)),
+     ["(6/7, 0, 5/4, 2)", "(42/103, 7/8, 19/16, 17/16)", "(596/687, 0, -1, -1/2)",
+      "(62/75, 29/16, 3/4, -7/4)", "(188/357, -11/8, -19/16, -1/16)"]),
+    (lambda: pmv.DirectProductGroup(
+        pmv.LexProduct(pmv.DyadicGroup(), pmv.RationalGroup()), pmv.PowerDenominatorGroup(6)),
+     ((F(1), F(0)), F(1)),
+     ["(1, 0, 103/216)", "(199/256, 1013/687, 37/216)", "(1, 0, 2/3)", "(1/16, 13/119, 0)",
+      "(1, -937/504, 0)"]),
+    (lambda: pmv.LexProduct(pmv.IntegerGroup(), pmv.IntegerGroup()), (2, 0),
+     ["(0, 1)", "(1, 5)", "(2, -5)", "(1, 3)", "(1, 4)"]),
+    (pmv.ScalingSemidirect, (2.0, 0.0),
+     [(1.006430728730023, -0.38371489560438254), (1.4337730148521146, 0.9635823979997507),
+      (1.3299397270605162, -0.26708225303189326), (1.5594586610089936, -0.32930823292067224),
+      (1.2059503707005896, 0.3305472024721825)]),
+]
+
+
+@pytest.mark.parametrize("make, unit, expected", STREAM_PINS,
+                         ids=["Q", "D", "H(6)", "heis", "lex(Q,heis)", "prod(lex(D,Q),H(6))",
+                              "lex(Z,Z)", "semi_numeric"])
+def test_gamma_sample_stream_is_pinned(make, unit, expected):
+    m = pmv.gamma(make(), unit)
+    rng = make_rng(0, "axioms")
+    draws = [m.sample(rng) for _ in range(5)]
+    if m.group.exact:
+        draws = [m.format_element(x) for x in draws]
+    assert draws == expected
 
 
 def test_element_formatting_and_flat_parsing():
