@@ -112,6 +112,11 @@ ECHO_PREFIX = 20
 #: 4,300-digit limit for converting an int to a string.
 LITERAL_DIGITS_CEILING = 1000
 
+#: Float carriers compare within the absolute ``--tolerance``, so a unit
+#: coordinate whose rounding error comes near it fails the axioms.  A float
+#: unit is accepted while max |uᵢ| · ε · FLOAT_UNIT_MARGIN ≤ tolerance.
+FLOAT_UNIT_MARGIN = 4
+
 #: The numeric literals ``Fraction`` reads: ``p/q`` or a decimal with an
 #: optional exponent, digits grouped by underscores.
 _DIGITS = r"\d+(?:_\d+)*"
@@ -246,6 +251,15 @@ def parse_catalogue(obj: dict, depth: int = 1) -> CatalogueSpec:
     raise SpecFileError(f"unknown catalogue kind {kind!r}")
 
 
+def _check_float_unit(coordinates: list[float], tolerance: float) -> None:
+    top = max(abs(v) for v in coordinates)
+    bound = tolerance / (sys.float_info.epsilon * FLOAT_UNIT_MARGIN)
+    if top > bound:
+        raise SpecFileError(
+            f"float unit coordinate {top:.6g} exceeds {bound:.6g}, the bound "
+            f"--tolerance {tolerance:.6g} sets for float units")
+
+
 def _check_table_size(size: int, what: str) -> None:
     if size > TABLE_CEILING:
         raise SpecFileError(f"{what} needs more than {TABLE_CEILING} elements, "
@@ -286,6 +300,8 @@ def load_algebra(path: str, sampler: SamplerConfig, tolerance: float) -> PseudoM
         try:
             group = parse_group(spec["group"], tolerance)
             unit = parse_element_literal(group, spec["unit"])
+            if not group.exact:
+                _check_float_unit(group.flatten(unit), tolerance)
             return gamma(group, unit, sampler)
         except (KeyError, TypeError) as exc:
             raise SpecFileError(f"bad gamma spec: {exc}") from exc

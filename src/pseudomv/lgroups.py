@@ -19,9 +19,12 @@ at desk scale:
 Exact carriers store reduced :class:`fractions.Fraction` payloads and
 never hold floats.  Their operations compute on numerator and denominator
 through a few module-private kernels (``_add``, ``_sub``, ``_neg``,
-``_mul``, ``_cmp``), which skip the operator dispatch and the
-``numbers.Rational`` checks of ``Fraction``'s own operators and build each
-result with the public ``Fraction(n, d)``.  The Γ-construction turns the
+``_half``, ``_cmp``), which skip the operator dispatch and the
+``numbers.Rational`` checks of ``Fraction``'s own operators.  Each kernel
+reduces by the gcds its scheme needs and builds the result with ``_frac``,
+without the second normalizing gcd of ``Fraction(n, d)``; the Heisenberg
+third coordinate is summed over one denominator and reduced once.  The
+Γ-construction turns the
 interval [0, u] of a unital group into a pseudo MV-algebra via
 x ⊕ y = (x+y) ∧ u, x⁻ = u−x, x∼ = −x+u.
 
@@ -77,30 +80,80 @@ def _as_fraction(v: Any) -> Fraction:
     raise BackendMismatch(f"exact payload expected, got {v!r}")
 
 
+#: The zero every rational group returns, shared rather than rebuilt per call.
+_ZERO = Fraction(0)
+
+
+def _frac(n: int, d: int) -> Fraction:
+    """The Fraction n/d, built without ``Fraction.__new__``: the caller
+    guarantees gcd(n, d) = 1 and d > 0.  This is what CPython 3.12's
+    ``Fraction._from_coprime_ints`` does; ``test_frac_matches_fraction_slots``
+    guards the two-slot layout it relies on."""
+    q = object.__new__(Fraction)
+    q._numerator = n
+    q._denominator = d
+    return q
+
+
+def _reduced(n: int, d: int) -> Fraction:
+    """n/d in lowest terms, for d > 0: one gcd."""
+    g = math.gcd(n, d)
+    return _frac(n // g, d // g)
+
+
+def _sum(n1: int, d1: int, n2: int, d2: int) -> tuple[int, int]:
+    """(n, d) with n/d = n1/d1 + n2/d2, not reduced; equal denominators
+    are not multiplied."""
+    if d1 == d2:
+        return n1 + n2, d1
+    return n1 * d2 + n2 * d1, d1 * d2
+
+
 # Exact kernels.  Arguments are Fractions or ints (both expose
 # ``numerator`` and ``denominator``); results are reduced Fractions, equal
-# to what the Fraction operators give on the arguments as Fractions.
+# to what the Fraction operators give on the arguments as Fractions, and
+# built by ``_frac`` without a second normalizing gcd.  ``_add`` and
+# ``_sub`` follow Knuth, TAOCP vol. 2 §4.5.1: with g = gcd(da, db), the sum
+# t/(da·db/g) can only share a factor with g.
 
 def _add(a, b):
-    da, db = a.denominator, b.denominator
-    if da == db:
-        return Fraction(a.numerator + b.numerator, da)
-    return Fraction(a.numerator * db + b.numerator * da, da * db)
+    na, da = a.numerator, a.denominator
+    nb, db = b.numerator, b.denominator
+    g = math.gcd(da, db)
+    if g == 1:
+        return _frac(na * db + nb * da, da * db)
+    s = da // g
+    t = na * (db // g) + nb * s
+    g2 = math.gcd(t, g)
+    if g2 == 1:
+        return _frac(t, s * db)
+    return _frac(t // g2, s * (db // g2))
 
 
 def _sub(a, b):
-    da, db = a.denominator, b.denominator
-    if da == db:
-        return Fraction(a.numerator - b.numerator, da)
-    return Fraction(a.numerator * db - b.numerator * da, da * db)
+    na, da = a.numerator, a.denominator
+    nb, db = b.numerator, b.denominator
+    g = math.gcd(da, db)
+    if g == 1:
+        return _frac(na * db - nb * da, da * db)
+    s = da // g
+    t = na * (db // g) - nb * s
+    g2 = math.gcd(t, g)
+    if g2 == 1:
+        return _frac(t, s * db)
+    return _frac(t // g2, s * (db // g2))
 
 
 def _neg(a):
-    return Fraction(-a.numerator, a.denominator)
+    return _frac(-a.numerator, a.denominator)
 
 
-def _mul(a, b):
-    return Fraction(a.numerator * b.numerator, a.denominator * b.denominator)
+def _half(a):
+    """a/2: halving n/d keeps it reduced either as (n/2)/d or as n/(2d)."""
+    n, d = a.numerator, a.denominator
+    if n & 1:
+        return _frac(n, d << 1)
+    return _frac(n >> 1, d)
 
 
 def _cmp(a, b):
@@ -267,7 +320,7 @@ class _FractionGroup(LGroup):
     """Shared machinery for subgroups of the rationals."""
 
     def zero(self):
-        return Fraction(0)
+        return _ZERO
 
     add = staticmethod(_add)
     sub = staticmethod(_sub)
@@ -300,7 +353,7 @@ class _FractionGroup(LGroup):
         return True
 
     def halve(self, a):
-        h = _as_fraction(a) / 2
+        h = _half(a)
         return h if self.member(h) else None
 
     def _denominator(self, rng: random.Random) -> int:
@@ -381,20 +434,31 @@ class HeisenbergGroup(LGroup):
     dsl = "heis"
     flat_arity = 3
 
+    # The third coordinate of add, neg, sub and halve is summed over one
+    # common denominator and reduced once.
+
     def zero(self):
-        return (Fraction(0), Fraction(0), Fraction(0))
+        return (_ZERO, _ZERO, _ZERO)
 
     def add(self, a, b):
-        return (_add(a[0], b[0]), _add(a[1], b[1]), _add(_add(a[2], b[2]), _mul(a[0], b[1])))
+        a0, b1, a2, b2 = a[0], b[1], a[2], b[2]
+        n, d = _sum(a2.numerator, a2.denominator, b2.numerator, b2.denominator)
+        n, d = _sum(n, d, a0.numerator * b1.numerator, a0.denominator * b1.denominator)
+        return (_add(a0, b[0]), _add(a[1], b1), _reduced(n, d))
 
     def neg(self, a):
-        return (_neg(a[0]), _neg(a[1]), _sub(_mul(a[0], a[1]), a[2]))
+        a0, a1, a2 = a
+        n, d = _sum(a0.numerator * a1.numerator, a0.denominator * a1.denominator,
+                    -a2.numerator, a2.denominator)
+        return (_neg(a0), _neg(a1), _reduced(n, d))
 
     def sub(self, a, b):
-        """a + (−b) = (a₀−b₀, a₁−b₁, a₂−b₂−(a₀−b₀)·b₁): 5 rational
-        operations instead of 9."""
-        d = _sub(a[0], b[0])
-        return (d, _sub(a[1], b[1]), _sub(_sub(a[2], b[2]), _mul(d, b[1])))
+        """a + (−b) = (a₀−b₀, a₁−b₁, a₂−b₂−(a₀−b₀)·b₁)."""
+        d0 = _sub(a[0], b[0])
+        b1, a2, b2 = b[1], a[2], b[2]
+        n, d = _sum(a2.numerator, a2.denominator, -b2.numerator, b2.denominator)
+        n, d = _sum(n, d, -d0.numerator * b1.numerator, d0.denominator * b1.denominator)
+        return (d0, _sub(a[1], b1), _reduced(n, d))
 
     def cmp(self, a, b):
         return _cmp(a[0], b[0]) or _cmp(a[1], b[1]) or _cmp(a[2], b[2])
@@ -405,8 +469,11 @@ class HeisenbergGroup(LGroup):
             raise BackendMismatch(f"Heisenberg triple expected, got {a!r}")
 
     def halve(self, a):
-        x, y = a[0] / 2, a[1] / 2
-        return (x, y, (a[2] - a[0] * a[1] / 4) / 2)
+        """(a₀/2, a₁/2, a₂/2 − a₀a₁/8)."""
+        a0, a1, a2 = a
+        n, d = _sum(a2.numerator, a2.denominator << 1,
+                    -a0.numerator * a1.numerator, (a0.denominator * a1.denominator) << 3)
+        return (_half(a0), _half(a1), _reduced(n, d))
 
     def center_has(self, a):
         return a[0] == 0 and a[1] == 0

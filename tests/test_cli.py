@@ -229,10 +229,13 @@ def test_analyze_malformed_unit_exits_3(tmp_path, unit):
     {"gamma": {"group": "semi_numeric", "unit": "(1e400,0)"}},
     '{"catalogue": {"kind": "chain", "params": [1e400]}}',
     '{"finite": {"n": 1e400, "oplus": [], "neg": [], "tilde": [], "zero": 0, "one": 0}}',
+    {"gamma": {"group": "semi_numeric", "unit": "(1e8,0)"}},
+    {"gamma": {"group": "semi_numeric", "unit": "(4,1e8)"}},
 ], ids=["group-number", "chain-negative", "chain-params-string",
         "interval-top-not-idempotent", "product-one-param", "product-600-deep",
         "finite-1500-brackets", "catalogue-above-depth-ceiling", "group-1200-deep",
-        "q-unit-1e10000000", "semi-unit-1e400", "chain-param-1e400", "finite-n-1e400"])
+        "q-unit-1e10000000", "semi-unit-1e400", "chain-param-1e400", "finite-n-1e400",
+        "semi-unit-1e8", "semi-unit-4-1e8"])
 def test_analyze_malformed_spec_exits_3(tmp_path, payload):
     path = write(tmp_path, "bad.json", payload)
     proc = run_cli("analyze", path)
@@ -241,6 +244,22 @@ def test_analyze_malformed_spec_exits_3(tmp_path, payload):
     assert "Traceback" not in proc.stderr
     # the error echoes a prefix of the input, not the whole of it
     assert len(proc.stderr.encode()) < 200
+
+
+@pytest.mark.parametrize("unit, tolerance, code", [
+    ("(1e6,0)", "1e-9", 0),
+    ("(3e6,0)", "1e-9", 3),
+    ("(2,0)", "0", 3),
+], ids=["below-bound", "above-bound", "tolerance-0"])
+def test_float_unit_bound(tmp_path, unit, tolerance, code):
+    # float carriers compare within an absolute tolerance; a unit whose
+    # rounding error comes near it is refused before its axioms fail
+    path = write(tmp_path, "semi.json", {"gamma": {"group": "semi_numeric", "unit": unit}})
+    proc = run_cli("analyze", path, "--tolerance", tolerance)
+    assert proc.returncode == code, proc.stderr
+    if code == 3:
+        assert proc.stderr.startswith("error:")
+        assert "bound" in proc.stderr and f"--tolerance {float(tolerance):.6g}" in proc.stderr
 
 
 def chain_table(n):

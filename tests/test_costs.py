@@ -1,9 +1,12 @@
 """Cost gates that do not depend on the machine: group operations per Γ
-operation, and root evaluations per check."""
+operation, root evaluations per check, and Fractions built through
+``Fraction.__new__``."""
 
 from __future__ import annotations
 
 from fractions import Fraction as F
+
+import pytest
 
 import pseudomv as pmv
 from pseudomv.core import make_rng
@@ -65,3 +68,22 @@ def test_verify_root_evaluations_on_lex_heis():
     # laws that each evaluate r by themselves cost 6 per element, 1 per
     # maximality pair and 1 for r(0)
     assert len(points) <= 7 * 40 + 1
+
+
+@pytest.mark.parametrize("group, unit", [
+    (pmv.LexProduct(pmv.RationalGroup(), pmv.HeisenbergGroup()), (F(1), (F(0), F(0), F(0)))),
+    (pmv.RationalGroup(), F(1)),
+], ids=["lex(Q,heis)", "Q"])
+def test_gamma_operations_build_no_fraction_through_new(monkeypatch, group, unit):
+    # the exact kernels build reduced results directly, never through
+    # Fraction.__new__ and its normalizing gcd
+    m = pmv.gamma(group, unit)
+    sym = pmv.closed_form(m, "sym")
+    rng = make_rng(0, "construction")
+    points = [m.sample(rng) for _ in range(50)]
+    calls = []
+    new = F.__new__
+    monkeypatch.setattr(F, "__new__", lambda cls, *a, **k: calls.append(1) or new(cls, *a, **k))
+    for x, y in zip(points, points[1:] + points[:1]):
+        m.oplus(x, y), m.neg(x), m.tilde(x), m.odot(x, y), m.leq(x, y), sym(x)
+    assert len(calls) == 0

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import pseudomv as pmv
 from pseudomv.core import make_rng
-from pseudomv.lgroups import power_denominator_member
+from pseudomv.lgroups import _frac, power_denominator_member
 
 
 def heis3(a, b, c):
@@ -344,18 +344,53 @@ def test_rational_lattice_identities(a, b):
 # ----------------------------------------------------------------------
 
 BIG = 10**40
+bigs = st.builds(F, st.integers(-BIG, BIG), st.integers(1, BIG))
 scalars = st.one_of(
     st.sampled_from([0, F(0), 1, -1]),
     st.integers(-BIG, BIG),
     st.fractions(min_value=-8, max_value=8, max_denominator=64),
-    st.builds(F, st.integers(-BIG, BIG), st.integers(1, BIG)),
+    bigs,
 )
 dyadics = st.builds(F, st.integers(-BIG, BIG), st.integers(0, 140).map(lambda k: 2**k))
-triples = st.tuples(scalars, scalars, scalars).map(lambda t: tuple(F(v) for v in t))
+triples = st.one_of(st.tuples(scalars, scalars, scalars).map(lambda t: tuple(F(v) for v in t)),
+                    st.tuples(bigs, bigs, bigs))
 
 
 def reduced_fraction(r):
     return type(r) is F and r.denominator > 0 and math.gcd(r.numerator, r.denominator) == 1
+
+
+def test_frac_matches_fraction_slots():
+    # _frac sets Fraction's two slots itself, skipping __new__
+    assert F.__slots__ == ("_numerator", "_denominator")
+    for n, d in ((3, 4), (-7, 1), (0, 1), (BIG + 1, BIG)):
+        q = _frac(n, d)
+        assert type(q) is F and (q.numerator, q.denominator) == (n, d)
+        assert q == F(n, d) and hash(q) == hash(F(n, d)) and str(q) == str(F(n, d))
+
+
+def over_powers_of(base):
+    return st.builds(F, st.integers(-BIG, BIG), st.integers(0, 60).map(lambda k: base**k))
+
+
+@settings(max_examples=200, deadline=None)
+@given(scalars, dyadics, over_powers_of(6), over_powers_of(3), triples)
+def test_halving_kernels(q, d, h6, h3, a):
+    for g, x in ((pmv.RationalGroup(), q), (pmv.DyadicGroup(), d),
+                 (pmv.PowerDenominatorGroup(6), h6)):
+        h = g.halve(x)
+        assert h == F(x) / 2 and reduced_fraction(h)
+    # H(3) halves i/3ⁿ exactly when i is even
+    half3 = pmv.PowerDenominatorGroup(3).halve(h3)
+    if h3.numerator % 2:
+        assert half3 is None
+    else:
+        assert half3 == h3 / 2 and reduced_fraction(half3)
+    heis = pmv.HeisenbergGroup()
+    h = heis.halve(a)
+    assert all(reduced_fraction(v) for v in h)
+    assert heis.add(h, h) == a
+    assert h == (a[0] / 2, a[1] / 2, (a[2] - a[0] * a[1] / 4) / 2)
 
 
 @settings(max_examples=300, deadline=None)
