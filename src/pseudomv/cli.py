@@ -74,6 +74,7 @@ from .lgroups import (
     LexProduct,
     LGroup,
     DirectProductGroup,
+    ExpSemidirect,
     PowerDenominatorGroup,
     RationalGroup,
     ScalingSemidirect,
@@ -492,8 +493,25 @@ def cmd_search(args: argparse.Namespace) -> int:
     return EXIT_OK if bad == 0 else EXIT_VIOLATION
 
 
+#: The float groups and units ``counterexamples`` builds its algebras on:
+#: the scaling action's (2, 0), the exponential action's (1, 0), and the
+#: relabelled scaling unit (ln 2, 0).
+COUNTEREXAMPLE_UNITS = ((ScalingSemidirect, (2.0, 0.0)), (ExpSemidirect, (1.0, 0.0)),
+                        (ExpSemidirect, (math.log(2.0), 0.0)))
+
+
 def cmd_counterexamples(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args)
+    # the rule analyze applies to a float unit: its rounding error stays
+    # below --tolerance, and it stays strictly above 0 at that tolerance
+    for make, unit in COUNTEREXAMPLE_UNITS:
+        _check_float_unit(unit, args.tolerance)
+        group = make(args.tolerance)
+        try:
+            gamma(group, unit)
+        except AlgebraError as exc:
+            raise SpecFileError(f"--tolerance {args.tolerance:.6g} is too wide for the "
+                                f"{group.dsl} unit {group.format_element(unit)}: {exc}") from exc
     scaling = scaling_action_verdicts(budget=args.samples, seed=seed,
                                       tolerance=args.tolerance)
     expo = exp_action_verdicts(budget=args.samples, seed=seed,

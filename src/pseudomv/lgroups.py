@@ -28,6 +28,14 @@ third coordinate is summed over one denominator and reduced once.  The
 interval [0, u] of a unital group into a pseudo MV-algebra via
 x ⊕ y = (x+y) ∧ u, x⁻ = u−x, x∼ = −x+u.
 
+The float groups order their pairs lexicographically within an absolute
+tolerance t: the first coordinate whose difference d has |d| > t decides,
+and pairs closer than t in both coordinates are equal.  Their ``cmp``,
+``eq``, ``leq``, ``lt``, ``meet`` and ``join`` make that test inline as
+d > t or d < −t, and their ``sub`` repeats the float expressions of
+``add(a, neg(b))``; each returns exactly what LGroup's derived definition
+returns, bit for bit.
+
 Γ(G, u) samples its points with denominators at most the module constant
 :data:`SAMPLE_DENOMINATOR_BOUND`, and every group decides centre
 membership exactly through ``center_has``.
@@ -634,7 +642,8 @@ class DirectProductGroup(_PairGroup):
 # ----------------------------------------------------------------------
 
 class _FloatPairGroup(LGroup):
-    """Lexicographically ordered pairs of floats with a comparison tolerance."""
+    """Lexicographically ordered pairs of floats with a comparison tolerance
+    t ≥ 0: a coordinate decides the order when it differs by more than t."""
 
     exact = False
     flat_arity = 2
@@ -642,12 +651,60 @@ class _FloatPairGroup(LGroup):
     def __init__(self, tolerance: float = 1e-9):
         self.tolerance = tolerance
 
+    # For every float d = a[i] − b[i], NaN and ±inf included, |d| > t holds
+    # exactly when d > t or d < −t, so these kernels return what LGroup
+    # derives from ``cmp``, down to which argument join and meet hand back
+    # (``test_float_kernels_match_derived_definitions``).
+
     def cmp(self, a, b):
-        if abs(a[0] - b[0]) > self.tolerance:
-            return -1 if a[0] < b[0] else 1
-        if abs(a[1] - b[1]) > self.tolerance:
-            return -1 if a[1] < b[1] else 1
+        t = self.tolerance
+        d = a[0] - b[0]
+        if d > t:
+            return 1
+        if d < -t:
+            return -1
+        d = a[1] - b[1]
+        if d > t:
+            return 1
+        if d < -t:
+            return -1
         return 0
+
+    def eq(self, a, b):
+        t = self.tolerance
+        d = a[0] - b[0]
+        if d > t or d < -t:
+            return False
+        d = a[1] - b[1]
+        return not (d > t or d < -t)
+
+    def leq(self, a, b):
+        t = self.tolerance
+        d = a[0] - b[0]
+        if d > t:
+            return False
+        return d < -t or not a[1] - b[1] > t
+
+    def lt(self, a, b):
+        t = self.tolerance
+        d = a[0] - b[0]
+        if d > t:
+            return False
+        return d < -t or a[1] - b[1] < -t
+
+    def join(self, a, b):
+        t = self.tolerance
+        d = a[0] - b[0]
+        if d > t:
+            return a
+        return b if d < -t or a[1] - b[1] < -t else a
+
+    def meet(self, a, b):
+        t = self.tolerance
+        d = a[0] - b[0]
+        if d > t:
+            return b
+        return a if d < -t or a[1] - b[1] < -t else b
 
     def validate(self, a):
         if not (isinstance(a, tuple) and len(a) == 2
@@ -689,6 +746,12 @@ class ScalingSemidirect(_FloatPairGroup):
     def neg(self, a):
         return (1.0 / a[0], -a[1] / a[0])
 
+    def sub(self, a, b):
+        # add(a, neg(b)) with the same float expressions, so bit-identical;
+        # a[0] / b[0] would round differently
+        h = 1.0 / b[0]
+        return (a[0] * h, h * a[1] + -b[1] / b[0])
+
     def validate(self, a):
         super().validate(a)
         if a[0] <= 0:
@@ -716,6 +779,11 @@ class ExpSemidirect(_FloatPairGroup):
 
     def neg(self, a):
         return (-a[0], -math.exp(-a[0]) * a[1])
+
+    def sub(self, a, b):
+        # add(a, neg(b)) with the same float expressions, so bit-identical
+        e = math.exp(-b[0])
+        return (a[0] + -b[0], e * a[1] + -e * b[1])
 
     def halve(self, a):
         return (a[0] / 2.0, a[1] / (math.exp(a[0] / 2.0) + 1.0))

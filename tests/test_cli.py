@@ -343,6 +343,18 @@ def test_counterexamples_command():
     assert again.stdout == proc.stdout
 
 
+@pytest.mark.parametrize("tolerance, code", [("0", 3), ("1", 3), ("1e-9", 0)])
+def test_counterexamples_float_unit_rule(tolerance, code):
+    # analyze's float-unit rule on the command's fixed units: at 0 every unit
+    # exceeds the rounding bound, and at 1 the scaling unit (2, 0) is no
+    # longer strictly above the identity (1, 0)
+    proc = run_cli("counterexamples", "--samples", "300", "--tolerance", tolerance)
+    assert proc.returncode == code, proc.stderr
+    if code == 3:
+        assert proc.stderr.startswith("error:") and proc.stdout == ""
+        assert f"--tolerance {float(tolerance):.6g}" in proc.stderr
+
+
 def test_ladder_command(tmp_path):
     proc = run_cli("ladder", write(tmp_path, "d.json", GAMMA_DYADIC),
                    "--depth", "5")

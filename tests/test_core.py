@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import pseudomv as pmv
 from pseudomv import UNDEFINED, BackendMismatch, UnsupportedBackend
 from pseudomv.core import make_rng
-from pseudomv.counterexamples import scaling_action_algebra
+from pseudomv.counterexamples import exp_action_algebra, scaling_action_algebra
 from pseudomv.finite import catalogue_closure
 
 
@@ -335,6 +335,7 @@ NATIVE_GAMMA_CASES = {
                                pmv.PowerDenominatorGroup(6)),
         ((F(1), F(0)), F(1))),
     "semi_numeric": lambda: scaling_action_algebra()[0],
+    "exp_numeric": lambda: exp_action_algebra()[0],
 }
 
 

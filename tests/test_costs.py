@@ -40,22 +40,27 @@ class CountingGroup(LGroup):
         self.exact, self.linear, self.dsl = group.exact, group.linear, group.dsl
 
 
+def counted_gamma(group, unit):
+    group = CountingGroup(group)
+    return pmv.gamma(group, unit), group
+
+
 def counted_lex_heis():
-    group = CountingGroup(pmv.LexProduct(pmv.RationalGroup(), pmv.HeisenbergGroup()))
-    return pmv.gamma(group, (F(1), (F(0), F(0), F(0)))), group
+    return counted_gamma(pmv.LexProduct(pmv.RationalGroup(), pmv.HeisenbergGroup()),
+                         (F(1), (F(0), F(0), F(0))))
 
 
 def test_gamma_order_and_product_cost_in_group_operations():
-    m, group = counted_lex_heis()
-    rng = make_rng(0, "costs")
-    for _ in range(25):
-        x, y = m.sample(rng), m.sample(rng)
-        group.ops = 0
-        m.leq(x, y)
-        assert group.ops == 1          # one cmp
-        group.ops = 0
-        m.odot(x, y)
-        assert group.ops == 4          # (x − u + y) ∨ 0: add, neg, add, join
+    for m, group in (counted_lex_heis(), counted_gamma(pmv.ScalingSemidirect(), (2.0, 0.0))):
+        rng = make_rng(0, "costs")
+        for _ in range(25):
+            x, y = m.sample(rng), m.sample(rng)
+            group.ops = 0
+            m.leq(x, y)
+            assert group.ops == 1          # one cmp
+            group.ops = 0
+            m.odot(x, y)
+            assert group.ops == 4          # (x − u + y) ∨ 0: add, neg, add, join
 
 
 def test_verify_root_evaluations_on_lex_heis():

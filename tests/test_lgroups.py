@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import pseudomv as pmv
 from pseudomv.core import make_rng
-from pseudomv.lgroups import _frac, power_denominator_member
+from pseudomv.lgroups import LGroup, _frac, power_denominator_member
 
 
 def heis3(a, b, c):
@@ -181,6 +181,58 @@ def test_exp_semidirect_law_and_halve():
     assert h == pytest.approx((0.2, 0.7 / (math.exp(0.2) + 1)))
     assert g.eq(g.add(h, h), x)
     assert g.eq(g.add(x, g.neg(x)), g.zero())
+
+
+def abs_cmp(group, a, b):
+    """The float groups' order as specified: the first coordinate that
+    differs by more than the tolerance decides."""
+    for x, y in zip(a, b):
+        if abs(x - y) > group.tolerance:
+            return -1 if x < y else 1
+    return 0
+
+
+def derived(cls, tolerance):
+    """``cls`` with ``abs_cmp`` and LGroup's derived sub, eq, leq, lt, meet
+    and join in place of its kernels."""
+    spec = {op: getattr(LGroup, op) for op in ("sub", "eq", "leq", "lt", "meet", "join")}
+    return type(f"Derived{cls.__name__}", (cls,), dict(spec, cmp=abs_cmp))(tolerance)
+
+
+def same_float(x, y):
+    return (math.isnan(x) and math.isnan(y)) or (
+        x == y and math.copysign(1.0, x) == math.copysign(1.0, y))
+
+
+any_coordinate = st.one_of(st.sampled_from([0.0, -0.0, 1.0, math.inf, -math.inf, math.nan]),
+                           st.floats(-4, 4), st.floats())
+FLOAT_ELEMENTS = {   # sub needs what neg accepts: h > 0 on the scaling group, no exp overflow
+    pmv.ScalingSemidirect: st.tuples(st.floats(1e-3, 1e3), st.floats(-1e6, 1e6)),
+    pmv.ExpSemidirect: st.tuples(st.floats(-50, 50), st.floats(-1e6, 1e6)),
+}
+
+
+@pytest.mark.parametrize("tolerance", [1e-9, 0.0, 1e-3])
+@pytest.mark.parametrize("cls", list(FLOAT_ELEMENTS), ids=lambda c: c.dsl)
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_float_kernels_match_derived_definitions(cls, tolerance, data):
+    fast, spec = cls(tolerance), derived(cls, tolerance)
+
+    def near(x):
+        # ties within ±t; exactly ±t apart when x is 0
+        return data.draw(st.one_of(any_coordinate, st.sampled_from(
+            [0.0, tolerance, -tolerance, tolerance / 2, -tolerance / 2]).map(lambda s: x + s)))
+
+    a = (data.draw(any_coordinate), data.draw(any_coordinate))
+    b = (near(a[0]), near(a[1]))
+    assert fast.cmp(a, b) == spec.cmp(a, b)
+    for op in ("eq", "leq", "lt"):
+        assert getattr(fast, op)(a, b) == getattr(spec, op)(a, b), op
+    for op in ("meet", "join"):
+        assert getattr(fast, op)(a, b) is getattr(spec, op)(a, b), op
+    x, y = data.draw(FLOAT_ELEMENTS[cls]), data.draw(FLOAT_ELEMENTS[cls])
+    assert all(map(same_float, fast.sub(x, y), spec.sub(x, y))), (x, y)
 
 
 # ----------------------------------------------------------------------
