@@ -233,6 +233,14 @@ def parse_element_literal(group: LGroup, text: str) -> Any:
         raise SpecFileError(str(exc)) from exc
 
 
+def _json_int(value: Any) -> int:
+    """``value`` if it is a JSON integer; a float, string or boolean raises
+    ``TypeError`` instead of being truncated or read digit by digit."""
+    if type(value) is not int:
+        raise TypeError(f"expected an integer, got {value!r:.20}")
+    return value
+
+
 def parse_catalogue(obj: dict, depth: int = 1) -> CatalogueSpec:
     """The spec of ``obj``, found ``depth`` levels deep in the file."""
     if depth > CATALOGUE_DEPTH_CEILING:
@@ -242,13 +250,15 @@ def parse_catalogue(obj: dict, depth: int = 1) -> CatalogueSpec:
         params = obj["params"]
     except (KeyError, TypeError) as exc:
         raise SpecFileError("catalogue spec needs 'kind' and 'params'") from exc
+    if not isinstance(params, list):
+        raise SpecFileError(f"catalogue params must be a list, got {type(params).__name__}")
     if kind in ("chain", "boolean"):
-        return CatalogueSpec(kind, (int(params[0]),))
+        return CatalogueSpec(kind, (_json_int(params[0]),))
     if kind == "product":
         return CatalogueSpec(kind, (parse_catalogue(params[0], depth + 1),
                                     parse_catalogue(params[1], depth + 1)))
     if kind == "interval":
-        return CatalogueSpec(kind, (parse_catalogue(params[0], depth + 1), int(params[1])))
+        return CatalogueSpec(kind, (parse_catalogue(params[0], depth + 1), _json_int(params[1])))
     raise SpecFileError(f"unknown catalogue kind {kind!r}")
 
 
@@ -273,7 +283,7 @@ def load_algebra(path: str, sampler: SamplerConfig, tolerance: float) -> PseudoM
             data = json.load(fh)
     except OSError as exc:
         raise SpecFileError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:        # also integers past the int() digit limit
         raise SpecFileError(f"{path} is not valid JSON: {exc}") from exc
     except RecursionError as exc:
         raise SpecFileError(f"{path} nests too deeply to read") from exc
@@ -283,17 +293,17 @@ def load_algebra(path: str, sampler: SamplerConfig, tolerance: float) -> PseudoM
     if "finite" in data:
         spec = data["finite"]
         try:
-            n = int(spec["n"])
+            n = _json_int(spec["n"])
             _check_table_size(n, "finite table")
             table = FiniteTable(
                 n=n,
-                oplus=tuple(tuple(int(v) for v in row) for row in spec["oplus"]),
-                neg=tuple(int(v) for v in spec["neg"]),
-                tilde=tuple(int(v) for v in spec["tilde"]),
-                zero=int(spec["zero"]),
-                one=int(spec["one"]),
+                oplus=tuple(tuple(map(_json_int, row)) for row in spec["oplus"]),
+                neg=tuple(map(_json_int, spec["neg"])),
+                tilde=tuple(map(_json_int, spec["tilde"])),
+                zero=_json_int(spec["zero"]),
+                one=_json_int(spec["one"]),
             )
-        except (KeyError, TypeError, ValueError, OverflowError, AlgebraError) as exc:
+        except (KeyError, TypeError, AlgebraError) as exc:
             raise SpecFileError(f"bad finite table: {exc}") from exc
         return FinitePMV(table, sampler=sampler, name="file")
     if "gamma" in data:
@@ -313,7 +323,7 @@ def load_algebra(path: str, sampler: SamplerConfig, tolerance: float) -> PseudoM
             spec = parse_catalogue(data["catalogue"])
             _check_table_size(catalogue_size(spec), f"catalogue {spec.label()}")
             algebra = build_catalogue(spec)
-        except (IndexError, TypeError, ValueError, OverflowError, AlgebraError) as exc:
+        except (IndexError, TypeError, ValueError, AlgebraError) as exc:
             raise SpecFileError(f"bad catalogue spec: {exc}") from exc
         return FinitePMV(algebra.table, labels=algebra.labels, sampler=sampler,
                          name=algebra.name)

@@ -342,9 +342,9 @@ def catalogue_size(spec: CatalogueSpec) -> int:
     its parent.  Boolean sizes stop growing past ``2 * TABLE_CEILING``."""
     kind, params = spec.kind, spec.params
     if kind == "chain":
-        return int(params[0]) + 1
+        return params[0] + 1
     if kind == "boolean":
-        return 1 << min(max(int(params[0]), 0), TABLE_CEILING.bit_length())
+        return 1 << min(max(params[0], 0), TABLE_CEILING.bit_length())
     if kind == "product":
         a, b = catalogue_size(params[0]), catalogue_size(params[1])
         return max(a, b, a * b)
@@ -355,13 +355,13 @@ def catalogue_size(spec: CatalogueSpec) -> int:
 
 def build_catalogue(spec: CatalogueSpec) -> FinitePMV:
     if spec.kind == "chain":
-        return chain(int(spec.params[0]))
+        return chain(spec.params[0])
     if spec.kind == "boolean":
-        return boolean(int(spec.params[0]))
+        return boolean(spec.params[0])
     if spec.kind == "product":
         return product(build_catalogue(spec.params[0]), build_catalogue(spec.params[1]))
     if spec.kind == "interval":
-        return interval(build_catalogue(spec.params[0]), int(spec.params[1]))
+        return interval(build_catalogue(spec.params[0]), spec.params[1])
     raise ValueError(f"unknown catalogue kind {spec.kind!r}")
 
 

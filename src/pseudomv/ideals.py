@@ -12,6 +12,14 @@ is representable when every polar a⊥ = {x : x ∧ a = 0} is a normal ideal.
 Strong atomlessness is probed through the pointwise criterion: every
 nonzero x admits 0 < y < x with y ∧ (x ⊙ y⁻) ≠ 0; on group intervals with
 a strict root the canonical witness y = r(x⁻)∼ realizes the value x/2.
+
+In a finite algebra satisfying A1–A8 every ideal I is ↓e = {x : x ≤ e}
+for exactly one idempotent e, so ``enumerate_ideals`` reads the ideals off
+``boolean_skeleton``.  Proof: the ⊕ of all members of I lies in I and
+bounds each one, so it is the maximum e of I, I = ↓e, and e ⊕ e ∈ I gives
+e ⊕ e = e; conversely x, y ≤ e gives x ⊕ y ≤ e ⊕ e = e.  On other tables
+``boolean_skeleton`` raises when the idempotents are not a subalgebra, and
+other axiom failures go unnoticed, so callers check A1–A8 first.
 """
 
 from __future__ import annotations
@@ -51,7 +59,9 @@ class NotAnIdeal(AlgebraError):
 
 @dataclass(frozen=True)
 class IdealHandle:
-    """A verified ideal with recomputed flags (never trusted from input)."""
+    """A verified ideal with recomputed flags (never trusted from input);
+    test membership with ``x in handle.members``.  Under A1–A8 the members
+    are ↓e for their maximum e, an idempotent (see the module docstring)."""
 
     algebra: FinitePMV
     members: frozenset
@@ -60,14 +70,9 @@ class IdealHandle:
     is_boolean_ideal: bool
     is_proper: bool
 
-    def __contains__(self, x) -> bool:
-        return x in self.members
 
-
-def classify_ideal(algebra: FinitePMV, subset) -> IdealHandle:
-    """Verify the ideal axioms and compute the normal / prime / Boolean
-    flags for a subset of a finite carrier."""
-    members = frozenset(subset)
+def _check_ideal(algebra: FinitePMV, members: frozenset) -> None:
+    """Raise :class:`NotAnIdeal`, with a witness, unless ``members`` is an ideal."""
     if not members:
         raise NotAnIdeal("an ideal is nonempty")
     for s in members:
@@ -83,66 +88,48 @@ def classify_ideal(algebra: FinitePMV, subset) -> IdealHandle:
             if algebra.oplus(a, b) not in members:
                 raise NotAnIdeal("not closed under ⊕", (a, b))
 
-    normal = all(
+
+def _is_normal(algebra: FinitePMV, members: frozenset, elems: list) -> bool:
+    return all(
         (algebra.odot(x, algebra.neg(y)) in members)
         == (algebra.odot(algebra.tilde(y), x) in members)
         for x in elems for y in elems
     )
-    prime = all(
-        algebra.odot(x, algebra.neg(y)) in members
-        or algebra.odot(y, algebra.neg(x)) in members
-        for x in elems for y in elems
-    )
-    boolean_ideal = all(
-        algebra.meet(x, algebra.tilde(x)) in members for x in elems
-    )
+
+
+def _handle(algebra: FinitePMV, members: frozenset) -> IdealHandle:
+    """The handle of an ideal known to be one, with its flags computed."""
+    elems = list(algebra.elements())
     return IdealHandle(
         algebra=algebra,
         members=members,
-        is_normal=normal,
-        is_prime=prime,
-        is_boolean_ideal=boolean_ideal,
+        is_normal=_is_normal(algebra, members, elems),
+        is_prime=all(
+            algebra.odot(x, algebra.neg(y)) in members
+            or algebra.odot(y, algebra.neg(x)) in members
+            for x in elems for y in elems
+        ),
+        is_boolean_ideal=all(algebra.meet(x, algebra.tilde(x)) in members for x in elems),
         is_proper=len(members) < algebra.size,
     )
 
 
+def classify_ideal(algebra: FinitePMV, subset) -> IdealHandle:
+    """Verify the ideal axioms and compute the normal / prime / Boolean
+    flags for a subset of a finite carrier."""
+    members = frozenset(subset)
+    _check_ideal(algebra, members)
+    return _handle(algebra, members)
+
+
 def enumerate_ideals(algebra: FinitePMV) -> list[IdealHandle]:
-    """All ideals of a small finite algebra by masked subset scan with
-    downset pruning."""
-    n = algebra.size
-    if n > IDEAL_CEILING:
+    """All ideals of a small finite algebra satisfying A1–A8: ↓e for each
+    idempotent e, in the order of ``boolean_skeleton``."""
+    if algebra.size > IDEAL_CEILING:
         raise ValueError(f"ideal enumeration ceiling is {IDEAL_CEILING} elements")
     elems = list(algebra.elements())
-    down = [0] * n
-    for x in elems:
-        for y in elems:
-            if algebra.leq(y, x):
-                down[x] |= 1 << y
-    op = algebra.table.oplus
-    out = []
-    zero_bit = 1 << algebra.zero
-    for mask in range(1, 1 << n):
-        if not mask & zero_bit:
-            continue
-        ok = True
-        bits = [x for x in elems if mask >> x & 1]
-        for x in bits:
-            if mask & down[x] != down[x]:
-                ok = False
-                break
-        if not ok:
-            continue
-        for a in bits:
-            row = op[a]
-            for b in bits:
-                if not mask >> row[b] & 1:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            out.append(classify_ideal(algebra, bits))
-    return out
+    return [_handle(algebra, frozenset(x for x in elems if algebra.leq(x, e)))
+            for e in algebra.boolean_skeleton()]
 
 
 @dataclass
@@ -222,31 +209,26 @@ def is_r_invariant(algebra: FinitePMV, ideal: IdealHandle, root: SquareRootMap) 
 
 
 def is_representable(algebra: FinitePMV) -> bool:
-    """Every polar a⊥ = {x : x ∧ a = 0} must be a normal ideal."""
+    """Every polar a⊥ = {x : x ∧ a = 0} must be a normal ideal; each
+    distinct polar is checked once."""
     elems = list(algebra.elements())
     zero = algebra.zero
-    for a in elems:
-        polar = [x for x in elems if algebra.eq(algebra.meet(x, a), zero)]
+    polars = {frozenset(x for x in elems if algebra.eq(algebra.meet(x, a), zero))
+              for a in elems}
+    for polar in polars:
         try:
-            handle = classify_ideal(algebra, polar)
+            _check_ideal(algebra, polar)
         except NotAnIdeal:
             return False
-        if not handle.is_normal:
-            return False
-    return True
+    return all(_is_normal(algebra, polar, elems) for polar in polars)
 
 
 def atoms(algebra: FinitePMV) -> list:
     """Elements covering 0."""
     elems = list(algebra.elements())
     zero = algebra.zero
-    out = []
-    for x in elems:
-        if algebra.eq(x, zero):
-            continue
-        if not any(algebra.lt(zero, y) and algebra.lt(y, x) for y in elems):
-            out.append(x)
-    return out
+    return [x for x in elems if not algebra.eq(x, zero)
+            and not any(algebra.lt(zero, y) and algebra.lt(y, x) for y in elems)]
 
 
 def strongly_atomless_witness(algebra: PseudoMV, x: Any,
@@ -270,23 +252,18 @@ def strongly_atomless_witness(algebra: PseudoMV, x: Any,
         return (algebra.lt(zero, y) and algebra.lt(y, x)
                 and not algebra.eq(value_at(y), zero))
 
-    if algebra.enumerable:
-        for y in algebra.elements():
-            if good(y):
-                return y, value_at(y)
-        return None
+    def candidates():
+        if algebra.enumerable:
+            yield from algebra.elements()
+            return
+        if root is not None:
+            yield algebra.tilde(root(algebra.neg(x)))
+        domains = Domains(algebra, budget, seed)
+        rng = domains.rng("atomless")
+        for _ in range(domains.budget):
+            yield algebra.meet(algebra.sample(rng), x)
 
-    if root is not None:
-        y = algebra.tilde(root(algebra.neg(x)))
-        if good(y):
-            return y, value_at(y)
-    domains = Domains(algebra, budget, seed)
-    rng = domains.rng("atomless")
-    for _ in range(domains.budget):
-        y = algebra.meet(algebra.sample(rng), x)
-        if good(y):
-            return y, value_at(y)
-    return None
+    return next(((y, value_at(y)) for y in candidates() if good(y)), None)
 
 
 def strongly_atomless_scan(algebra: PseudoMV, budget: int | None = None,

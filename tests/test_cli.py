@@ -11,6 +11,7 @@ import sys
 import tempfile
 from fractions import Fraction as F
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -31,7 +32,21 @@ from pseudomv.core import SamplerConfig
 from pseudomv.finite import CATALOGUE_DEPTH_CEILING, TABLE_CEILING
 
 
-def run_cli(*args, env_extra=None):
+def run_cli(*args):
+    """``main`` on ``args``, in process, reported as a finished process;
+    ``PMV_SEED`` is unset while it runs."""
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        os.environ.pop("PMV_SEED", None)
+        code = main(list(args))
+    return subprocess.CompletedProcess(args, code, out.getvalue(), err.getvalue())
+
+
+def run_process(*args, env_extra=None):
+    """``python -m pseudomv.cli`` on ``args``, for what only a fresh
+    interpreter shows: the environment, the entry point, determinism
+    across processes and recursion limits."""
     env = dict(os.environ)
     env.pop("PMV_SEED", None)
     if env_extra:
@@ -61,6 +76,13 @@ def nested_product(depth):
         spec = f'{{"kind": "product", "params": [{leaf}, {spec}]}}'
     return f'{{"catalogue": {spec}}}'
 
+
+# Specs deep enough to reach the recursion limit run in a fresh
+# interpreter, whose stack does not start at pytest's depth.
+PRODUCT_600_DEEP = nested_product(600)
+FINITE_1500_BRACKETS = '{"finite": {"n": 1, "oplus": ' + "[" * 1500 + "]" * 1500 + "}}"
+GROUP_1200_DEEP = {"gamma": {"group": "lex(" * 1200 + "Q" + ",Q)" * 1200, "unit": "1"}}
+DEEP_SPECS = (PRODUCT_600_DEEP, FINITE_1500_BRACKETS, GROUP_1200_DEEP)
 
 CHAIN3 = {"catalogue": {"kind": "chain", "params": [3]}}
 BOOL2 = {"catalogue": {"kind": "boolean", "params": [2]}}
@@ -194,6 +216,12 @@ def test_analyze_parse_error_exits_3(tmp_path):
     proc = run_cli("analyze", str(tmp_path / "missing.json"))
     assert proc.returncode == 3
 
+    # json reads this integer and then refuses its digit count
+    path.write_text('{"catalogue": {"kind": "chain", "params": [1' + "0" * 5000 + "]}}",
+                    encoding="utf-8")
+    proc = run_cli("analyze", str(path))
+    assert proc.returncode == 3 and proc.stderr.startswith("error:")
+
 
 @pytest.mark.parametrize("group, unit", [("Z", "2"), ("Z", "3"), ("lex(Z,Z)", "(3,1)")])
 def test_analyze_integer_units(tmp_path, group, unit):
@@ -221,29 +249,58 @@ def test_analyze_malformed_unit_exits_3(tmp_path, unit):
     {"catalogue": {"kind": "chain", "params": "x"}},
     {"catalogue": {"kind": "interval", "params": [CHAIN3["catalogue"], 1]}},
     {"catalogue": {"kind": "product", "params": [CHAIN3["catalogue"]]}},
-    nested_product(600),
-    '{"finite": {"n": 1, "oplus": ' + "[" * 1500 + "]" * 1500 + "}}",
+    PRODUCT_600_DEEP,
+    FINITE_1500_BRACKETS,
     nested_product(CATALOGUE_DEPTH_CEILING + 1),
-    {"gamma": {"group": "lex(" * 1200 + "Q" + ",Q)" * 1200, "unit": "1"}},
+    GROUP_1200_DEEP,
     {"gamma": {"group": "Q", "unit": "1e10000000"}},
     {"gamma": {"group": "semi_numeric", "unit": "(1e400,0)"}},
     '{"catalogue": {"kind": "chain", "params": [1e400]}}',
     '{"finite": {"n": 1e400, "oplus": [], "neg": [], "tilde": [], "zero": 0, "one": 0}}',
     {"gamma": {"group": "semi_numeric", "unit": "(1e8,0)"}},
     {"gamma": {"group": "semi_numeric", "unit": "(4,1e8)"}},
+    {"catalogue": {"kind": "chain", "params": {"a": 1}}},
+    {"catalogue": {"kind": "product", "params": {"a": 1}}},
+    {"catalogue": {"kind": "interval", "params": {"a": 1}}},
+    {"catalogue": {"kind": "chain", "params": "12"}},
 ], ids=["group-number", "chain-negative", "chain-params-string",
         "interval-top-not-idempotent", "product-one-param", "product-600-deep",
         "finite-1500-brackets", "catalogue-above-depth-ceiling", "group-1200-deep",
         "q-unit-1e10000000", "semi-unit-1e400", "chain-param-1e400", "finite-n-1e400",
-        "semi-unit-1e8", "semi-unit-4-1e8"])
+        "semi-unit-1e8", "semi-unit-4-1e8", "chain-params-object", "product-params-object",
+        "interval-params-object", "chain-params-digits"])
 def test_analyze_malformed_spec_exits_3(tmp_path, payload):
     path = write(tmp_path, "bad.json", payload)
-    proc = run_cli("analyze", path)
+    proc = (run_process if payload in DEEP_SPECS else run_cli)("analyze", path)
     assert proc.returncode == 3
     assert proc.stderr.startswith("error:")
     assert "Traceback" not in proc.stderr
     # the error echoes a prefix of the input, not the whole of it
     assert len(proc.stderr.encode()) < 200
+
+
+CHAIN1_TABLE = {"n": 2, "oplus": [[0, 1], [1, 1]], "neg": [1, 0], "tilde": [1, 0],
+                "zero": 0, "one": 1}
+
+
+@pytest.mark.parametrize("payload", [
+    {"finite": {"n": 2, "oplus": [[0, 1.7], [1, 1]], "neg": "10", "tilde": [1, 0],
+                "zero": 0, "one": True}},
+    {"finite": dict(CHAIN1_TABLE, oplus=[[0, 1.7], [1, 1]])},
+    {"finite": dict(CHAIN1_TABLE, neg="10")},
+    {"finite": dict(CHAIN1_TABLE, one=True)},
+    {"finite": dict(CHAIN1_TABLE, n=2.0)},
+    {"catalogue": {"kind": "chain", "params": [1.7]}},
+    {"catalogue": {"kind": "boolean", "params": ["2"]}},
+    {"catalogue": {"kind": "interval", "params": [BOOL2["catalogue"], True]}},
+], ids=["mixed", "oplus-float", "neg-string", "one-true", "n-float", "chain-float",
+        "boolean-string", "interval-top-true"])
+def test_non_integer_entries_exit_3(tmp_path, payload):
+    # only JSON integers are read: 1.7 is not truncated, "10" is not the
+    # row (1, 0), and true is not 1
+    proc = run_cli("analyze", write(tmp_path, "bad.json", payload))
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("error:") and "expected an integer" in proc.stderr
 
 
 @pytest.mark.parametrize("unit, tolerance, code", [
@@ -291,18 +348,19 @@ def test_table_size_ceiling(tmp_path, payload, code):
 
 def test_analyze_is_deterministic(tmp_path):
     path = write(tmp_path, "lh.json", GAMMA_LEXHEIS)
-    a = run_cli("analyze", path, "--seed", "42", "--samples", "150")
-    b = run_cli("analyze", path, "--seed", "42", "--samples", "150")
+    a = run_process("analyze", path, "--seed", "42", "--samples", "150")
+    b = run_process("analyze", path, "--seed", "42", "--samples", "150")
     assert a.returncode == b.returncode == 0
-    assert a.stdout == b.stdout
+    assert a.stdout == b.stdout == run_cli("analyze", path, "--seed", "42",
+                                           "--samples", "150").stdout
     c = run_cli("analyze", path, "--seed", "43", "--samples", "150")
     assert json.loads(c.stdout)["seed"] == 43
 
 
 def test_env_seed_overrides_flag(tmp_path):
     path = write(tmp_path, "d.json", GAMMA_DYADIC)
-    proc = run_cli("analyze", path, "--seed", "7", "--samples", "100",
-                   env_extra={"PMV_SEED": "99"})
+    proc = run_process("analyze", path, "--seed", "7", "--samples", "100",
+                       env_extra={"PMV_SEED": "99"})
     assert json.loads(proc.stdout)["seed"] == 99
 
 
@@ -491,11 +549,16 @@ malformed = st.one_of(
         {"gamma": {"group": "Q"}},
         {"catalogue": {"kind": "cube", "params": [1]}},
         {"catalogue": {"kind": "chain"}},
+        {"finite": dict(CHAIN1_TABLE, one=True)},
         {"catalogue": {"kind": "chain", "params": [TABLE_CEILING]}},
         {"finite": {"n": 2}},
         {"finite": {"n": 2, "oplus": [[0]], "neg": [1, 0], "tilde": [1, 0],
                     "zero": 0, "one": 1}},
-    ]))
+    ]),
+    st.builds(lambda kind, params: {"catalogue": {"kind": kind, "params": params}},
+              st.sampled_from(["chain", "boolean", "product", "interval"]),
+              st.one_of(st.none(), st.integers(), st.text(max_size=3),
+                        st.dictionaries(st.text(max_size=2), st.integers(), max_size=2))))
 commands = st.one_of(
     st.builds(lambda k, s: ["analyze", "--samples", str(k), "--seed", str(s)],
               st.integers(1, 20), st.integers(0, 9)),
@@ -505,14 +568,9 @@ commands = st.one_of(
 def run_main(document, command):
     """``main`` on ``document`` (an object, or raw text), in process: an
     exception escaping ``main`` fails the test, as a traceback would."""
-    out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "doc.json")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(document if isinstance(document, str) else json.dumps(document))
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main([command[0], path, *command[1:]])
-    return code, err.getvalue()
+        proc = run_cli(command[0], write(Path(tmp), "doc.json", document), *command[1:])
+    return proc.returncode, proc.stderr
 
 
 @settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
 
 import pseudomv as pmv
 from pseudomv.core import make_rng
+from pseudomv.finite import catalogue_closure
 from pseudomv.ideals import (
     NotAnIdeal,
     atoms,
@@ -98,6 +101,76 @@ def test_every_nondegenerate_algebra_has_a_normal_prime():
                     pmv.product(pmv.boolean(1), pmv.chain(2))):
         handles = enumerate_ideals(algebra)
         assert any(h.is_normal and h.is_prime and h.is_proper for h in handles)
+
+
+def relabelled(algebra, seed):
+    """``algebra`` with its carrier renamed by a seeded permutation."""
+    n = algebra.size
+    perm = list(range(n))
+    random.Random(seed).shuffle(perm)
+    inv = [perm.index(i) for i in range(n)]
+    table = pmv.FiniteTable(
+        n=n,
+        oplus=tuple(tuple(perm[algebra.oplus(inv[i], inv[j])] for j in range(n))
+                    for i in range(n)),
+        neg=tuple(perm[algebra.neg(inv[i])] for i in range(n)),
+        tilde=tuple(perm[algebra.tilde(inv[i])] for i in range(n)),
+        zero=perm[algebra.zero],
+        one=perm[algebra.one],
+    )
+    return pmv.FinitePMV(table, name=f"{algebra.name}~{seed}").validated()
+
+
+def subset_scan(algebra):
+    """The reference: every subset of the carrier that contains 0 and is
+    closed downward and under ⊕."""
+    elems = list(algebra.elements())
+    below = {x: {y for y in elems if algebra.leq(y, x)} for x in elems}
+    return {
+        members
+        for k in range(1, len(elems) + 1)
+        for members in map(frozenset, combinations(elems, k))
+        if algebra.zero in members
+        and all(below[x] <= members for x in members)
+        and all(algebra.oplus(a, b) in members for a in members for b in members)
+    }
+
+
+def reference_flags(algebra, members):
+    """(normal, prime, Boolean, proper) from their definitions, with
+    primality in its meet form: x ∧ y ∈ I ⟹ x ∈ I or y ∈ I."""
+    elems = list(algebra.elements())
+    return (
+        all((algebra.odot(x, algebra.neg(y)) in members)
+            == (algebra.odot(algebra.tilde(y), x) in members)
+            for x in elems for y in elems),
+        all(algebra.meet(x, y) not in members or x in members or y in members
+            for x in elems for y in elems),
+        all(algebra.meet(x, algebra.tilde(x)) in members for x in elems),
+        len(members) < algebra.size,
+    )
+
+
+def test_ideals_from_skeleton_match_subset_scan():
+    # every catalogue algebra up to the enumeration ceiling, as built and
+    # relabelled, against the 2ⁿ subset scan and the per-element polars
+    checked = 0
+    for base in catalogue_closure(12):
+        for algebra in (base, *(relabelled(base, seed) for seed in range(3))):
+            reference = subset_scan(algebra)
+            handles = enumerate_ideals(algebra)
+            assert len(handles) == len(reference), algebra.name
+            assert {h.members for h in handles} == reference, algebra.name
+            for h in handles:
+                got = (h.is_normal, h.is_prime, h.is_boolean_ideal, h.is_proper)
+                assert got == reference_flags(algebra, h.members), (algebra.name, h.members)
+            elems = list(algebra.elements())
+            polars = [frozenset(x for x in elems if algebra.meet(x, a) == algebra.zero)
+                      for a in elems]
+            assert is_representable(algebra) == all(
+                p in reference and reference_flags(algebra, p)[0] for p in polars), algebra.name
+            checked += 1
+    assert checked == 4 * 133
 
 
 def test_enumeration_ceiling():
