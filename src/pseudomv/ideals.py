@@ -227,8 +227,13 @@ def atoms(algebra: FinitePMV) -> list:
     """Elements covering 0."""
     elems = list(algebra.elements())
     zero = algebra.zero
-    return [x for x in elems if not algebra.eq(x, zero)
-            and not any(algebra.lt(zero, y) and algebra.lt(y, x) for y in elems)]
+    out = []
+    for x in elems:
+        if algebra.eq(x, zero):
+            continue
+        if not any(algebra.lt(zero, y) and algebra.lt(y, x) for y in elems):
+            out.append(x)
+    return out
 
 
 def strongly_atomless_witness(algebra: PseudoMV, x: Any,
@@ -252,18 +257,23 @@ def strongly_atomless_witness(algebra: PseudoMV, x: Any,
         return (algebra.lt(zero, y) and algebra.lt(y, x)
                 and not algebra.eq(value_at(y), zero))
 
-    def candidates():
-        if algebra.enumerable:
-            yield from algebra.elements()
-            return
-        if root is not None:
-            yield algebra.tilde(root(algebra.neg(x)))
-        domains = Domains(algebra, budget, seed)
-        rng = domains.rng("atomless")
-        for _ in range(domains.budget):
-            yield algebra.meet(algebra.sample(rng), x)
+    if algebra.enumerable:
+        for y in algebra.elements():
+            if good(y):
+                return y, value_at(y)
+        return None
 
-    return next(((y, value_at(y)) for y in candidates() if good(y)), None)
+    if root is not None:
+        y = algebra.tilde(root(algebra.neg(x)))
+        if good(y):
+            return y, value_at(y)
+    domains = Domains(algebra, budget, seed)
+    rng = domains.rng("atomless")
+    for _ in range(domains.budget):
+        y = algebra.meet(algebra.sample(rng), x)
+        if good(y):
+            return y, value_at(y)
+    return None
 
 
 def strongly_atomless_scan(algebra: PseudoMV, budget: int | None = None,

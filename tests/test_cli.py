@@ -397,7 +397,8 @@ def test_counterexamples_command():
     assert abs(float(scaling["negation_gap"]["gap"]) - 0.0857864376269) < 1e-9
     assert payload["exp_action"]["coordinate_change_intertwines"] is True
 
-    again = run_cli("counterexamples", "--samples", "300")
+    again = run_process("counterexamples", "--samples", "300")
+    assert again.returncode == 0, again.stderr
     assert again.stdout == proc.stdout
 
 
