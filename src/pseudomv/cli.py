@@ -41,6 +41,7 @@ from .core import (
     SamplerConfig,
 )
 from .counterexamples import (
+    COUNTEREXAMPLE_UNITS,
     NumericWitness,
     exp_action_verdicts,
     scaling_action_verdicts,
@@ -74,7 +75,6 @@ from .lgroups import (
     LexProduct,
     LGroup,
     DirectProductGroup,
-    ExpSemidirect,
     PowerDenominatorGroup,
     RationalGroup,
     ScalingSemidirect,
@@ -338,24 +338,12 @@ def canonical_json(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def _fmt(algebra: PseudoMV, x: Any) -> str:
-    try:
-        return algebra.format_element(x)
-    except Exception:
-        return str(x)
-
-
-def _fmt_witness(algebra: PseudoMV, w: Any) -> str:
-    if isinstance(w, tuple):
-        return "(" + ", ".join(_fmt(algebra, v) for v in w) + ")"
-    return _fmt(algebra, w)
-
-
 def render_check(algebra: PseudoMV, res: CheckResult) -> dict:
     return {
         "passed": res.passed,
         "checked": res.checked,
-        "witnesses": [_fmt_witness(algebra, w) for w in res.witnesses],
+        "witnesses": ["(" + ", ".join(map(algebra.format_element, w)) + ")"
+                      for w in res.witnesses],
     }
 
 
@@ -373,17 +361,17 @@ def render_root_report(algebra: PseudoMV, report: SquareRootReport) -> dict:
         "negation_compat": render_check(algebra, report.negation_compat),
         "standard": render_check(algebra, report.standard),
         "strict": report.strict,
-        "r0": _fmt(algebra, report.r0),
+        "r0": algebra.format_element(report.r0),
         "classification": report.classification,
         "boolean_witness": (None if report.witness_idempotent is None
-                            else _fmt(algebra, report.witness_idempotent)),
+                            else algebra.format_element(report.witness_idempotent)),
     }
 
 
 def render_decomposition(algebra: PseudoMV, dec: Decomposition) -> dict:
     out: dict[str, Any] = {
         "classification": dec.classification,
-        "witness": _fmt(algebra, dec.witness),
+        "witness": algebra.format_element(dec.witness),
         "checks": {name: render_check(algebra, res) for name, res in dec.checks.items()},
     }
     if dec.boolean_part is not None:
@@ -471,14 +459,16 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
     if isinstance(algebra, FinitePMV) and algebra.size <= IDEAL_CEILING:
         handles = enumerate_ideals(algebra)
-        scan = strongly_atomless_scan(algebra, budget=args.samples, root=root, seed=seed)
+        atomless = (strongly_atomless_scan(algebra, budget=args.samples, root=root,
+                                           seed=seed)["status"]
+                    if report["algebra"]["representable"] else "criterion-inapplicable")
         report["ideals"] = {
             "count": len(handles),
             "normal": sum(h.is_normal for h in handles),
             "prime": sum(h.is_prime for h in handles),
             "boolean_ideals": sum(h.is_boolean_ideal for h in handles),
-            "atoms": [_fmt(algebra, a) for a in atoms(algebra)],
-            "strongly_atomless": scan["status"],
+            "atoms": [algebra.format_element(a) for a in atoms(algebra)],
+            "strongly_atomless": atomless,
         }
     else:
         report["ideals"] = None
@@ -503,18 +493,11 @@ def cmd_search(args: argparse.Namespace) -> int:
     return EXIT_OK if bad == 0 else EXIT_VIOLATION
 
 
-#: The float groups and units ``counterexamples`` builds its algebras on:
-#: the scaling action's (2, 0), the exponential action's (1, 0), and the
-#: relabelled scaling unit (ln 2, 0).
-COUNTEREXAMPLE_UNITS = ((ScalingSemidirect, (2.0, 0.0)), (ExpSemidirect, (1.0, 0.0)),
-                        (ExpSemidirect, (math.log(2.0), 0.0)))
-
-
 def cmd_counterexamples(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args)
     # the rule analyze applies to a float unit: its rounding error stays
     # below --tolerance, and it stays strictly above 0 at that tolerance
-    for make, unit in COUNTEREXAMPLE_UNITS:
+    for make, unit in COUNTEREXAMPLE_UNITS.values():
         _check_float_unit(unit, args.tolerance)
         group = make(args.tolerance)
         try:
@@ -586,7 +569,7 @@ def cmd_ladder(args: argparse.Namespace) -> int:
         "algebra": algebra.describe(),
         "construction": how,
         "depth": args.depth,
-        "ladder": [_fmt(algebra, a) for a in rungs],
+        "ladder": [algebra.format_element(a) for a in rungs],
     }
     sys.stdout.write(canonical_json(report))
     return EXIT_OK

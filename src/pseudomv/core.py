@@ -504,7 +504,7 @@ class IntervalPMV(PseudoMV):
 
     def __init__(self, parent: PseudoMV, top: Any):
         if not parent.contains(top):
-            raise BackendMismatch(f"interval endpoint {top!r} not in the algebra")
+            raise BackendMismatch(f"interval endpoint {top!r:.20} not in the algebra")
         if not parent.is_boolean_element(top):
             raise AlgebraError("interval endpoint must be idempotent")
         super().__init__(parent.sampler)

@@ -41,7 +41,22 @@ __all__ = [
     "exp_action_algebra",
     "exp_action_verdicts",
     "NEGATION_GAP_AT_UNIT_POINT",
+    "COUNTEREXAMPLE_UNITS",
 ]
+
+#: The float groups and units the algebras here are built on: the scaling
+#: action's (2, 0), the exponential action's (1, 0), and the scaling unit
+#: relabelled into the exponential group, (ln 2, 0).
+COUNTEREXAMPLE_UNITS = {
+    "scaling": (ScalingSemidirect, (2.0, 0.0)),
+    "exp": (ExpSemidirect, (1.0, 0.0)),
+    "relabeled": (ExpSemidirect, (math.log(2.0), 0.0)),
+}
+
+
+def _algebra(name: str, tolerance: float) -> GammaPMV:
+    make, unit = COUNTEREXAMPLE_UNITS[name]
+    return gamma(make(tolerance), unit)
 
 
 @dataclass(frozen=True)
@@ -70,8 +85,7 @@ def _pair_gap(a: tuple, b: tuple) -> float:
 def scaling_action_algebra(tolerance: float = 1e-9) -> tuple[GammaPMV, SquareRootMap]:
     """The interval [ (1,0), (2,0) ] of the scaling semidirect product,
     with the explicit weak root r(h, g) = (√(2h), 2g/(√(2h)+2))."""
-    group = ScalingSemidirect(tolerance)
-    algebra = gamma(group, (2.0, 0.0))
+    algebra = _algebra("scaling", tolerance)
 
     def root_formula(x):
         h, g = x
@@ -206,8 +220,7 @@ def exp_action_algebra(tolerance: float = 1e-9) -> tuple[GammaPMV, SquareRootMap
     """The interval [ (0,0), (1,0) ] of the exponential-action group with
     r(x, y) = ((x+1)/2, y/(e^{(x−1)/2}+1)), and the coordinate change
     ψ(h, g) = (ln h, g) from the scaling-action presentation."""
-    group = ExpSemidirect(tolerance)
-    algebra = gamma(group, (1.0, 0.0))
+    algebra = _algebra("exp", tolerance)
 
     def root_formula(p):
         x, y = p
@@ -245,7 +258,7 @@ def exp_action_verdicts(budget: int = 2000, seed: int = 0,
     ), _probe_points(algebra, budget, seed))
 
     scaling, scaling_root = scaling_action_algebra(tolerance)
-    relabeled = gamma(ExpSemidirect(tolerance), (math.log(2.0), 0.0))
+    relabeled = _algebra("relabeled", tolerance)
     relabeled_root = closed_form(relabeled, "weak")
     intertwine = run_rows((
         ("intertwine", "elements", _within(

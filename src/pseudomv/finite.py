@@ -133,7 +133,7 @@ class FinitePMV(PseudoMV):
         return self.table.one
 
     def _idx(self, x):
-        if not isinstance(x, int) or isinstance(x, bool) or not 0 <= x < self.table.n:
+        if type(x) is not int or not 0 <= x < self.table.n:
             raise BackendMismatch(f"{x!r} is not an index into a {self.table.n}-element table")
         return x
 
@@ -150,7 +150,7 @@ class FinitePMV(PseudoMV):
         return self._idx(x) == self._idx(y)
 
     def contains(self, x):
-        return isinstance(x, int) and not isinstance(x, bool) and 0 <= x < self.table.n
+        return type(x) is int and 0 <= x < self.table.n
 
     def sample(self, rng):
         return rng.randrange(self.table.n)
@@ -403,9 +403,10 @@ def brute_force_weak_sqrt(algebra: FinitePMV) -> WeakSqrtSearch:
     """For each x collect S(x) = {z : z ⊙ z ≤ x}; a weak square root must
     send x to the maximum of S(x) and square back to x."""
     elems = list(algebra.elements())
+    squares = [(z, algebra.odot(z, z)) for z in elems]
     mapping: dict = {}
     for x in elems:
-        below = [z for z in elems if algebra.leq(algebra.odot(z, z), x)]
+        below = [z for z, zz in squares if algebra.leq(zz, x)]
         m = maximum_of(algebra, below)
         if m is None:
             return WeakSqrtSearch("no-maximum", failing=x)

@@ -12,14 +12,20 @@ is representable when every polar a⊥ = {x : x ∧ a = 0} is a normal ideal.
 Strong atomlessness is probed through the pointwise criterion: every
 nonzero x admits 0 < y < x with y ∧ (x ⊙ y⁻) ≠ 0; on group intervals with
 a strict root the canonical witness y = r(x⁻)∼ realizes the value x/2.
+The criterion holds only on representable algebras, which the caller of
+``strongly_atomless_scan`` checks.
 
 In a finite algebra satisfying A1–A8 every ideal I is ↓e = {x : x ≤ e}
 for exactly one idempotent e, so ``enumerate_ideals`` reads the ideals off
-``boolean_skeleton``.  Proof: the ⊕ of all members of I lies in I and
-bounds each one, so it is the maximum e of I, I = ↓e, and e ⊕ e ∈ I gives
-e ⊕ e = e; conversely x, y ≤ e gives x ⊕ y ≤ e ⊕ e = e.  On other tables
-``boolean_skeleton`` raises when the idempotents are not a subalgebra, and
-other axiom failures go unnoticed, so callers check A1–A8 first.
+``boolean_skeleton`` and ``is_representable`` counts a polar as an ideal
+exactly when it is one of the ↓e.  Proof: the ⊕ of all members of I lies
+in I and bounds each one, so it is the maximum e of I, I = ↓e, and
+e ⊕ e ∈ I gives e ⊕ e = e; conversely x, y ≤ e gives x ⊕ y ≤ e ⊕ e = e.
+On other tables ``boolean_skeleton`` raises when the idempotents are not a
+subalgebra, and other axiom failures go unnoticed, so callers check A1–A8
+first.  Each call computes the difference tables left[x][y] = x ⊙ y⁻ and
+right[x][y] = y∼ ⊙ x once, with 2n² ⊙; the normal and prime flags and the
+quotient relation read them.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-from .core import AlgebraError, CheckResult, Domains, PseudoMV, run_rows
+from .core import AlgebraError, BackendMismatch, CheckResult, Domains, PseudoMV, run_rows
 from .finite import FinitePMV, FiniteTable
 from .roots import SquareRootMap, table_map, verify
 
@@ -71,13 +77,50 @@ class IdealHandle:
     is_proper: bool
 
 
-def _check_ideal(algebra: FinitePMV, members: frozenset) -> None:
-    """Raise :class:`NotAnIdeal`, with a witness, unless ``members`` is an ideal."""
+def _differences(algebra: FinitePMV) -> tuple[list, list]:
+    """The tables left[x][y] = x ⊙ y⁻ and right[x][y] = y∼ ⊙ x (2n² ⊙), indexed
+    by element value: ``FinitePMV.elements()`` is range(n)."""
+    xs = range(algebra.size)
+    return ([[algebra.odot(x, algebra.neg(y)) for y in xs] for x in xs],
+            [[algebra.odot(algebra.tilde(y), x) for y in xs] for x in xs])
+
+
+def _normal(members: frozenset, left: list, right: list) -> bool:
+    """x ⊙ y⁻ ∈ I ⟺ y∼ ⊙ x ∈ I for all x, y, read off the difference tables."""
+    return all((a in members) == (b in members)
+               for lrow, rrow in zip(left, right) for a, b in zip(lrow, rrow))
+
+
+def _handle(algebra: FinitePMV, members: frozenset, left: list, right: list) -> IdealHandle:
+    """The handle of an ideal known to be one, with its flags computed."""
+    xs = range(algebra.size)
+    return IdealHandle(
+        algebra=algebra,
+        members=members,
+        is_normal=_normal(members, left, right),
+        is_prime=all(left[x][y] in members or left[y][x] in members for x in xs for y in xs),
+        is_boolean_ideal=all(algebra.meet(x, algebra.tilde(x)) in members for x in xs),
+        is_proper=len(members) < algebra.size,
+    )
+
+
+def _down_sets(algebra: FinitePMV) -> list[frozenset]:
+    """↓e for each idempotent e, in the order of ``boolean_skeleton``: under
+    A1–A8 these are all the ideals (see the module docstring)."""
+    elems = list(algebra.elements())
+    return [frozenset(x for x in elems if algebra.leq(x, e)) for e in algebra.boolean_skeleton()]
+
+
+def classify_ideal(algebra: FinitePMV, subset) -> IdealHandle:
+    """Verify the ideal axioms, raising :class:`NotAnIdeal` with a witness,
+    and compute the normal / prime / Boolean flags for a subset of a finite
+    carrier."""
+    members = frozenset(subset)
     if not members:
         raise NotAnIdeal("an ideal is nonempty")
     for s in members:
         if not algebra.contains(s):
-            raise NotAnIdeal(f"{s!r} is not a carrier element", s)
+            raise NotAnIdeal(f"{s!r:.20} is not a carrier element", s)
     elems = list(algebra.elements())
     for s in members:
         for y in elems:
@@ -87,39 +130,7 @@ def _check_ideal(algebra: FinitePMV, members: frozenset) -> None:
         for b in members:
             if algebra.oplus(a, b) not in members:
                 raise NotAnIdeal("not closed under ⊕", (a, b))
-
-
-def _is_normal(algebra: FinitePMV, members: frozenset, elems: list) -> bool:
-    return all(
-        (algebra.odot(x, algebra.neg(y)) in members)
-        == (algebra.odot(algebra.tilde(y), x) in members)
-        for x in elems for y in elems
-    )
-
-
-def _handle(algebra: FinitePMV, members: frozenset) -> IdealHandle:
-    """The handle of an ideal known to be one, with its flags computed."""
-    elems = list(algebra.elements())
-    return IdealHandle(
-        algebra=algebra,
-        members=members,
-        is_normal=_is_normal(algebra, members, elems),
-        is_prime=all(
-            algebra.odot(x, algebra.neg(y)) in members
-            or algebra.odot(y, algebra.neg(x)) in members
-            for x in elems for y in elems
-        ),
-        is_boolean_ideal=all(algebra.meet(x, algebra.tilde(x)) in members for x in elems),
-        is_proper=len(members) < algebra.size,
-    )
-
-
-def classify_ideal(algebra: FinitePMV, subset) -> IdealHandle:
-    """Verify the ideal axioms and compute the normal / prime / Boolean
-    flags for a subset of a finite carrier."""
-    members = frozenset(subset)
-    _check_ideal(algebra, members)
-    return _handle(algebra, members)
+    return _handle(algebra, members, *_differences(algebra))
 
 
 def enumerate_ideals(algebra: FinitePMV) -> list[IdealHandle]:
@@ -127,9 +138,8 @@ def enumerate_ideals(algebra: FinitePMV) -> list[IdealHandle]:
     idempotent e, in the order of ``boolean_skeleton``."""
     if algebra.size > IDEAL_CEILING:
         raise ValueError(f"ideal enumeration ceiling is {IDEAL_CEILING} elements")
-    elems = list(algebra.elements())
-    return [_handle(algebra, frozenset(x for x in elems if algebra.leq(x, e)))
-            for e in algebra.boolean_skeleton()]
+    tables = _differences(algebra)
+    return [_handle(algebra, members, *tables) for members in _down_sets(algebra)]
 
 
 @dataclass
@@ -150,21 +160,15 @@ def quotient(algebra: FinitePMV, ideal: IdealHandle,
     if not ideal.is_normal:
         raise AlgebraError("quotients need a normal ideal")
     elems = list(algebra.elements())
+    left, _ = _differences(algebra)
 
     def equivalent(x, y):
-        return (algebra.odot(x, algebra.neg(y)) in ideal.members
-                and algebra.odot(y, algebra.neg(x)) in ideal.members)
+        return left[x][y] in ideal.members and left[y][x] in ideal.members
 
-    reps: list[int] = []
-    proj: list[int] = []
-    for x in elems:
-        for ci, rep in enumerate(reps):
-            if equivalent(x, rep):
-                proj.append(ci)
-                break
-        else:
-            proj.append(len(reps))
-            reps.append(x)
+    # ≈ is a congruence for a normal ideal: each class is named by its least member
+    least = [next(y for y in elems if equivalent(x, y)) for x in elems]
+    reps = sorted(set(least))
+    proj = [reps.index(r) for r in least]
 
     m = len(reps)
     table = FiniteTable(
@@ -182,11 +186,14 @@ def quotient(algebra: FinitePMV, ideal: IdealHandle,
     checks: dict[str, CheckResult] = {}
     induced = None
     if root is not None:
+        image = [root(x) for x in elems]
+        if not all(algebra.contains(v) for v in image):
+            raise BackendMismatch("the root leaves the carrier")
         congruent = Domains(algebra)
         congruent.pairs = [(x, y) for x in elems for y in elems if equivalent(x, y)]
         checks.update(run_rows(
-            (("congruence", "pairs", lambda d, x, y: equivalent(root(x), root(y))),), congruent))
-        induced = table_map(quot, {proj[x]: proj[root(x)] for x in elems})
+            (("congruence", "pairs", lambda d, x, y: equivalent(image[x], image[y])),), congruent))
+        induced = table_map(quot, {proj[x]: proj[image[x]] for x in elems})
         report = verify(quot, induced)
         checks["square"] = report.square
         checks["maximality"] = report.maximality
@@ -209,18 +216,16 @@ def is_r_invariant(algebra: FinitePMV, ideal: IdealHandle, root: SquareRootMap) 
 
 
 def is_representable(algebra: FinitePMV) -> bool:
-    """Every polar a⊥ = {x : x ∧ a = 0} must be a normal ideal; each
-    distinct polar is checked once."""
+    """Every polar a⊥ = {x : x ∧ a = 0} must be a normal ideal.  Like
+    ``enumerate_ideals`` this needs A1–A8: a polar is then an ideal exactly
+    when it is one of the ↓e, and its normality is read off the tables."""
     elems = list(algebra.elements())
-    zero = algebra.zero
-    polars = {frozenset(x for x in elems if algebra.eq(algebra.meet(x, a), zero))
+    polars = {frozenset(x for x in elems if algebra.eq(algebra.meet(x, a), algebra.zero))
               for a in elems}
-    for polar in polars:
-        try:
-            _check_ideal(algebra, polar)
-        except NotAnIdeal:
-            return False
-    return all(_is_normal(algebra, polar, elems) for polar in polars)
+    if not polars <= set(_down_sets(algebra)):
+        return False
+    left, right = _differences(algebra)
+    return all(_normal(polar, left, right) for polar in polars)
 
 
 def atoms(algebra: FinitePMV) -> list:
@@ -282,11 +287,9 @@ def strongly_atomless_scan(algebra: PseudoMV, budget: int | None = None,
     """Summarize witness existence over the probed nonzero elements.
 
     The pointwise criterion characterizes strong atomlessness only on
-    representable algebras; finite non-representable carriers report
-    ``criterion-inapplicable`` instead of guessing.
+    representable algebras; callers check that first (``analyze`` reports
+    ``criterion-inapplicable`` on a finite carrier that is not).
     """
-    if isinstance(algebra, FinitePMV) and not is_representable(algebra):
-        return {"status": "criterion-inapplicable"}
     domains = Domains(algebra, budget, seed, elements="atomless-scan")
     domains.elems = [x for x in domains.elems if not algebra.eq(x, algebra.zero)]
     res = run_rows((("witnessed", "elements", lambda d, x: strongly_atomless_witness(

@@ -263,12 +263,13 @@ def test_analyze_malformed_unit_exits_3(tmp_path, unit):
     {"catalogue": {"kind": "product", "params": {"a": 1}}},
     {"catalogue": {"kind": "interval", "params": {"a": 1}}},
     {"catalogue": {"kind": "chain", "params": "12"}},
+    {"catalogue": {"kind": "interval", "params": [BOOL2["catalogue"], int("9" * 4000)]}},
 ], ids=["group-number", "chain-negative", "chain-params-string",
         "interval-top-not-idempotent", "product-one-param", "product-600-deep",
         "finite-1500-brackets", "catalogue-above-depth-ceiling", "group-1200-deep",
         "q-unit-1e10000000", "semi-unit-1e400", "chain-param-1e400", "finite-n-1e400",
         "semi-unit-1e8", "semi-unit-4-1e8", "chain-params-object", "product-params-object",
-        "interval-params-object", "chain-params-digits"])
+        "interval-params-object", "chain-params-digits", "interval-top-4000-digits"])
 def test_analyze_malformed_spec_exits_3(tmp_path, payload):
     path = write(tmp_path, "bad.json", payload)
     proc = (run_process if payload in DEEP_SPECS else run_cli)("analyze", path)
@@ -439,6 +440,14 @@ def test_quotient_command(tmp_path):
     proc = run_cli("quotient", path, "--ideal", "0,3")
     assert proc.returncode == 1
     assert "not an ideal" in proc.stderr
+
+
+def test_quotient_non_element_echoes_a_prefix(tmp_path):
+    path = write(tmp_path, "c.json", CHAIN3)
+    proc = run_cli("quotient", path, "--ideal", "0," + "9" * 4000)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("not an ideal:")
+    assert len(proc.stderr.encode()) < 200
 
 
 def test_usage_error_exit_code():

@@ -392,6 +392,9 @@ def test_backend_mismatch_errors():
         c.oplus(1, 7)
     with pytest.raises(BackendMismatch):
         c.oplus(F(1, 2), 1)
+    for index in (True, -1, c.size):   # a bool is no index, nor is anything outside 0..n-1
+        with pytest.raises(BackendMismatch):
+            c.neg(index)
     d = pmv.gamma(pmv.DyadicGroup(), F(1))
     assert not d.contains(F(1, 3))  # 1/3 is not dyadic
     assert not d.contains(F(2))  # outside [0, 1]

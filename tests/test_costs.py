@@ -1,15 +1,21 @@
 """Cost gates that do not depend on the machine: group operations per Γ
-operation, root evaluations per check, and Fractions built through
-``Fraction.__new__``."""
+operation, root evaluations per check, Fractions built through
+``Fraction.__new__``, and ⊙ evaluations per finite ideal fact."""
 
 from __future__ import annotations
 
+import contextlib
+import io
+import json
 from fractions import Fraction as F
 
 import pytest
 
 import pseudomv as pmv
-from pseudomv.core import make_rng
+import pseudomv.cli as cli
+import pseudomv.ideals as ideals
+from pseudomv.core import PseudoMV, make_rng
+from pseudomv.finite import catalogue_closure
 from pseudomv.lgroups import LGroup
 from pseudomv.roots import custom_map
 
@@ -92,3 +98,34 @@ def test_gamma_operations_build_no_fraction_through_new(monkeypatch, group, unit
     for x, y in zip(points, points[1:] + points[:1]):
         m.oplus(x, y), m.neg(x), m.tilde(x), m.odot(x, y), m.leq(x, y), sym(x)
     assert len(calls) == 0
+
+
+def test_finite_ideal_facts_cost_in_odot(monkeypatch):
+    # the two difference tables take 2n² ⊙; the ↓e of the s idempotents
+    # take one ⊙ per ≤, the Boolean flags one per x ∧ x∼, the polars n²
+    algebras = catalogue_closure(12)
+    calls = []
+    odot = PseudoMV.odot
+    monkeypatch.setattr(PseudoMV, "odot", lambda self, x, y: calls.append(1) or odot(self, x, y))
+    for algebra in algebras:
+        n, s = algebra.size, len(algebra.boolean_skeleton())
+        calls.clear()
+        ideals.enumerate_ideals(algebra)
+        assert len(calls) <= 2 * n * n + 2 * s * n, algebra.name
+        calls.clear()
+        ideals.is_representable(algebra)
+        assert len(calls) <= 3 * n * n + s * n, algebra.name
+
+
+def test_analyze_checks_representability_once(monkeypatch, tmp_path):
+    calls = []
+    representable = ideals.is_representable
+    counted = lambda algebra: calls.append(algebra) or representable(algebra)
+    for module in (cli, ideals):
+        monkeypatch.setattr(module, "is_representable", counted)
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"catalogue": {"kind": "product", "params": [
+        {"kind": "boolean", "params": [1]}, {"kind": "chain", "params": [2]}]}}))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["analyze", str(path), "--samples", "40"]) == 0
+    assert len(calls) == 1

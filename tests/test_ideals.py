@@ -207,6 +207,22 @@ def test_quotient_by_everything_is_degenerate():
     assert res.algebra.is_degenerate
 
 
+def test_quotient_classes_match_congruence_definition():
+    # every normal ideal of every catalogue algebra up to the enumeration
+    # ceiling, as built and relabelled: the classes are those of
+    # x ≈ y ⟺ x ⊙ y⁻, y ⊙ x⁻ ∈ I, and there are |A| / |I| of them
+    for base in catalogue_closure(12):
+        for algebra in (base, relabelled(base, 0)):
+            elems = list(algebra.elements())
+            for h in enumerate_ideals(algebra):
+                assert h.is_normal, (algebra.name, h.members)
+                below = lambda x, y: algebra.odot(x, algebra.neg(y)) in h.members
+                classes = {tuple(y for y in elems if below(x, y) and below(y, x)) for x in elems}
+                q = quotient(algebra, h).algebra
+                assert set(q.labels) == classes, (algebra.name, h.members)
+                assert q.size * len(h.members) == algebra.size, (algebra.name, h.members)
+
+
 def test_quotient_requires_normality():
     # fabricate a handle with the flag forced off
     c = pmv.chain(2)
