@@ -63,7 +63,6 @@ from .roots import (
     dyadic_ladder,
     identity_map,
     induced_interval_algebra,
-    is_strict,
     iterate,
     power_check,
     product_map,

@@ -24,8 +24,9 @@ e ⊕ e ∈ I gives e ⊕ e = e; conversely x, y ≤ e gives x ⊕ y ≤ e ⊕ e
 On other tables ``boolean_skeleton`` raises when the idempotents are not a
 subalgebra, and other axiom failures go unnoticed, so callers check A1–A8
 first.  Each call computes the difference tables left[x][y] = x ⊙ y⁻ and
-right[x][y] = y∼ ⊙ x once, with 2n² ⊙; the normal and prime flags and the
-quotient relation read them.
+right[x][y] = y∼ ⊙ x once, with 2n² ⊙; the normal and prime flags read
+them.  ``quotient`` needs only x ⊙ y⁻ for its relation, so it builds that
+table alone, with n² ⊙.
 """
 
 from __future__ import annotations
@@ -69,7 +70,6 @@ class IdealHandle:
     test membership with ``x in handle.members``.  Under A1–A8 the members
     are ↓e for their maximum e, an idempotent (see the module docstring)."""
 
-    algebra: FinitePMV
     members: frozenset
     is_normal: bool
     is_prime: bool
@@ -95,7 +95,6 @@ def _handle(algebra: FinitePMV, members: frozenset, left: list, right: list) -> 
     """The handle of an ideal known to be one, with its flags computed."""
     xs = range(algebra.size)
     return IdealHandle(
-        algebra=algebra,
         members=members,
         is_normal=_normal(members, left, right),
         is_prime=all(left[x][y] in members or left[y][x] in members for x in xs for y in xs),
@@ -160,7 +159,8 @@ def quotient(algebra: FinitePMV, ideal: IdealHandle,
     if not ideal.is_normal:
         raise AlgebraError("quotients need a normal ideal")
     elems = list(algebra.elements())
-    left, _ = _differences(algebra)
+    # the relation reads only x ⊙ y⁻ (n² ⊙), indexed by element value like _differences
+    left = [[algebra.odot(x, algebra.neg(y)) for y in elems] for x in elems]
 
     def equivalent(x, y):
         return left[x][y] in ideal.members and left[y][x] in ideal.members

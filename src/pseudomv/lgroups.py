@@ -685,13 +685,6 @@ class _FloatPairGroup(LGroup):
             return False
         return d < -t or not a[1] - b[1] > t
 
-    def lt(self, a, b):
-        t = self.tolerance
-        d = a[0] - b[0]
-        if d > t:
-            return False
-        return d < -t or a[1] - b[1] < -t
-
     def join(self, a, b):
         t = self.tolerance
         d = a[0] - b[0]

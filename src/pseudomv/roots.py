@@ -62,7 +62,6 @@ __all__ = [
     "closed_form",
     "detect_square_root",
     "verify",
-    "is_strict",
     "boolean_witness",
     "decompose",
     "induced_interval_algebra",
@@ -138,16 +137,19 @@ def closed_form(algebra: GammaPMV, variant: str, witness: Any = None) -> SquareR
 
     * ``"sym"``  — r(x) = (x + u)/2; needs halving and u/2 central.
     * ``"weak"`` — r(x) = ((x − u)/2) + u; needs halving only.
-    * ``"mixed"``— r(x) = (x ∧ w) ∨ ((x ∧ w⁻) + w⁻)/2 for an idempotent w.
+    * ``"mixed"``— r(x) = (x ∧ w) ∨ ((x ∧ w⁻) + w⁻)/2 for an idempotent w;
+      halves only the strict factor, so u need not be halvable (as on
+      Γ(prod(Z, D), (1, 1)) with w = (1, 0)).
 
     Results stay inside [0, u]; nothing is clamped.
     """
     if not isinstance(algebra, GammaPMV):
         raise UnsupportedBackend("closed forms need a group-interval backend")
     group, unit = algebra.group, algebra.unit
-    half_unit = group.halve(unit)
-    if half_unit is None:
-        raise HalvingUnavailable(f"{group.dsl} cannot halve the unit")
+    if variant in ("sym", "weak"):
+        half_unit = group.halve(unit)
+        if half_unit is None:
+            raise HalvingUnavailable(f"{group.dsl} cannot halve the unit")
 
     def halve_or_raise(g):
         h = group.halve(g)
@@ -227,7 +229,8 @@ def detect_square_root(algebra: PseudoMV) -> tuple[SquareRootMap | None, str]:
 
 @dataclass
 class SquareRootReport:
-    """Verdicts for the four defining laws plus the derived classification."""
+    """Verdicts for the four defining laws plus the derived classification;
+    ``strict`` is r(0) = r(0)⁻."""
 
     square: CheckResult
     maximality: CheckResult
@@ -392,16 +395,6 @@ def verify(algebra: PseudoMV, root: SquareRootMap, budget: int | None = None,
         classification=classification,
         residuum_cross=res["residuum_cross"] if square.passed and maximality.passed else None,
     )
-
-
-def is_strict(algebra: PseudoMV, root: SquareRootMap) -> bool:
-    """r(0) = r(0)⁻, cross-checked against r(0) = r(0)∼."""
-    r0 = root(algebra.zero)
-    primary = algebra.eq(r0, algebra.neg(r0))
-    secondary = algebra.eq(r0, algebra.tilde(r0))
-    if primary != secondary:
-        raise AlgebraError("strictness disagrees between the two negations")
-    return primary
 
 
 def boolean_witness(algebra: PseudoMV, root: SquareRootMap) -> Any:

@@ -1,16 +1,20 @@
 """What the benchmark under ``bench/`` uses of the library: the set-up
-call that loads an input file, and the functions and methods its tracer
-wraps by name."""
+call that loads an input file, the functions and methods its tracer wraps
+by name, and the gate its run applies to the first cycle of each
+workload."""
 
 from __future__ import annotations
 
+import contextlib
 import importlib
 import importlib.util
+import io
 import json
 import subprocess
 import sys
 from pathlib import Path
 
+import pseudomv.cli as cli
 from pseudomv.cli import load_algebra
 from pseudomv.core import SamplerConfig
 
@@ -58,3 +62,45 @@ def test_traced_owners_resolve():
             assert meth in vars(getattr(module, cls_name)), owner
         else:
             assert callable(getattr(module, attr)), owner
+
+
+def _load_bench(monkeypatch, name):
+    """``bench/<name>.py`` as a module, registered in ``sys.modules`` before it
+    runs: a dataclass looks its own module up there."""
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _run(op):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(op.argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_first_cycle_passes_the_benchmark_gate(monkeypatch, tmp_path):
+    # the gate of bench/run.py: every op gets a right verdict, and the first
+    # op, run again after the loop, repeats its exit code and stdout
+    monkeypatch.delenv("PMV_SEED", raising=False)
+    workloads = _load_bench(monkeypatch, "workloads")
+    for name in workloads.WORKLOADS:
+        ops = workloads.Workload(name, 1, tmp_path).cycle(0)
+        first = _run(ops[0])
+        for op in ops:
+            code, out, err = _run(op)
+            assert op.judge(code, out, err) in (workloads.OK, workloads.KNOWN_RED), (
+                name, op.template, op.argv, code, err)
+        assert _run(ops[0])[:2] == first[:2], name
+
+
+def test_tracer_installs_and_undoes_in_a_fresh_interpreter():
+    snippet = ("import sys\n"
+               "sys.path.insert(0, sys.argv[1])\n"
+               "from tracing import Tracer\n"
+               "Tracer().install()()\n")
+    proc = subprocess.run([sys.executable, "-c", snippet, str(BENCH)],
+                          capture_output=True, text=True, check=False)
+    assert proc.returncode == 0, proc.stderr

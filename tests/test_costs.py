@@ -102,7 +102,8 @@ def test_gamma_operations_build_no_fraction_through_new(monkeypatch, group, unit
 
 def test_finite_ideal_facts_cost_in_odot(monkeypatch):
     # the two difference tables take 2n² ⊙; the ↓e of the s idempotents
-    # take one ⊙ per ≤, the Boolean flags one per x ∧ x∼, the polars n²
+    # take one ⊙ per ≤, the Boolean flags one per x ∧ x∼, the polars n²;
+    # a quotient needs only the first table
     algebras = catalogue_closure(12)
     calls = []
     odot = PseudoMV.odot
@@ -110,11 +111,16 @@ def test_finite_ideal_facts_cost_in_odot(monkeypatch):
     for algebra in algebras:
         n, s = algebra.size, len(algebra.boolean_skeleton())
         calls.clear()
-        ideals.enumerate_ideals(algebra)
+        handles = ideals.enumerate_ideals(algebra)
         assert len(calls) <= 2 * n * n + 2 * s * n, algebra.name
         calls.clear()
         ideals.is_representable(algebra)
         assert len(calls) <= 3 * n * n + s * n, algebra.name
+        proper = [h for h in handles if h.is_normal and h.is_proper]
+        if proper:
+            calls.clear()
+            ideals.quotient(algebra, proper[0])
+            assert len(calls) <= n * n, algebra.name
 
 
 def test_analyze_checks_representability_once(monkeypatch, tmp_path):

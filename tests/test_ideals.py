@@ -323,6 +323,19 @@ def test_atom_of_a_chain_has_no_witness():
         strongly_atomless_witness(pmv.chain(2), 0)
 
 
+def test_sampled_witness_search():
+    # no root and no enumeration: seeded samples meet-projected below x
+    q = pmv.gamma(pmv.RationalGroup(), F(1))
+    x = F(1)
+    y, value = strongly_atomless_witness(q, x)
+    assert F(0) < y < x
+    assert value == min(y, max(x - y, F(0))) != F(0)     # y ∧ (x ⊙ y⁻) on [0, 1]
+    # Γ(ℤ ×lex ℤ, (1, 0)) is not enumerable: its atom (0, 1) has no witness, (0, 2) has one
+    lex = pmv.gamma(pmv.LexProduct(pmv.IntegerGroup(), pmv.IntegerGroup()), (1, 0))
+    assert strongly_atomless_witness(lex, (0, 1)) is None
+    assert strongly_atomless_witness(lex, (0, 2)) == ((0, 1), (0, 1))
+
+
 def test_scan_statuses():
     d = dyadic_unit()
     root = closed_form(d, "sym")

@@ -134,6 +134,22 @@ def test_mixed_form_splits_along_an_idempotent():
         pmv.closed_form(d, "mixed", witness=F(1, 2))
 
 
+def test_mixed_form_on_an_unhalvable_unit():
+    # Γ(ℤ × D, (1, 1)) is 2 × [0, 1]_D: u cannot be halved, yet the mixed form
+    # along w = (1, 0) is the Boolean × strict root, r(0) = (0, 1/2)
+    m = pmv.gamma(pmv.DirectProductGroup(pmv.IntegerGroup(), pmv.DyadicGroup()), (1, F(1)))
+    root = pmv.closed_form(m, "mixed", witness=(1, F(0)))
+    rep = pmv.verify(m, root, budget=200)
+    assert rep.classification == "product"
+    assert rep.r0 == (0, F(1, 2)) and rep.witness_idempotent == (1, F(0))
+    dec = pmv.decompose(m, root, budget=200)
+    assert dec.classification == "product"
+    assert dec.all_pass, {k: v.passed for k, v in dec.checks.items()}
+    props = square_root_properties(m, root, budget=200)
+    assert len(props) == 19
+    assert all(res != SKIPPED and res.passed for res in props.values()), props
+
+
 def test_detect_square_root():
     root, how = pmv.detect_square_root(pmv.boolean(2))
     assert how == "brute-force" and root.kind == "table"
@@ -161,11 +177,13 @@ def test_weak_roots_are_unique():
 
 def test_is_strict():
     d = dyadic_unit()
-    assert pmv.is_strict(d, pmv.closed_form(d, "sym"))
+    assert pmv.verify(d, pmv.closed_form(d, "sym"), budget=50).strict
     b = pmv.boolean(2)
-    assert not pmv.is_strict(b, pmv.identity_map(b))
+    assert not pmv.verify(b, pmv.identity_map(b), budget=50).strict
     scaling, root = scaling_action_algebra()
-    assert pmv.is_strict(scaling, root)
+    assert pmv.verify(scaling, root, budget=50).strict
+    r0 = root(scaling.zero)     # strict through ∼ as well as through ⁻
+    assert scaling.eq(r0, scaling.tilde(r0))
     assert scaling.eq(root((1.0, 0.0)), (2 ** 0.5, 0.0))
 
 
@@ -516,7 +534,7 @@ def test_strict_roots_halve_through_the_negations():
 def test_strict_root_forces_symmetry_and_halvability():
     for algebra in (dyadic_unit(), lex_heis()):
         root = pmv.closed_form(algebra, "sym")
-        assert pmv.is_strict(algebra, root)
+        assert pmv.verify(algebra, root, budget=50).strict
         rng = make_rng(7, "sym-consequences")
         for _ in range(100):
             x = algebra.sample(rng)
