@@ -17,8 +17,7 @@ rationals ``p/q`` or flat tuples ``(a, b, ...)``.
 Reports are byte-stable for a fixed (input, flags, seed, version): keys are
 sorted, rationals render as ``p/q``, floats with 12 significant digits.
 Exit codes: 0 clean, 1 analysis found a violation, 2 axiom failure,
-3 parse/usage error.  The environment variable ``PMV_SEED`` overrides
-``--seed``.
+3 parse/usage error.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import re
 import sys
 from fractions import Fraction
@@ -102,6 +100,9 @@ EXIT_PARSE = 3
 #: The largest ``--samples``: a run allocates and takes time in proportion
 #: to it (50,000 samples on ``D`` take about 20 s).
 SAMPLES_CEILING = 100_000
+
+#: The default ``--tolerance``, and the one ``quotient`` loads its table with.
+TOLERANCE_DEFAULT = 1e-9
 
 #: How many characters of a malformed group expression or literal an
 #: error message echoes.
@@ -271,8 +272,8 @@ def _check_float_unit(coordinates: list[float], tolerance: float) -> None:
             f"--tolerance {tolerance:.6g} sets for float units")
 
 
-def _check_table_size(size: int, what: str) -> None:
-    if size > TABLE_CEILING:
+def _check_table_size(size: int | None, what: str) -> None:
+    if size is not None and size > TABLE_CEILING:
         raise SpecFileError(f"{what} needs more than {TABLE_CEILING} elements, "
                             "the ceiling for finite tables")
 
@@ -313,10 +314,10 @@ def load_algebra(path: str, sampler: SamplerConfig, tolerance: float) -> PseudoM
             unit = parse_element_literal(group, spec["unit"])
             if not group.exact:
                 _check_float_unit(group.flatten(unit), tolerance)
+            _check_table_size(group.interval_size(unit),
+                              f"gamma interval [0, {group.format_element(unit)}]")
             return gamma(group, unit, sampler)
-        except (KeyError, TypeError) as exc:
-            raise SpecFileError(f"bad gamma spec: {exc}") from exc
-        except AlgebraError as exc:
+        except (KeyError, TypeError, AlgebraError) as exc:
             raise SpecFileError(f"bad gamma spec: {exc}") from exc
     if "catalogue" in data:
         try:
@@ -397,25 +398,14 @@ def render_numeric_witness(w: NumericWitness) -> dict:
 # commands
 # ----------------------------------------------------------------------
 
-def _resolve_seed(args: argparse.Namespace) -> int:
-    env = os.environ.get("PMV_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise SpecFileError(f"PMV_SEED must be an integer, got {env!r}")
-    return args.seed
-
-
 def cmd_analyze(args: argparse.Namespace) -> int:
-    seed = _resolve_seed(args)
-    sampler = SamplerConfig(seed=seed, sample_count=args.samples)
+    sampler = SamplerConfig(seed=args.seed, sample_count=args.samples)
     algebra = load_algebra(args.path, sampler, args.tolerance)
 
-    ax = algebra.check_axioms(budget=args.samples, seed=seed)
+    ax = algebra.check_axioms(budget=args.samples, seed=args.seed)
     report: dict[str, Any] = {
         "version": __version__,
-        "seed": seed,
+        "seed": args.seed,
         "samples": args.samples,
         "tolerance": format(args.tolerance, ".12g"),
         "algebra": algebra.describe(),
@@ -426,7 +416,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         sys.stdout.write(canonical_json(report))
         return EXIT_AXIOMS
 
-    report["algebra"]["symmetric"] = algebra.symmetry_check(args.samples, seed).passed
+    report["algebra"]["symmetric"] = algebra.symmetry_check(args.samples, args.seed).passed
     if isinstance(algebra, FinitePMV):
         report["algebra"]["representable"] = is_representable(algebra)
         report["algebra"]["boolean_skeleton_size"] = len(algebra.boolean_skeleton())
@@ -437,15 +427,15 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     sqrt_section: dict[str, Any] = {"construction": how, "found": root is not None}
     if root is not None:
         sqrt_section["kind"] = root.kind
-        rep = verify(algebra, root, budget=args.samples, seed=seed)
+        rep = verify(algebra, root, budget=args.samples, seed=args.seed)
         sqrt_section.update(render_root_report(algebra, rep))
         if rep.is_square_root:
-            dec = decompose(algebra, root, budget=args.samples, seed=seed)
+            dec = decompose(algebra, root, budget=args.samples, seed=args.seed)
             report["decomposition"] = render_decomposition(algebra, dec)
         else:
             report["decomposition"] = {"classification": rep.classification}
         props = square_root_properties(
-            algebra, root, budget=min(args.samples, 400), seed=seed,
+            algebra, root, budget=min(args.samples, 400), seed=args.seed,
             negation_compat=rep.negation_compat.passed)
         report["properties"] = {
             name: (SKIPPED if res == SKIPPED else ("pass" if res.passed else "fail"))
@@ -459,7 +449,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     if isinstance(algebra, FinitePMV) and algebra.size <= IDEAL_CEILING:
         handles = enumerate_ideals(algebra)
         atomless = (strongly_atomless_scan(algebra, budget=args.samples, root=root,
-                                           seed=seed)["status"]
+                                           seed=args.seed)["status"]
                     if report["algebra"]["representable"] else "criterion-inapplicable")
         report["ideals"] = {
             "count": len(handles),
@@ -492,7 +482,6 @@ def cmd_search(args: argparse.Namespace) -> int:
 
 
 def cmd_counterexamples(args: argparse.Namespace) -> int:
-    seed = _resolve_seed(args)
     # the rule analyze applies to a float unit: its rounding error stays
     # below --tolerance, and it stays strictly above 0 at that tolerance
     for make, unit in COUNTEREXAMPLE_UNITS.values():
@@ -503,9 +492,9 @@ def cmd_counterexamples(args: argparse.Namespace) -> int:
         except AlgebraError as exc:
             raise SpecFileError(f"--tolerance {args.tolerance:.6g} is too wide for the "
                                 f"{group.dsl} unit {group.format_element(unit)}: {exc}") from exc
-    scaling = scaling_action_verdicts(budget=args.samples, seed=seed,
+    scaling = scaling_action_verdicts(budget=args.samples, seed=args.seed,
                                       tolerance=args.tolerance)
-    expo = exp_action_verdicts(budget=args.samples, seed=seed,
+    expo = exp_action_verdicts(budget=args.samples, seed=args.seed,
                                tolerance=args.tolerance)
 
     def root_summary(rep: SquareRootReport) -> dict:
@@ -520,7 +509,7 @@ def cmd_counterexamples(args: argparse.Namespace) -> int:
 
     report = {
         "version": __version__,
-        "seed": seed,
+        "seed": args.seed,
         "samples": args.samples,
         "tolerance": format(args.tolerance, ".12g"),
         "scaling_action": {
@@ -551,9 +540,8 @@ def cmd_counterexamples(args: argparse.Namespace) -> int:
 
 
 def cmd_ladder(args: argparse.Namespace) -> int:
-    seed = _resolve_seed(args)
-    sampler = SamplerConfig(seed=seed, sample_count=args.samples)
-    algebra = load_algebra(args.path, sampler, args.tolerance)
+    # the seed picks the points detect_square_root probes; nothing samples more
+    algebra = load_algebra(args.path, SamplerConfig(seed=args.seed), args.tolerance)
     if not isinstance(algebra, GammaPMV):
         raise SpecFileError("the ladder needs a gamma-backed algebra")
     root, how = detect_square_root(algebra)
@@ -563,7 +551,7 @@ def cmd_ladder(args: argparse.Namespace) -> int:
     rungs = dyadic_ladder(algebra, root, args.depth)
     report = {
         "version": __version__,
-        "seed": seed,
+        "seed": args.seed,
         "algebra": algebra.describe(),
         "construction": how,
         "depth": args.depth,
@@ -574,9 +562,8 @@ def cmd_ladder(args: argparse.Namespace) -> int:
 
 
 def cmd_quotient(args: argparse.Namespace) -> int:
-    seed = _resolve_seed(args)
-    sampler = SamplerConfig(seed=seed, sample_count=args.samples)
-    algebra = load_algebra(args.path, sampler, args.tolerance)
+    # a table is enumerable and holds no float: --seed is only reported
+    algebra = load_algebra(args.path, SamplerConfig(), TOLERANCE_DEFAULT)
     if not isinstance(algebra, FinitePMV):
         raise SpecFileError("quotients need a finite algebra")
     ax = algebra.check_axioms()
@@ -599,7 +586,7 @@ def cmd_quotient(args: argparse.Namespace) -> int:
     result = quotient(algebra, handle, root)
     report = {
         "version": __version__,
-        "seed": seed,
+        "seed": args.seed,
         "algebra": algebra.describe(),
         "ideal": {
             "members": sorted(handle.members),
@@ -654,14 +641,16 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def options(p, samples=True, tolerance=True):
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--samples", type=_int_between(1, SAMPLES_CEILING), default=2000)
-        p.add_argument("--tolerance", type=_tolerance, default=1e-9)
+        if samples:
+            p.add_argument("--samples", type=_int_between(1, SAMPLES_CEILING), default=2000)
+        if tolerance:
+            p.add_argument("--tolerance", type=_tolerance, default=TOLERANCE_DEFAULT)
 
     p = sub.add_parser("analyze", help="full analysis of one algebra file")
     p.add_argument("path")
-    common(p)
+    options(p)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("search", help="finite catalogue search: weak root ⇔ Boolean")
@@ -670,20 +659,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("counterexamples",
                        help="verdicts for the two numeric weak-root algebras")
-    common(p)
+    options(p)
     p.set_defaults(func=cmd_counterexamples)
 
     p = sub.add_parser("ladder", help="halving ladder u/2, u/4, ... on a gamma algebra")
     p.add_argument("path")
     p.add_argument("--depth", type=_int_between(1, MAX_LADDER_DEPTH), default=10)
-    common(p)
+    options(p, samples=False)
     p.set_defaults(func=cmd_ladder)
 
     p = sub.add_parser("quotient", help="quotient a finite algebra by a normal ideal")
     p.add_argument("path")
     p.add_argument("--ideal", required=True,
                    help="comma-separated element indices, e.g. '0,1'")
-    common(p)
+    options(p, samples=False, tolerance=False)
     p.set_defaults(func=cmd_quotient)
     return parser
 

@@ -233,19 +233,14 @@ def tabulate(algebra: PseudoMV, name: str | None = None) -> FinitePMV:
     """Materialize any enumerable algebra as an index table, keeping the
     original elements as labels."""
     elems = list(algebra.elements())
-    index: dict[Any, int] = {}
-    for i, e in enumerate(elems):
-        index[e] = i
+    # every enumerable carrier has hashable elements whose eq is ==
+    index = {e: i for i, e in enumerate(elems)}
 
     def find(v) -> int:
         try:
             return index[v]
-        except (KeyError, TypeError):
-            pass
-        for e, i in index.items():
-            if algebra.eq(e, v):
-                return i
-        raise AlgebraError(f"operation escaped the carrier at {v!r}")
+        except KeyError:
+            raise AlgebraError(f"operation escaped the carrier at {v!r}") from None
     table = FiniteTable(
         n=len(elems),
         oplus=tuple(tuple(find(algebra.oplus(a, b)) for b in elems) for a in elems),

@@ -135,8 +135,6 @@ def classify_ideal(algebra: FinitePMV, subset) -> IdealHandle:
 def enumerate_ideals(algebra: FinitePMV) -> list[IdealHandle]:
     """All ideals of a small finite algebra satisfying A1–A8: ↓e for each
     idempotent e, in the order of ``boolean_skeleton``."""
-    if algebra.size > IDEAL_CEILING:
-        raise ValueError(f"ideal enumeration ceiling is {IDEAL_CEILING} elements")
     tables = _differences(algebra)
     return [_handle(algebra, members, *tables) for members in _down_sets(algebra)]
 
@@ -201,7 +199,7 @@ def quotient(algebra: FinitePMV, ideal: IdealHandle,
     return QuotientResult(quot, induced, checks)
 
 
-def is_r_invariant(algebra: FinitePMV, ideal: IdealHandle, root: SquareRootMap) -> bool:
+def is_r_invariant(ideal: IdealHandle, root: SquareRootMap) -> bool:
     """Whether r maps the ideal into itself.
 
     For normal ideals this must agree with the Boolean-ideal flag; a

@@ -252,8 +252,8 @@ class LGroup(ABC):
         x = self.random_element(rng)
         return self.meet(self.join(x, self.zero()), unit)
 
-    def enumerate_interval(self, hi: Any) -> list | None:
-        """The whole interval [0, hi] when finite and enumerable, else None."""
+    def interval_size(self, hi: Any) -> int | None:
+        """The size of [0, hi] if ``enumerate_interval`` lists it, else None."""
         return None
 
     def flatten(self, a: Any) -> list:
@@ -319,6 +319,9 @@ class IntegerGroup(LGroup):
 
     def sample_interval(self, rng, unit):
         return rng.randint(0, unit)
+
+    def interval_size(self, hi):
+        return max(hi + 1, 0)
 
     def enumerate_interval(self, hi):
         return list(range(hi + 1))
@@ -629,12 +632,13 @@ class DirectProductGroup(_PairGroup):
         return (self.first.sample_interval(rng, unit[0]),
                 self.second.sample_interval(rng, unit[1]))
 
+    def interval_size(self, hi):
+        sizes = (self.first.interval_size(hi[0]), self.second.interval_size(hi[1]))
+        return None if None in sizes else sizes[0] * sizes[1]
+
     def enumerate_interval(self, hi):
-        ls = self.first.enumerate_interval(hi[0])
         rs = self.second.enumerate_interval(hi[1])
-        if ls is None or rs is None:
-            return None
-        return [(a, b) for a in ls for b in rs]
+        return [(a, b) for a in self.first.enumerate_interval(hi[0]) for b in rs]
 
 
 # ----------------------------------------------------------------------
@@ -802,7 +806,8 @@ class GammaPMV(PseudoMV):
         self.group = group
         self.unit = unit
         self._zero = group.zero()
-        self._interval = group.enumerate_interval(unit)
+        size = group.interval_size(unit)
+        self._interval = None if size is None else group.enumerate_interval(unit)
 
     @property
     def zero(self):

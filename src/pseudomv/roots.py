@@ -44,7 +44,7 @@ from .core import (
     run_rows,
 )
 from .finite import FinitePMV, brute_force_weak_sqrt
-from .lgroups import GammaPMV
+from .lgroups import DirectProductGroup, GammaPMV
 
 __all__ = [
     "SquareRootMap",
@@ -197,30 +197,42 @@ def _evaluable_everywhere(algebra: PseudoMV, root: SquareRootMap) -> bool:
 
 
 def detect_square_root(algebra: PseudoMV) -> tuple[SquareRootMap | None, str]:
-    """Best-effort root construction: brute force on tables, closed forms
-    on group intervals.  Returns (map or None, how)."""
+    """Best-effort root construction: brute force on tables.  On Γ(G, u), the
+    sym closed form if u/2 is central, else the weak one: with u central, x + u
+    halves exactly when x − u does.  If u does not halve and G is prod(G1, G2),
+    the mixed form along (u1, 0) or (0, u2).  Returns (map or None, how)."""
     if isinstance(algebra, FinitePMV):
         search = brute_force_weak_sqrt(algebra)
         if search.found:
             return table_map(algebra, search.mapping), "brute-force"
         return None, f"none ({search.verdict} at x={algebra.format_element(search.failing)})"
     if isinstance(algebra, GammaPMV):
-        candidates = []
         try:
-            candidates.append((closed_form(algebra, "sym"), "closed-form-sym"))
+            root = closed_form(algebra, "sym")
         except NotCentral:
-            pass
+            root = closed_form(algebra, "weak")
         except HalvingUnavailable as exc:
+            for witness in _mixed_witnesses(algebra):
+                root = closed_form(algebra, "mixed", witness)
+                if _evaluable_everywhere(algebra, root):
+                    return root, "closed-form-mixed"
             return None, f"none ({exc})"
-        try:
-            candidates.append((closed_form(algebra, "weak"), "closed-form-weak"))
-        except HalvingUnavailable as exc:
-            return None, f"none ({exc})"
-        for root, how in candidates:
-            if _evaluable_everywhere(algebra, root):
-                return root, how
+        if _evaluable_everywhere(algebra, root):
+            return root, root.kind
         return None, "none (halving misses probed points)"
     return None, "none (no detection rule for this backend)"
+
+
+def _mixed_witnesses(algebra: GammaPMV):
+    """(u1, 0), then (0, u2), on Γ(prod(G1, G2), (u1, u2)): each is an
+    idempotent when its factor's [0, uᵢ] is {0, uᵢ}."""
+    group = algebra.group
+    if isinstance(group, DirectProductGroup):
+        u1, u2 = algebra.unit
+        if group.first.interval_size(u1) == 2:
+            yield u1, group.second.zero()
+        if group.second.interval_size(u2) == 2:
+            yield group.first.zero(), u2
 
 
 # ----------------------------------------------------------------------
@@ -591,7 +603,7 @@ def induced_interval_algebra(algebra: PseudoMV, root: SquareRootMap,
 MAX_LADDER_DEPTH = 20
 
 
-def iterate(algebra: PseudoMV, root: SquareRootMap, x: Any, m: int) -> Any:
+def iterate(root: SquareRootMap, x: Any, m: int) -> Any:
     if m < 0:
         raise ValueError("iterate count must be nonnegative")
     for _ in range(m):
@@ -610,8 +622,8 @@ def power_check(algebra: PseudoMV, root: SquareRootMap, x: Any, m: int, n: int) 
     """(rᵐ(x)) to the ⊙-power 2ⁿ equals r^(m−n)(x)."""
     if n > m:
         raise ValueError("power exponent must not exceed the iterate depth")
-    lhs = odot_power(algebra, iterate(algebra, root, x, m), n)
-    return algebra.eq(lhs, iterate(algebra, root, x, m - n))
+    lhs = odot_power(algebra, iterate(root, x, m), n)
+    return algebra.eq(lhs, iterate(root, x, m - n))
 
 
 def dyadic_ladder(algebra: GammaPMV, root: SquareRootMap, depth: int) -> list:

@@ -295,7 +295,7 @@ def test_criterion_09_quotients():
             quotients += 1
             ok &= res.algebra.check_axioms().all_pass
             if root is not None:
-                ok &= is_r_invariant(algebra, h, root) == h.is_boolean_ideal
+                ok &= is_r_invariant(h, root) == h.is_boolean_ideal
                 equivalences += 1
                 ok &= all(c.passed for c in res.checks.values())
     assert report(9, "quotients and root invariance", ok,

@@ -84,7 +84,6 @@ def _run(op):
 def test_first_cycle_passes_the_benchmark_gate(monkeypatch, tmp_path):
     # the gate of bench/run.py: every op gets a right verdict, and the first
     # op, run again after the loop, repeats its exit code and stdout
-    monkeypatch.delenv("PMV_SEED", raising=False)
     workloads = _load_bench(monkeypatch, "workloads")
     for name in workloads.WORKLOADS:
         ops = workloads.Workload(name, 1, tmp_path).cycle(0)

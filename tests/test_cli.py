@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import json
@@ -11,7 +12,6 @@ import sys
 import tempfile
 from fractions import Fraction as F
 from pathlib import Path
-from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -33,29 +33,21 @@ from pseudomv.finite import CATALOGUE_DEPTH_CEILING, TABLE_CEILING
 
 
 def run_cli(*args):
-    """``main`` on ``args``, in process, reported as a finished process;
-    ``PMV_SEED`` is unset while it runs."""
+    """``main`` on ``args``, in process, reported as a finished process."""
     out, err = io.StringIO(), io.StringIO()
-    with mock.patch.dict(os.environ), contextlib.redirect_stdout(out), \
-            contextlib.redirect_stderr(err):
-        os.environ.pop("PMV_SEED", None)
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(list(args))
     return subprocess.CompletedProcess(args, code, out.getvalue(), err.getvalue())
 
 
-def run_process(*args, env_extra=None):
+def run_process(*args):
     """``python -m pseudomv.cli`` on ``args``, for what only a fresh
-    interpreter shows: the environment, the entry point, determinism
-    across processes and recursion limits."""
-    env = dict(os.environ)
-    env.pop("PMV_SEED", None)
-    if env_extra:
-        env.update(env_extra)
+    interpreter shows: the entry point, determinism across processes and
+    recursion limits."""
     return subprocess.run(
         [sys.executable, "-m", "pseudomv.cli", *args],
         capture_output=True,
         text=True,
-        env=env,
         check=False,
     )
 
@@ -223,15 +215,37 @@ def test_analyze_parse_error_exits_3(tmp_path):
     assert proc.returncode == 3 and proc.stderr.startswith("error:")
 
 
-@pytest.mark.parametrize("group, unit", [("Z", "2"), ("Z", "3"), ("lex(Z,Z)", "(3,1)")])
+@pytest.mark.parametrize("group, unit", [("Z", "2"), ("Z", "3"), ("lex(Z,Z)", "(3,1)"),
+                                         ("prod(Z,Z)", "(1,1)"), ("prod(Z,D)", "(2,1)"),
+                                         ("prod(Z,D)", "(3,1)")])
 def test_analyze_integer_units(tmp_path, group, unit):
-    # Z halves no odd unit, and no point of Γ(Z, 2) between the bounds
+    # Z halves no odd unit, and no point of Γ(Z, 2) between the bounds; a
+    # mixed form needs a factor that halves beside a Z factor with unit 1
     path = write(tmp_path, "z.json", {"gamma": {"group": group, "unit": unit}})
     proc = run_cli("analyze", path, "--samples", "40")
     assert proc.returncode == 0, proc.stderr
     payload = json.loads(proc.stdout)
     assert payload["axioms"]["all_pass"] is True
     assert payload["sqrt"]["found"] is False
+
+
+@pytest.mark.parametrize("group, r0, witness", [("prod(Z,D)", "(0, 1/2)", "(1, 0)"),
+                                                 ("prod(D,Z)", "(1/2, 0)", "(0, 1)")])
+def test_analyze_finds_the_mixed_root(tmp_path, group, r0, witness):
+    # the unit (1, 1) cannot be halved, but [0, 1] in Z is {0, 1}: the mixed
+    # form splits off that Boolean factor and halves the other one
+    path = write(tmp_path, "m.json", {"gamma": {"group": group, "unit": "(1,1)"}})
+    proc = run_cli("analyze", path, "--samples", "100")
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    sqrt = report["sqrt"]
+    assert sqrt["construction"] == "closed-form-mixed" and sqrt["found"] is True
+    assert sqrt["kind"] == "mixed" and sqrt["classification"] == "product"
+    assert sqrt["r0"] == r0 and sqrt["boolean_witness"] == witness
+    dec = report["decomposition"]
+    assert dec["classification"] == "product" and dec["witness"] == witness
+    assert dec["boolean_part"]["top"] == witness
+    assert all(check["passed"] for check in dec["checks"].values())
 
 
 @pytest.mark.parametrize("unit", ["()", 1])
@@ -347,6 +361,25 @@ def test_table_size_ceiling(tmp_path, payload, code):
         assert proc.stderr.startswith("error:") and "ceiling" in proc.stderr
 
 
+@pytest.mark.parametrize("group, unit, code", [
+    ("Z", "63", 0),
+    ("Z", "64", 3),
+    ("prod(Z,Z)", "(8,8)", 3),
+    ("prod(Z,D)", "(1000000001,1)", 0),
+], ids=["Z-at-ceiling", "Z-above", "prod-above", "prod-with-unlisted-factor"])
+def test_enumerable_gamma_ceiling(tmp_path, group, unit, code):
+    # Γ lists [0, u] as it is built when the group can, and every check on it
+    # is then exhaustive; its size is read off u first.  A product with a
+    # factor it cannot list lists nothing, however large the other factor.
+    path = write(tmp_path, "g.json", {"gamma": {"group": group, "unit": unit}})
+    proc = run_cli("analyze", path, "--samples", "20")
+    assert proc.returncode == code, proc.stderr
+    if code == 3:
+        assert proc.stderr.startswith("error:") and "ceiling" in proc.stderr
+    else:
+        assert json.loads(proc.stdout)["axioms"]["exhaustive"] is (group == "Z")
+
+
 def test_analyze_is_deterministic(tmp_path):
     path = write(tmp_path, "lh.json", GAMMA_LEXHEIS)
     a = run_process("analyze", path, "--seed", "42", "--samples", "150")
@@ -358,11 +391,12 @@ def test_analyze_is_deterministic(tmp_path):
     assert json.loads(c.stdout)["seed"] == 43
 
 
-def test_env_seed_overrides_flag(tmp_path):
+def test_environment_seed_changes_nothing(tmp_path, monkeypatch):
     path = write(tmp_path, "d.json", GAMMA_DYADIC)
-    proc = run_process("analyze", path, "--seed", "7", "--samples", "100",
-                       env_extra={"PMV_SEED": "99"})
-    assert json.loads(proc.stdout)["seed"] == 99
+    before = run_cli("analyze", path, "--seed", "7", "--samples", "100")
+    monkeypatch.setenv("PMV_SEED", "99")
+    after = run_cli("analyze", path, "--seed", "7", "--samples", "100")
+    assert after.stdout == before.stdout and json.loads(after.stdout)["seed"] == 7
 
 
 # ----------------------------------------------------------------------
@@ -481,6 +515,37 @@ def test_out_of_range_options_exit_3(tmp_path, args):
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize("args", [
+    ["ladder", "d.json", "--samples", "5"],
+    ["quotient", "d.json", "--ideal", "0", "--samples", "5"],
+    ["quotient", "d.json", "--ideal", "0", "--tolerance", "0.1"],
+], ids=["ladder-samples", "quotient-samples", "quotient-tolerance"])
+def test_unread_options_are_refused(tmp_path, args):
+    # the ladder samples nothing, and a quotient's table holds no float
+    write(tmp_path, "d.json", GAMMA_DYADIC)
+    args = [str(tmp_path / a) if a == "d.json" else a for a in args]
+    proc = run_cli(*args)
+    assert proc.returncode == 3
+    assert "unrecognized arguments" in proc.stderr and proc.stdout == ""
+
+
+def test_cli_surface():
+    # every option is one its command reads; an unread one comes back only
+    # by changing this table
+    commands = next(a for a in _build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    surface = {name: [a.option_strings[0] for a in p._actions
+                      if a.option_strings and not isinstance(a, argparse._HelpAction)]
+               for name, p in commands.items()}
+    assert surface == {
+        "analyze": ["--seed", "--samples", "--tolerance"],
+        "search": ["--max-size"],
+        "counterexamples": ["--seed", "--samples", "--tolerance"],
+        "ladder": ["--depth", "--seed", "--tolerance"],
+        "quotient": ["--ideal", "--seed"],
+    }
+
+
 def test_samples_ceiling_is_accepted():
     args = _build_parser().parse_args(["analyze", "d.json", "--samples", str(SAMPLES_CEILING)])
     assert args.samples == SAMPLES_CEILING == 100_000
@@ -561,6 +626,8 @@ malformed = st.one_of(
         {"catalogue": {"kind": "chain"}},
         {"finite": dict(CHAIN1_TABLE, one=True)},
         {"catalogue": {"kind": "chain", "params": [TABLE_CEILING]}},
+        {"gamma": {"group": "Z", "unit": "1000000000"}},
+        {"gamma": {"group": "prod(Z,Z)", "unit": "(100,100)"}},
         {"finite": {"n": 2}},
         {"finite": {"n": 2, "oplus": [[0]], "neg": [1, 0], "tilde": [1, 0],
                     "zero": 0, "one": 1}},

@@ -240,3 +240,10 @@ def test_tabulate_round_trip_labels():
     t = pmv.tabulate(g)
     assert t.labels == (0, 1, 2, 3)
     assert t.odot(2, 2) == 1
+
+
+def test_tabulate_refuses_an_operation_leaving_the_carrier():
+    g = pmv.gamma(pmv.IntegerGroup(), 2)
+    g.oplus = lambda x, y: x + y     # not cut off at the unit
+    with pytest.raises(pmv.AlgebraError, match="escaped the carrier at 3"):
+        pmv.tabulate(g)

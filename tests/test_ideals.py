@@ -172,12 +172,6 @@ def test_ideals_from_skeleton_match_subset_scan():
     assert checked == 4 * 133
 
 
-def test_enumeration_ceiling():
-    big = pmv.product(pmv.chain(3), pmv.chain(3))
-    with pytest.raises(ValueError):
-        enumerate_ideals(big)
-
-
 # ----------------------------------------------------------------------
 # quotients
 # ----------------------------------------------------------------------
@@ -253,14 +247,14 @@ def test_r_invariance_matches_boolean_ideal_flag():
     for algebra in (pmv.boolean(2), pmv.product(pmv.boolean(1), pmv.boolean(1))):
         root = identity_map(algebra)
         for h in enumerate_ideals(algebra):
-            inv = is_r_invariant(algebra, h, root)
+            inv = is_r_invariant(h, root)
             if h.is_normal:
                 assert inv == h.is_boolean_ideal
     # prime ideals are always invariant under any root
     b = pmv.boolean(2)
     for h in enumerate_ideals(b):
         if h.is_prime:
-            assert is_r_invariant(b, h, identity_map(b))
+            assert is_r_invariant(h, identity_map(b))
 
 
 def test_quotient_by_invariant_ideal_is_boolean():
@@ -268,7 +262,7 @@ def test_quotient_by_invariant_ideal_is_boolean():
     for algebra in (pmv.boolean(2), pmv.product(pmv.boolean(1), pmv.boolean(1))):
         root = identity_map(algebra)
         for h in enumerate_ideals(algebra):
-            if not (h.is_normal and is_r_invariant(algebra, h, root)):
+            if not (h.is_normal and is_r_invariant(h, root)):
                 continue
             res = quotient(algebra, h, root)
             q = res.algebra

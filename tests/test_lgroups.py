@@ -138,6 +138,21 @@ def test_direct_product_partial_order():
     assert g.leq((0, 0), (1, 1))
 
 
+@pytest.mark.parametrize("group, unit, size", [
+    (pmv.IntegerGroup(), 3, 4),
+    (pmv.IntegerGroup(), -2, 0),
+    (pmv.DirectProductGroup(pmv.IntegerGroup(), pmv.IntegerGroup()), (2, 1), 6),
+    (pmv.DirectProductGroup(pmv.IntegerGroup(), pmv.DyadicGroup()), (10**9, F(1)), None),
+    (pmv.DyadicGroup(), F(1), None),
+])
+def test_interval_size_counts_the_listed_interval(group, unit, size):
+    # a product with a factor it cannot list lists nothing, however large
+    # the other factor's interval
+    assert group.interval_size(unit) == size
+    if size is not None:
+        assert len(group.enumerate_interval(unit)) == size
+
+
 def test_group_ops_bundle():
     g = pmv.HeisenbergGroup()
     a, b = heis3(1, 0, 0), heis3(0, 1, 0)

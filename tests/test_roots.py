@@ -296,7 +296,7 @@ def test_image_algebra_iterates():
     second = pmv.induced_interval_algebra(first.algebra, lifted, budget=120)
     assert second.all_pass
     assert first.algebra.zero == F(1, 2)
-    assert second.algebra.zero == F(3, 4) == pmv.iterate(d, root, F(0), 2)
+    assert second.algebra.zero == F(3, 4) == pmv.iterate(root, F(0), 2)
 
 
 def test_induced_interval_on_boolean_is_the_algebra_itself():
@@ -317,8 +317,8 @@ def test_induced_interval_on_boolean_is_the_algebra_itself():
 def test_iterate_and_powers():
     d = dyadic_unit()
     root = pmv.closed_form(d, "sym")
-    assert pmv.iterate(d, root, F(0), 0) == F(0)
-    assert pmv.iterate(d, root, F(0), 3) == F(7, 8)
+    assert pmv.iterate(root, F(0), 0) == F(0)
+    assert pmv.iterate(root, F(0), 3) == F(7, 8)
     assert d.odot(root(F(1, 4)), root(F(1, 4))) == F(1, 4)
     rng = make_rng(4, "powers")
     for _ in range(60):
