@@ -23,6 +23,7 @@ Exit codes: 0 clean, 1 analysis found a violation, 2 axiom failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -634,7 +635,9 @@ def _tolerance(text: str) -> float:
 _tolerance.__name__ = "float"
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it as it was."""
     parser = argparse.ArgumentParser(
         prog="pseudomv",
         description="analysis of pseudo MV-algebras and their square roots")

@@ -11,9 +11,11 @@ Concrete carriers (lookup tables, group intervals, products) subclass
 sampling.  Every derived operation — ⊙, the residua → and ⇝, the lattice,
 the order, the partial addition — is defined here from the primitives, and
 these definitions are the specification.  Group intervals Γ(G, u) override
-⊙, ∧, ∨ and ≤ with the group's own operations;
-``tests/test_core.py::test_gamma_native_ops_match_derived_definitions``
-checks them against the definitions here.
+⊙, ∧, ∨ and ≤ with the group's own operations, and finite tables read them
+off tables of lookups;
+``tests/test_core.py::test_gamma_native_ops_match_derived_definitions`` and
+``::test_table_native_ops_match_derived_definitions`` check them against
+the definitions here.
 
 Every check is a set of rows (item, domain, predicate) over a
 :class:`Domains`, the points it quantifies over, and :func:`run_rows` is
@@ -24,13 +26,17 @@ only other code that builds one is the table fast path
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import random
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any, ClassVar, Iterable, Iterator
+
+try:    # as random.py does: a built-in digest, since hashlib loads OpenSSL (about 3.6 MB)
+    from _sha256 import sha256          # Python 3.10 and 3.11
+except ImportError:
+    from hashlib import sha256
 
 __all__ = [
     "UNDEFINED",
@@ -92,7 +98,7 @@ def derive_seed(seed: int, *labels: Any) -> int:
     streams regardless of call order.
     """
     blob = ":".join([str(seed), *map(str, labels)]).encode()
-    return int.from_bytes(hashlib.sha256(blob).digest()[:8], "big")
+    return int.from_bytes(sha256(blob).digest()[:8], "big")
 
 
 def make_rng(seed: int, *labels: Any) -> random.Random:

@@ -1,7 +1,9 @@
 """Table-backed finite pseudo MV-algebras.
 
 Construction of Cayley-style tables and their exhaustive A1–A8 check by
-plain lookups into the table tuples, the structured catalogue (chains
+plain lookups into the table tuples, native ⊙ ∧ ∨ ≤ read off an x ⊙ y and
+an x ∧ y table built once per algebra, the Boolean skeleton computed and
+checked once per algebra, the structured catalogue (chains
 Γ(ℤ,n), Boolean algebras 2ᵏ, direct products, intervals [0, a] below an
 idempotent), brute-force search for weak square roots, and small-scale
 isomorphism checks.
@@ -16,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Iterator
 
 from .core import (
@@ -106,6 +109,14 @@ class FinitePMV(PseudoMV):
 
     ``labels`` optionally names the carrier points (chain values, bitmasks,
     pairs); they are carried through products and intervals for reporting.
+
+    ⊙ ∧ ∨ ≤ are read off two tables, x ⊙ y and x ∧ y, each built on first
+    use from the lookup chain of :class:`PseudoMV`'s definition; every call
+    still validates its arguments as indices.
+    ``tests/test_core.py::test_table_native_ops_match_derived_definitions``
+    checks them against the definitions in ``core``, on tables that pass
+    A1–A8 and on one that does not.  ``boolean_skeleton`` runs the
+    definition in ``core`` once per algebra.
     """
 
     backend = "finite-table"
@@ -149,6 +160,44 @@ class FinitePMV(PseudoMV):
     def eq(self, x, y):
         return self._idx(x) == self._idx(y)
 
+    # -- derived operations read off tables ------------------------------
+
+    @cached_property
+    def _odot_table(self) -> tuple:
+        """x ⊙ y = (y⁻ ⊕ x⁻)∼ for every pair, by lookups."""
+        op, ng, tl, xs = self._op, self._neg, self._til, range(self.table.n)
+        return tuple(tuple(tl[op[ng[y]][ng[x]]] for y in xs) for x in xs)
+
+    @cached_property
+    def _meet_table(self) -> tuple:
+        """x ∧ y = x ⊙ (x⁻ ⊕ y) for every pair, by lookups."""
+        od, op, ng, xs = self._odot_table, self._op, self._neg, range(self.table.n)
+        return tuple(tuple(od[x][op[ng[x]][y]] for y in xs) for x in xs)
+
+    def odot(self, x, y):
+        y = self._idx(y)         # y first, as (y⁻ ⊕ x⁻)∼ validates them
+        return self._odot_table[self._idx(x)][y]
+
+    def meet(self, x, y):
+        return self._meet_table[self._idx(x)][self._idx(y)]
+
+    def join(self, x, y):
+        """x ∨ y = x ⊕ (x∼ ⊙ y)."""
+        x = self._idx(x)
+        return self._op[x][self._odot_table[self._til[x]][self._idx(y)]]
+
+    def leq(self, x, y):
+        return self._meet_table[self._idx(x)][self._idx(y)] == x
+
+    @cached_property
+    def _skeleton(self) -> tuple:
+        return tuple(super().boolean_skeleton())
+
+    def boolean_skeleton(self) -> list:
+        """:meth:`PseudoMV.boolean_skeleton`, computed and checked once per
+        algebra; each call returns a fresh list."""
+        return list(self._skeleton)
+
     def contains(self, x):
         return type(x) is int and 0 <= x < self.table.n
 
@@ -187,12 +236,9 @@ class FinitePMV(PseudoMV):
         drawn lazily up to ``CheckResult.MAX_WITNESSES``, so the check
         allocates nothing larger than the table.
         """
-        n, op, ng, tl = self.table.n, self._op, self._neg, self._til
+        n, op, ng, tl, od = self.table.n, self._op, self._neg, self._til, self._odot_table
         zero, one = self.table.zero, self.table.one
         xs = range(n)
-
-        def odot(x, y):                      # x ⊙ y = (y⁻ ⊕ x⁻)∼
-            return tl[op[ng[y]][ng[x]]]
 
         def singles(ok):
             return ((x,) for x in xs if not ok(x))
@@ -214,10 +260,10 @@ class FinitePMV(PseudoMV):
             "A5": result("A5", 2, pairs(
                 lambda x, y: tl[op[ng[x]][ng[y]]] == ng[op[tl[x]][tl[y]]])),
             "A6": result("A6", 2, pairs(
-                lambda x, y: op[x][odot(tl[x], y)] == op[y][odot(tl[y], x)]
-                == op[odot(x, ng[y])][y] == op[odot(y, ng[x])][x])),
+                lambda x, y: op[x][od[tl[x]][y]] == op[y][od[tl[y]][x]]
+                == op[od[x][ng[y]]][y] == op[od[y][ng[x]]][x])),
             "A7": result("A7", 2, pairs(
-                lambda x, y: odot(x, op[ng[x]][y]) == odot(op[x][tl[y]], y))),
+                lambda x, y: od[x][op[ng[x]][y]] == od[op[x][tl[y]]][y])),
             "A8": result("A8", 1, singles(lambda x: tl[ng[x]] == x)),
         }
         return AxiomReport(res, exhaustive=True)

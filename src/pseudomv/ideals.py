@@ -24,9 +24,9 @@ e ⊕ e ∈ I gives e ⊕ e = e; conversely x, y ≤ e gives x ⊕ y ≤ e ⊕ e
 On other tables ``boolean_skeleton`` raises when the idempotents are not a
 subalgebra, and other axiom failures go unnoticed, so callers check A1–A8
 first.  Each call computes the difference tables left[x][y] = x ⊙ y⁻ and
-right[x][y] = y∼ ⊙ x once, with 2n² ⊙; the normal and prime flags read
-them.  ``quotient`` needs only x ⊙ y⁻ for its relation, so it builds that
-table alone, with n² ⊙.
+right[x][y] = y∼ ⊙ x once, with 2n² ⊙, each a lookup in the algebra's ⊙
+table; the normal and prime flags read them.  ``quotient`` needs only
+x ⊙ y⁻ for its relation, so it builds that table alone, with n² ⊙.
 """
 
 from __future__ import annotations

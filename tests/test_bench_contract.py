@@ -1,7 +1,7 @@
 """What the benchmark under ``bench/`` uses of the library: the set-up
 call that loads an input file, the functions and methods its tracer wraps
-by name, and the gate its run applies to the first cycle of each
-workload."""
+by name, the gate its run applies to the first cycle of each workload, and
+a short run of ``bench/run.py`` itself."""
 
 from __future__ import annotations
 
@@ -13,6 +13,8 @@ import json
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import pseudomv.cli as cli
 from pseudomv.cli import load_algebra
@@ -103,3 +105,16 @@ def test_tracer_installs_and_undoes_in_a_fresh_interpreter():
     proc = subprocess.run([sys.executable, "-c", snippet, str(BENCH)],
                           capture_output=True, text=True, check=False)
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("workload, trace", [
+    ("gamma-exact", 1), ("finite-catalogue", 1), ("float-numeric", 1), ("finite-catalogue", 0),
+])
+def test_benchmark_runs_one_cycle(workload, trace):
+    # one cycle of the real run, traced or timed, from a fresh interpreter
+    proc = subprocess.run(
+        [sys.executable, str(BENCH / "run.py"), "--workload", workload, "--seed", "1",
+         "--seconds", "0", "--trace", str(trace)],
+        capture_output=True, text=True, check=False)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert json.loads(proc.stdout.splitlines()[-1])["correct"] is True

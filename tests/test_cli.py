@@ -546,6 +546,18 @@ def test_cli_surface():
     }
 
 
+def test_shared_parser_runs_like_a_fresh_interpreter(tmp_path):
+    # the parser is built once per process; a usage error, an analysis and a
+    # quotient in a row on it answer as each does in a fresh interpreter
+    assert _build_parser() is _build_parser()
+    path = write(tmp_path, "b2.json", BOOL2)
+    for args, code in ((["analyze"], 3), (["analyze", path, "--samples", "40"], 0),
+                       (["quotient", path, "--ideal", "0,1"], 0)):
+        shared, fresh = run_cli(*args), run_process(*args)
+        assert (shared.returncode, shared.stdout) == (code, fresh.stdout), args
+        assert fresh.returncode == code, args
+
+
 def test_samples_ceiling_is_accepted():
     args = _build_parser().parse_args(["analyze", "d.json", "--samples", str(SAMPLES_CEILING)])
     assert args.samples == SAMPLES_CEILING == 100_000
@@ -559,6 +571,17 @@ def test_cli_import_loads_no_numpy():
         capture_output=True, text=True, env=env, check=False,
     )
     assert proc.returncode == 0, proc.stderr or "importing pseudomv.cli loaded numpy"
+
+
+def test_cli_import_loads_no_openssl():
+    # seeds hash with the built-in SHA-256 where the interpreter has one;
+    # hashlib would load OpenSSL, about 3.6 MB of resident memory
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    snippet = ("import importlib.util, sys, pseudomv.cli\n"
+               "sys.exit('_hashlib' in sys.modules and bool(importlib.util.find_spec('_sha256')))")
+    proc = subprocess.run([sys.executable, "-c", snippet],
+                          capture_output=True, text=True, env=env, check=False)
+    assert proc.returncode == 0, proc.stderr or "importing pseudomv.cli loaded OpenSSL"
 
 
 # ----------------------------------------------------------------------

@@ -8,6 +8,7 @@ and group-interval operations against the direct group formulas
 
 from __future__ import annotations
 
+import hashlib
 from fractions import Fraction as F
 
 import pytest
@@ -16,9 +17,9 @@ from hypothesis import strategies as st
 
 import pseudomv as pmv
 from pseudomv import UNDEFINED, BackendMismatch, UnsupportedBackend
-from pseudomv.core import make_rng
+from pseudomv.core import derive_seed, make_rng
 from pseudomv.counterexamples import exp_action_algebra, scaling_action_algebra
-from pseudomv.finite import catalogue_closure
+from pseudomv.finite import FinitePMV, FiniteTable, catalogue_closure
 
 
 def gamma_z(n):
@@ -355,6 +356,49 @@ def test_gamma_native_ops_match_derived_definitions(case):
             assert m.leq(x, y) == spec.leq(x, y), (x, y)
 
 
+def _shuffled(m):
+    """``m`` with its carrier indices permuted by a seeded shuffle."""
+    p = list(m.elements())
+    make_rng(1, "shuffle").shuffle(p)
+    xs = range(m.size)
+    inv = sorted(xs, key=p.__getitem__)
+    t = FiniteTable(n=m.size,
+                    oplus=tuple(tuple(p[m.oplus(inv[i], inv[j])] for j in xs) for i in xs),
+                    neg=tuple(p[m.neg(inv[i])] for i in xs),
+                    tilde=tuple(p[m.tilde(inv[i])] for i in xs),
+                    zero=p[m.zero], one=p[m.one])
+    return FinitePMV(t, name=f"shuffled({m.name})").validated()
+
+
+def _raw_failing_table():
+    """A seeded random table that fails A1–A8, never validated."""
+    rng, n = make_rng(4, "raw-table"), 5
+    t = FiniteTable(n=n, oplus=tuple(tuple(rng.randrange(n) for _ in range(n)) for _ in range(n)),
+                    neg=tuple(rng.randrange(n) for _ in range(n)),
+                    tilde=tuple(rng.randrange(n) for _ in range(n)), zero=0, one=n - 1)
+    return FinitePMV(t, name="raw")
+
+
+def test_table_native_ops_match_derived_definitions():
+    """Finite tables read ⊙ ∧ ∨ ≤ off tables of lookups; the derived
+    definitions in core stay the specification.  Exhaustive, on the whole
+    catalogue closure, on a product with shuffled indices, and on a raw
+    table failing the axioms, where both sides are the same compositions of
+    lookups."""
+    raw = _raw_failing_table()
+    assert not raw.check_axioms().all_pass
+    algebras = catalogue_closure(12) + [_shuffled(pmv.product(pmv.chain(2), pmv.boolean(2))),
+                                        raw]
+    for m in algebras:
+        spec = PrimitivesOnly(m)
+        for x in m.elements():
+            for y in m.elements():
+                assert m.odot(x, y) == spec.odot(x, y), (m.name, x, y)
+                assert m.meet(x, y) == spec.meet(x, y), (m.name, x, y)
+                assert m.join(x, y) == spec.join(x, y), (m.name, x, y)
+                assert m.leq(x, y) == spec.leq(x, y), (m.name, x, y)
+
+
 # ----------------------------------------------------------------------
 # products, intervals, errors
 # ----------------------------------------------------------------------
@@ -395,6 +439,18 @@ def test_backend_mismatch_errors():
     for index in (True, -1, c.size):   # a bool is no index, nor is anything outside 0..n-1
         with pytest.raises(BackendMismatch):
             c.neg(index)
+    spec = PrimitivesOnly(c)
+    for op in ("odot", "meet", "join", "leq"):
+        for index in (True, -1, c.size, "0"):
+            for args in ((index, 1), (1, index)):
+                with pytest.raises(BackendMismatch):
+                    getattr(c, op)(*args)
+        # with both arguments bad, the same one is named as by the definition
+        with pytest.raises(BackendMismatch) as native:
+            getattr(c, op)(-1, "0")
+        with pytest.raises(BackendMismatch) as derived:
+            getattr(spec, op)(-1, "0")
+        assert str(native.value) == str(derived.value), op
     d = pmv.gamma(pmv.DyadicGroup(), F(1))
     assert not d.contains(F(1, 3))  # 1/3 is not dyadic
     assert not d.contains(F(2))  # outside [0, 1]
@@ -435,3 +491,6 @@ def test_seed_derivation_is_stable_and_labelled():
     b = make_rng(1, "x").random()
     c = make_rng(1, "y").random()
     assert a == b != c
+    # the built-in digest that core uses is hashlib's SHA-256
+    digest = hashlib.sha256(b"7:axioms:(1, 2)").digest()
+    assert derive_seed(7, "axioms", (1, 2)) == int.from_bytes(digest[:8], "big")

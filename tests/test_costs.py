@@ -1,6 +1,7 @@
 """Cost gates that do not depend on the machine: group operations per Γ
 operation, root evaluations per check, Fractions built through
-``Fraction.__new__``, and ⊙ evaluations per finite ideal fact."""
+``Fraction.__new__``, ⊙ evaluations per finite ideal fact, and skeleton
+checks per finite ``analyze``."""
 
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ import pseudomv as pmv
 import pseudomv.cli as cli
 import pseudomv.ideals as ideals
 from pseudomv.core import PseudoMV, make_rng
-from pseudomv.finite import catalogue_closure
+from pseudomv.finite import FinitePMV, catalogue_closure
 from pseudomv.lgroups import LGroup
 from pseudomv.roots import custom_map
 
@@ -106,21 +107,41 @@ def test_finite_ideal_facts_cost_in_odot(monkeypatch):
     # a quotient needs only the first table
     algebras = catalogue_closure(12)
     calls = []
-    odot = PseudoMV.odot
-    monkeypatch.setattr(PseudoMV, "odot", lambda self, x, y: calls.append(1) or odot(self, x, y))
+    odot = FinitePMV.odot
+    monkeypatch.setattr(FinitePMV, "odot", lambda self, x, y: calls.append(1) or odot(self, x, y))
     for algebra in algebras:
         n, s = algebra.size, len(algebra.boolean_skeleton())
         calls.clear()
         handles = ideals.enumerate_ideals(algebra)
-        assert len(calls) <= 2 * n * n + 2 * s * n, algebra.name
+        assert calls and len(calls) <= 2 * n * n + 2 * s * n, algebra.name
         calls.clear()
         ideals.is_representable(algebra)
-        assert len(calls) <= 3 * n * n + s * n, algebra.name
+        assert calls and len(calls) <= 3 * n * n + s * n, algebra.name
         proper = [h for h in handles if h.is_normal and h.is_proper]
         if proper:
             calls.clear()
             ideals.quotient(algebra, proper[0])
-            assert len(calls) <= n * n, algebra.name
+            assert calls and len(calls) <= n * n, algebra.name
+
+
+def test_analyze_checks_the_skeleton_once(monkeypatch, tmp_path):
+    calls = []
+    skeleton = PseudoMV.boolean_skeleton
+    monkeypatch.setattr(PseudoMV, "boolean_skeleton",
+                        lambda self: calls.append(self) or skeleton(self))
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"catalogue": {"kind": "product", "params": [
+        {"kind": "boolean", "params": [1]}, {"kind": "chain", "params": [2]}]}}))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["analyze", str(path), "--samples", "40"]) == 0
+    assert len(calls) == 1
+    # each call hands out a list of its own
+    algebra = calls[0]
+    first = algebra.boolean_skeleton()
+    first.append(first[0])
+    first.reverse()
+    assert algebra.boolean_skeleton() == skeleton(algebra) == [0, 2, 3, 5]
+    assert len(calls) == 1
 
 
 def test_analyze_checks_representability_once(monkeypatch, tmp_path):
