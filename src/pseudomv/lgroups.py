@@ -16,15 +16,16 @@ at desk scale:
   ``exact = False`` and a comparison tolerance because their halving maps
   involve irrational square roots.
 
-Exact carriers store reduced :class:`fractions.Fraction` payloads and
-never hold floats.  Their operations compute on numerator and denominator
-through a few module-private kernels (``_add``, ``_sub``, ``_neg``,
-``_half``, ``_cmp``), which skip the operator dispatch and the
-``numbers.Rational`` checks of ``Fraction``'s own operators.  Each kernel
-reduces by the gcds its scheme needs and builds the result with ``_frac``,
-without the second normalizing gcd of ``Fraction(n, d)``; the Heisenberg
-third coordinate is summed over one denominator and reduced once.  The
-Γ-construction turns the
+Exact carriers other than ℤ store each rational coordinate as a reduced
+pair ``(n, d)`` of ints with d > 0, and never hold floats; a Heisenberg
+element is a triple of such pairs.  Their operations run through a few
+module-private kernels on pairs (``_add``, ``_sub``, ``_neg``, ``_half``,
+``_cmp``), each reducing by only the gcds its scheme needs; the Heisenberg
+third coordinate is summed over one denominator and reduced once.  As
+payloads are reduced, equal values are equal pairs.  ``Fraction`` appears
+only at the boundary: ``from_flat`` takes ints and ``Fraction``s in, and
+``flatten`` and ``format_element`` hand ``Fraction``s and text out.  ℤ
+keeps plain ints.  The Γ-construction turns the
 interval [0, u] of a unital group into a pseudo MV-algebra via
 x ⊕ y = (x+y) ∧ u, x⁻ = u−x, x∼ = −x+u.
 
@@ -78,100 +79,95 @@ __all__ = [
 SAMPLE_DENOMINATOR_BOUND = 1024
 
 
-def _as_fraction(v: Any) -> Fraction:
-    if isinstance(v, Fraction):
-        return v
-    if isinstance(v, int):
-        return Fraction(v)
-    if isinstance(v, Rational):
-        return Fraction(v.numerator, v.denominator)
+def _as_pair(v: Any) -> tuple[int, int]:
+    """The reduced pair of an int or a rational such as ``Fraction``: the
+    way in for exact payloads."""
+    if isinstance(v, Rational) and not isinstance(v, bool):
+        q = Fraction(v)
+        return q.numerator, q.denominator
     raise BackendMismatch(f"exact payload expected, got {v!r}")
 
 
-#: The zero every rational group returns, shared rather than rebuilt per call.
-_ZERO = Fraction(0)
+def _is_pair(a: Any) -> bool:
+    """Whether ``a`` is a canonical payload: a tuple (n, d) of ints, not
+    bools, with d > 0 and gcd(n, d) = 1."""
+    return (type(a) is tuple and len(a) == 2 and type(a[0]) is int and type(a[1]) is int
+            and a[1] > 0 and math.gcd(a[0], a[1]) == 1)
 
 
-def _frac(n: int, d: int) -> Fraction:
-    """The Fraction n/d, built without ``Fraction.__new__``: the caller
-    guarantees gcd(n, d) = 1 and d > 0.  This is what CPython 3.12's
-    ``Fraction._from_coprime_ints`` does; ``test_frac_matches_fraction_slots``
-    guards the two-slot layout it relies on."""
-    q = object.__new__(Fraction)
-    q._numerator = n
-    q._denominator = d
-    return q
+#: The zero of every rational group.
+_ZERO = (0, 1)
 
 
-def _reduced(n: int, d: int) -> Fraction:
-    """n/d in lowest terms, for d > 0: one gcd."""
+def _reduced(p: tuple[int, int]) -> tuple[int, int]:
+    """p = (n, d) in lowest terms, for d > 0: one gcd."""
+    n, d = p
     g = math.gcd(n, d)
-    return _frac(n // g, d // g)
+    return p if g == 1 else (n // g, d // g)
 
 
-def _sum(n1: int, d1: int, n2: int, d2: int) -> tuple[int, int]:
-    """(n, d) with n/d = n1/d1 + n2/d2, not reduced; equal denominators
-    are not multiplied."""
+def _sum(p: tuple[int, int], q: tuple[int, int]) -> tuple[int, int]:
+    """p + q, not reduced; equal denominators are not multiplied."""
+    n1, d1 = p
+    n2, d2 = q
     if d1 == d2:
         return n1 + n2, d1
     return n1 * d2 + n2 * d1, d1 * d2
 
 
-# Exact kernels.  Arguments are Fractions or ints (both expose
-# ``numerator`` and ``denominator``); results are reduced Fractions, equal
-# to what the Fraction operators give on the arguments as Fractions, and
-# built by ``_frac`` without a second normalizing gcd.  ``_add`` and
-# ``_sub`` follow Knuth, TAOCP vol. 2 §4.5.1: with g = gcd(da, db), the sum
-# t/(da·db/g) can only share a factor with g.
+# Exact kernels.  Arguments and results are reduced pairs (n, d), and each
+# result is the reduced pair of what the Fraction operators give on the
+# arguments as Fractions.  ``_add`` and ``_sub`` follow Knuth, TAOCP vol. 2
+# §4.5.1: with g = gcd(da, db), the sum t/(da·db/g) can only share a
+# factor with g.
 
 def _add(a, b):
-    na, da = a.numerator, a.denominator
-    nb, db = b.numerator, b.denominator
+    na, da = a
+    nb, db = b
     g = math.gcd(da, db)
     if g == 1:
-        return _frac(na * db + nb * da, da * db)
+        return na * db + nb * da, da * db
     s = da // g
     t = na * (db // g) + nb * s
     g2 = math.gcd(t, g)
     if g2 == 1:
-        return _frac(t, s * db)
-    return _frac(t // g2, s * (db // g2))
+        return t, s * db
+    return t // g2, s * (db // g2)
 
 
 def _sub(a, b):
-    na, da = a.numerator, a.denominator
-    nb, db = b.numerator, b.denominator
+    na, da = a
+    nb, db = b
     g = math.gcd(da, db)
     if g == 1:
-        return _frac(na * db - nb * da, da * db)
+        return na * db - nb * da, da * db
     s = da // g
     t = na * (db // g) - nb * s
     g2 = math.gcd(t, g)
     if g2 == 1:
-        return _frac(t, s * db)
-    return _frac(t // g2, s * (db // g2))
+        return t, s * db
+    return t // g2, s * (db // g2)
 
 
 def _neg(a):
-    return _frac(-a.numerator, a.denominator)
+    return -a[0], a[1]
 
 
 def _half(a):
     """a/2: halving n/d keeps it reduced either as (n/2)/d or as n/(2d)."""
-    n, d = a.numerator, a.denominator
+    n, d = a
     if n & 1:
-        return _frac(n, d << 1)
-    return _frac(n >> 1, d)
+        return n, d << 1
+    return n >> 1, d
 
 
 def _cmp(a, b):
-    x = a.numerator * b.denominator
-    y = b.numerator * a.denominator
+    x = a[0] * b[1]
+    y = b[0] * a[1]
     return (x > y) - (x < y)
 
 
 def _format_rational(q: Rational) -> str:
-    q = _as_fraction(q)
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"
@@ -257,15 +253,15 @@ class LGroup(ABC):
         return None
 
     def flatten(self, a: Any) -> list:
+        """The coordinates of ``a``: ints, Fractions or floats."""
         return [a]
 
     def from_flat(self, values: list) -> Any:
+        """The element whose coordinates are ``values``, through the scalar
+        group's ``_coerce_scalar``."""
         if len(values) != 1:
             raise BackendMismatch(f"{self.dsl} element needs 1 coordinate, got {len(values)}")
         return self._coerce_scalar(values[0])
-
-    def _coerce_scalar(self, v: Any) -> Any:
-        return _as_fraction(v)
 
     def format_element(self, a: Any) -> str:
         flat = self.flatten(a)
@@ -328,7 +324,8 @@ class IntegerGroup(LGroup):
 
 
 class _FractionGroup(LGroup):
-    """Shared machinery for subgroups of the rationals."""
+    """Shared machinery for subgroups of the rationals, whose payloads are
+    reduced pairs (n, d)."""
 
     def zero(self):
         return _ZERO
@@ -340,28 +337,33 @@ class _FractionGroup(LGroup):
 
     # One cross-multiplication each; ties keep LGroup's choices (join
     # returns a, meet returns b).  Payloads are reduced, so equal values
-    # have equal numerators and denominators.
+    # are equal pairs.
 
     def eq(self, a, b):
-        return a.numerator == b.numerator and a.denominator == b.denominator
+        return a == b
 
     def leq(self, a, b):
-        return a.numerator * b.denominator <= b.numerator * a.denominator
+        return a[0] * b[1] <= b[0] * a[1]
 
     def join(self, a, b):
-        return b if a.numerator * b.denominator < b.numerator * a.denominator else a
+        return b if a[0] * b[1] < b[0] * a[1] else a
 
     def meet(self, a, b):
-        return a if a.numerator * b.denominator < b.numerator * a.denominator else b
+        return a if a[0] * b[1] < b[0] * a[1] else b
 
     def validate(self, a):
-        if not isinstance(a, Rational):
-            raise BackendMismatch(f"rational expected, got {a!r}")
-        if not self.member(_as_fraction(a)):
-            raise BackendMismatch(f"{a!r} lies outside {self.dsl}")
+        if not _is_pair(a):
+            raise BackendMismatch(f"reduced rational pair expected, got {a!r}")
+        if not self.member(a):
+            raise BackendMismatch(f"{self.format_element(a)} lies outside {self.dsl}")
 
-    def member(self, q: Fraction) -> bool:
+    def member(self, a: tuple[int, int]) -> bool:
         return True
+
+    def flatten(self, a):
+        return [Fraction(*a)]
+
+    _coerce_scalar = staticmethod(_as_pair)
 
     def halve(self, a):
         h = _half(a)
@@ -372,12 +374,12 @@ class _FractionGroup(LGroup):
 
     def random_element(self, rng):
         d = self._denominator(rng)
-        return Fraction(rng.randint(-2 * d, 2 * d), d)
+        return _reduced((rng.randint(-2 * d, 2 * d), d))
 
     def sample_interval(self, rng, unit):
         d = self._denominator(rng)
-        hi = int(_as_fraction(unit) * d)
-        q = Fraction(rng.randint(0, max(hi, 0)), d)
+        hi = unit[0] * d // unit[1]
+        q = _reduced((rng.randint(0, max(hi, 0)), d))
         return self.meet(q, unit)
 
 
@@ -390,8 +392,8 @@ class DyadicGroup(_FractionGroup):
 
     dsl = "D"
 
-    def member(self, q):
-        d = q.denominator
+    def member(self, a):
+        d = a[1]
         return d & (d - 1) == 0
 
     def _denominator(self, rng):
@@ -407,8 +409,8 @@ class PowerDenominatorGroup(_FractionGroup):
         self.base = base
         self.dsl = f"H({base})"
 
-    def member(self, q):
-        return power_denominator_member(self.base, q)
+    def member(self, a):
+        return _divides_power(a[1], self.base)
 
     def _denominator(self, rng):
         d = 1
@@ -420,7 +422,11 @@ class PowerDenominatorGroup(_FractionGroup):
 def power_denominator_member(base: int, q: Rational) -> bool:
     """Decide q ∈ H(base), i.e. whether the reduced denominator of q divides
     some power of the base."""
-    d = _as_fraction(q).denominator
+    return _divides_power(q.denominator, base)
+
+
+def _divides_power(d: int, base: int) -> bool:
+    """Whether d divides some power of the base."""
     g = math.gcd(d, base)
     while g > 1:
         while d % g == 0:
@@ -445,61 +451,56 @@ class HeisenbergGroup(LGroup):
     dsl = "heis"
     flat_arity = 3
 
-    # The third coordinate of add, neg, sub and halve is summed over one
-    # common denominator and reduced once.
+    # Each coordinate is a reduced pair.  The third coordinate of add, neg,
+    # sub and halve is summed over one common denominator and reduced once.
 
     def zero(self):
         return (_ZERO, _ZERO, _ZERO)
 
     def add(self, a, b):
-        a0, b1, a2, b2 = a[0], b[1], a[2], b[2]
-        n, d = _sum(a2.numerator, a2.denominator, b2.numerator, b2.denominator)
-        n, d = _sum(n, d, a0.numerator * b1.numerator, a0.denominator * b1.denominator)
-        return (_add(a0, b[0]), _add(a[1], b1), _reduced(n, d))
+        a0, b1 = a[0], b[1]
+        c = _sum(_sum(a[2], b[2]), (a0[0] * b1[0], a0[1] * b1[1]))
+        return (_add(a0, b[0]), _add(a[1], b1), _reduced(c))
 
     def neg(self, a):
         a0, a1, a2 = a
-        n, d = _sum(a0.numerator * a1.numerator, a0.denominator * a1.denominator,
-                    -a2.numerator, a2.denominator)
-        return (_neg(a0), _neg(a1), _reduced(n, d))
+        c = _sum((a0[0] * a1[0], a0[1] * a1[1]), (-a2[0], a2[1]))
+        return (_neg(a0), _neg(a1), _reduced(c))
 
     def sub(self, a, b):
         """a + (−b) = (a₀−b₀, a₁−b₁, a₂−b₂−(a₀−b₀)·b₁)."""
         d0 = _sub(a[0], b[0])
-        b1, a2, b2 = b[1], a[2], b[2]
-        n, d = _sum(a2.numerator, a2.denominator, -b2.numerator, b2.denominator)
-        n, d = _sum(n, d, -d0.numerator * b1.numerator, d0.denominator * b1.denominator)
-        return (d0, _sub(a[1], b1), _reduced(n, d))
+        b1, b2 = b[1], b[2]
+        c = _sum(_sum(a[2], (-b2[0], b2[1])), (-d0[0] * b1[0], d0[1] * b1[1]))
+        return (d0, _sub(a[1], b1), _reduced(c))
 
     def cmp(self, a, b):
         return _cmp(a[0], b[0]) or _cmp(a[1], b[1]) or _cmp(a[2], b[2])
 
     def validate(self, a):
-        if not (isinstance(a, tuple) and len(a) == 3
-                and all(isinstance(v, Rational) for v in a)):
-            raise BackendMismatch(f"Heisenberg triple expected, got {a!r}")
+        if not (type(a) is tuple and len(a) == 3 and all(map(_is_pair, a))):
+            raise BackendMismatch(f"Heisenberg triple of reduced pairs expected, got {a!r}")
 
     def halve(self, a):
         """(a₀/2, a₁/2, a₂/2 − a₀a₁/8)."""
         a0, a1, a2 = a
-        n, d = _sum(a2.numerator, a2.denominator << 1,
-                    -a0.numerator * a1.numerator, (a0.denominator * a1.denominator) << 3)
-        return (_half(a0), _half(a1), _reduced(n, d))
+        c = _sum((a2[0], a2[1] << 1), (-a0[0] * a1[0], (a0[1] * a1[1]) << 3))
+        return (_half(a0), _half(a1), _reduced(c))
 
     def center_has(self, a):
-        return a[0] == 0 and a[1] == 0
+        return a[0][0] == 0 and a[1][0] == 0
 
     def random_element(self, rng):
         d = 1 << rng.randint(0, 4)
-        return tuple(Fraction(rng.randint(-2 * d, 2 * d), d) for _ in range(3))
+        return tuple(_reduced((rng.randint(-2 * d, 2 * d), d)) for _ in range(3))
 
     def flatten(self, a):
-        return list(a)
+        return [Fraction(*v) for v in a]
 
     def from_flat(self, values):
         if len(values) != 3:
             raise BackendMismatch(f"heis element needs 3 coordinates, got {len(values)}")
-        return tuple(_as_fraction(v) for v in values)
+        return tuple(map(_as_pair, values))
 
 
 # ----------------------------------------------------------------------

@@ -45,7 +45,13 @@ from pseudomv.roots import (
     square_root_properties,
 )
 
-HEIS0 = (F(0), F(0), F(0))
+
+def q(n, d=1):
+    """The payload of the rational n/d in Q, D and H(p)."""
+    return pmv.RationalGroup().from_flat([F(n, d)])
+
+
+HEIS0 = (q(0), q(0), q(0))
 
 
 def report(num: int, title: str, ok: bool, detail: str = "") -> bool:
@@ -55,12 +61,12 @@ def report(num: int, title: str, ok: bool, detail: str = "") -> bool:
 
 
 def dyadic_unit():
-    return pmv.gamma(pmv.DyadicGroup(), F(1))
+    return pmv.gamma(pmv.DyadicGroup(), q(1))
 
 
 def lex_heis():
     return pmv.gamma(pmv.LexProduct(pmv.RationalGroup(), pmv.HeisenbergGroup()),
-                     (F(1), HEIS0))
+                     (q(1), HEIS0))
 
 
 def run_cli(*args):
@@ -211,7 +217,7 @@ def test_criterion_05_decomposition():
     root = pmv.product_map(m, pmv.identity_map(b1), pmv.closed_form(d, "sym"))
     witness = pmv.boolean_witness(m, root)
     dec = pmv.decompose(m, root, budget=1000, seed=5)
-    ok = (witness == (1, F(0))
+    ok = (witness == (1, q(0))
           and dec.classification == "product"
           and dec.checks["boolean_part"].passed
           and dec.checks["strict_part"].passed
@@ -231,9 +237,9 @@ def test_criterion_06_induced_interval():
     ind = pmv.induced_interval_algebra(d, pmv.closed_form(d, "sym"),
                                        budget=1000, seed=6)
     bad = [k for k, v in ind.checks.items() if not v.passed]
-    ok = not bad and ind.algebra.zero == F(1, 2)
+    ok = not bad and ind.algebra.zero == q(1, 2)
     assert report(6, "induced image algebra", ok,
-                  f"floor={ind.algebra.zero}, failing={bad}")
+                  f"floor={d.format_element(ind.algebra.zero)}, failing={bad}")
 
 
 def test_criterion_07_dyadic_ladder():

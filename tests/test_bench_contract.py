@@ -1,11 +1,13 @@
 """What the benchmark under ``bench/`` uses of the library: the set-up
 call that loads an input file, the functions and methods its tracer wraps
-by name, the gate its run applies to the first cycle of each workload, and
-a short run of ``bench/run.py`` itself."""
+by name, the gate its run applies to the first cycle of each workload, the
+bytes of the first gamma-exact cycle, and a short run of ``bench/run.py``
+itself."""
 
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import importlib
 import importlib.util
 import io
@@ -95,6 +97,40 @@ def test_first_cycle_passes_the_benchmark_gate(monkeypatch, tmp_path):
             assert op.judge(code, out, err) in (workloads.OK, workloads.KNOWN_RED), (
                 name, op.template, op.argv, code, err)
         assert _run(ops[0])[:2] == first[:2], name
+
+
+#: SHA-256 of the exit code and stdout, "<code>\n<stdout>", of each op of
+#: gamma-exact cycle 0 at seed 1.  A change meant to alter report bytes
+#: (a new sampler, say) updates these on purpose; any other change keeps them.
+GAMMA_EXACT_CYCLE0_SEED1 = [
+    ("analyze:Q", "0bd73b87233debbd5ae3890f37aa1235f10163ff34ff89110c617377f83aeac5"),
+    ("analyze:D", "eddbd73bc31f8abe209b41578bc5b263707d8f07d83651244ee8853898a010b4"),
+    ("analyze:H-even", "8622d9e0fafbfb1d8ae57ae4cf91ce8cb44ed77dd52672a11f5b694b62640e44"),
+    ("analyze:heis-central", "4e0d78f5d4f772efd983c322b6bd9422e31a4bcd89bf9f035b8f1a759adc5021"),
+    ("analyze:lex-Q-heis-central", "54f3d6cefc98c6495a89ba079695d5273e2b22b090b863a304c9086c68e53def"),
+    ("analyze:prod-scalars", "90305d45ecc3ad6b36214faf49022dd8e67e43d60aba33451f6ba38c598aa040"),
+    ("analyze:nested-central", "48389652bce7feebe79ac0b3b0a245c30abb97ce434888ab877795153ae98708"),
+    ("analyze:heis-noncentral", "0c03aa5a7d44cec301905e90339d3972e87ea7a9ea813afa9a296d64089964bc"),
+    ("analyze:lex-Q-heis-noncentral", "40cfda2b110eeb7700264456d7c6f77502efd063c72df064036cc11139b18838"),
+    ("analyze:nested-noncentral", "8b6084db4b75c430ab50ebc1b984eebd7155b30319d561a108aa6e89e9f2c1d4"),
+    ("analyze:heis-thin", "99db9713e416f41d0514d9b964111255381e1cc77ccb00503c4864c13e029bb7"),
+    ("analyze:H-odd", "573b918f29c86e4421507cbe5e62c5657421e310884e1268a8b70cf65aafe94b"),
+    ("analyze:Z", "a3d6efe6fdbff611c1e2459b7aafaa55b5f9050e1f42fc903602dd03b84882ee"),
+    ("analyze:lex-Z-Z", "28f6b022a96a8eb71dd1142405efc3379d946e334b2594991cb22558f97aa9bb"),
+    ("ladder:Q", "795c4aa49c6295869ffd33687d0d78731f42b0e4aa43d201d4f239cefccdff42"),
+    ("ladder:D", "62a6f8caf96d0cb93093485c422f2e7a9f2716aabbf67be4651580645dcfab19"),
+    ("ladder:H-even", "32f576e1c65c18a7ce4278388b5decea7da233be30f5700b61aa649066d12b5c"),
+    ("ladder:lex-Q-heis-central", "6d38385316fde184d34f255dc3decff28edfb1973adf15de02dd912541d72373"),
+]
+
+
+def test_gamma_exact_cycle_bytes_are_pinned(monkeypatch, tmp_path):
+    workloads = _load_bench(monkeypatch, "workloads")
+    got = []
+    for op in workloads.Workload("gamma-exact", 1, tmp_path).cycle(0):
+        code, out, _ = _run(op)
+        got.append((op.template, hashlib.sha256(f"{code}\n{out}".encode()).hexdigest()))
+    assert got == GAMMA_EXACT_CYCLE0_SEED1
 
 
 def test_tracer_installs_and_undoes_in_a_fresh_interpreter():

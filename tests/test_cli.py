@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 import pseudomv as pmv
 from pseudomv.cli import (
+    FLOAT_TOLERANCE_CEILING,
     LITERAL_DIGITS_CEILING,
     SAMPLES_CEILING,
     SpecFileError,
@@ -106,8 +107,9 @@ def test_parse_group_rejects_garbage():
 
 def test_parse_element_literals():
     g = parse_group("lex(Q,heis)")
-    assert parse_element_literal(g, "(1/2, 1, 0, -3/4)") == \
-        (F(1, 2), (F(1), F(0), F(-3, 4)))
+    x = parse_element_literal(g, "(1/2, 1, 0, -3/4)")
+    assert x == g.from_flat([F(1, 2), 1, 0, F(-3, 4)])
+    assert g.flatten(x) == [F(1, 2), F(1), F(0), F(-3, 4)]
     z = parse_group("Z")
     assert parse_element_literal(z, "3") == 3
     assert type(parse_element_literal(z, "3")) is int
@@ -332,6 +334,31 @@ def test_float_unit_bound(tmp_path, unit, tolerance, code):
     if code == 3:
         assert proc.stderr.startswith("error:")
         assert "bound" in proc.stderr and f"--tolerance {float(tolerance):.6g}" in proc.stderr
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["analyze", "SEMI", "--samples", "300", "--tolerance", "0.01"], 3),
+    (["ladder", "SEMI", "--tolerance", "0.01"], 3),
+    (["counterexamples", "--samples", "300", "--tolerance", "0.1"], 3),
+    (["analyze", "SEMI", "--samples", "300", "--tolerance", "1e-6"], 0),
+    (["counterexamples", "--samples", "300", "--tolerance", "1e-6"], 0),
+    (["analyze", "EXACT", "--samples", "300", "--tolerance", "0.5"], 0),
+], ids=["analyze-0.01", "ladder-0.01", "counterexamples-0.1", "analyze-at-ceiling",
+        "counterexamples-at-ceiling", "exact-carrier"])
+def test_float_tolerance_ceiling(tmp_path, argv, code):
+    # a float carrier refuses a --tolerance wider than FLOAT_TOLERANCE_CEILING,
+    # which would otherwise fail its axioms (semi_numeric (2, 0) exits 2 at
+    # 0.01) or misclassify both counterexample roots (at 0.1); exact
+    # carriers never read it
+    paths = {"SEMI": write(tmp_path, "semi.json",
+                           {"gamma": {"group": "semi_numeric", "unit": "(2,0)"}}),
+             "EXACT": write(tmp_path, "q.json", {"gamma": {"group": "Q", "unit": "1"}})}
+    proc = run_cli(*[paths.get(a, a) for a in argv])
+    assert proc.returncode == code, proc.stderr
+    if code == 3:
+        assert proc.stderr.startswith("error:") and proc.stdout == ""
+        ceiling = f"{FLOAT_TOLERANCE_CEILING:.6g}"
+        assert f"--tolerance {float(argv[-1]):.6g} exceeds {ceiling}" in proc.stderr
 
 
 def chain_table(n):

@@ -26,6 +26,11 @@ def gamma_z(n):
     return pmv.gamma(pmv.IntegerGroup(), n)
 
 
+def gamma_flat(group, *unit):
+    """Γ(group, u) for the unit with flat coordinates ``unit``."""
+    return pmv.gamma(group, group.from_flat(list(unit)))
+
+
 # ----------------------------------------------------------------------
 # primitive and derived operations on chains, against integer oracles
 # ----------------------------------------------------------------------
@@ -172,7 +177,7 @@ def test_axioms_table_and_generic_paths_agree():
 
 
 def test_axioms_sampled_on_infinite_carrier():
-    d = pmv.gamma(pmv.DyadicGroup(), F(1))
+    d = gamma_flat(pmv.DyadicGroup(), 1)
     report = d.check_axioms(budget=300)
     assert not report.exhaustive
     assert report.all_pass
@@ -198,7 +203,7 @@ def test_boolean_skeleton_product_of_chains():
 
 
 def test_boolean_skeleton_unsupported_on_infinite_carrier():
-    d = pmv.gamma(pmv.DyadicGroup(), F(1))
+    d = gamma_flat(pmv.DyadicGroup(), 1)
     with pytest.raises(UnsupportedBackend):
         d.boolean_skeleton()
 
@@ -206,8 +211,7 @@ def test_boolean_skeleton_unsupported_on_infinite_carrier():
 def test_symmetry():
     assert gamma_z(4).symmetry_check().passed
     heis = pmv.HeisenbergGroup()
-    m = pmv.gamma(pmv.LexProduct(pmv.RationalGroup(), heis),
-                  (F(1), (F(0), F(0), F(0))))
+    m = gamma_flat(pmv.LexProduct(pmv.RationalGroup(), heis), 1, 0, 0, 0)
     assert m.symmetry_check(budget=200).passed
     scaling, _ = scaling_action_algebra()
     res = scaling.symmetry_check(budget=200)
@@ -252,8 +256,7 @@ def test_identities_on_chain():
 
 def test_identities_on_lex_heisenberg():
     heis = pmv.HeisenbergGroup()
-    m = pmv.gamma(pmv.LexProduct(pmv.RationalGroup(), heis),
-                  (F(1), (F(0), F(0), F(0))))
+    m = gamma_flat(pmv.LexProduct(pmv.RationalGroup(), heis), 1, 0, 0, 0)
     _identity_suite(m, 120)
 
 
@@ -298,8 +301,7 @@ def test_gamma_derived_ops_match_group_formulas():
     must agree with the algebra's operations and with the derived
     definitions."""
     heis = pmv.HeisenbergGroup()
-    m = pmv.gamma(pmv.LexProduct(pmv.RationalGroup(), heis),
-                  (F(1), (F(0), F(0), F(0))))
+    m = gamma_flat(pmv.LexProduct(pmv.RationalGroup(), heis), 1, 0, 0, 0)
     spec = PrimitivesOnly(m)
     g, u = m.group, m.unit
     rng = make_rng(5, "gamma-oracle")
@@ -326,15 +328,13 @@ NATIVE_GAMMA_CASES = {
     "Z,6": lambda: gamma_z(6),
     "prod(Z,Z),(2,3)": lambda: pmv.gamma(
         pmv.DirectProductGroup(pmv.IntegerGroup(), pmv.IntegerGroup()), (2, 3)),
-    "Q,1": lambda: pmv.gamma(pmv.RationalGroup(), F(1)),
-    "heis,non-central": lambda: pmv.gamma(pmv.HeisenbergGroup(), (F(1), F(1, 2), F(0))),
-    "lex(Q,heis)": lambda: pmv.gamma(
-        pmv.LexProduct(pmv.RationalGroup(), pmv.HeisenbergGroup()),
-        (F(1), (F(1), F(-1), F(0)))),
-    "prod(lex(D,Q),H(6))": lambda: pmv.gamma(
+    "Q,1": lambda: gamma_flat(pmv.RationalGroup(), 1),
+    "heis,non-central": lambda: gamma_flat(pmv.HeisenbergGroup(), 1, F(1, 2), 0),
+    "lex(Q,heis)": lambda: gamma_flat(
+        pmv.LexProduct(pmv.RationalGroup(), pmv.HeisenbergGroup()), 1, 1, -1, 0),
+    "prod(lex(D,Q),H(6))": lambda: gamma_flat(
         pmv.DirectProductGroup(pmv.LexProduct(pmv.DyadicGroup(), pmv.RationalGroup()),
-                               pmv.PowerDenominatorGroup(6)),
-        ((F(1), F(0)), F(1))),
+                               pmv.PowerDenominatorGroup(6)), 1, 0, 1),
     "semi_numeric": lambda: scaling_action_algebra()[0],
     "exp_numeric": lambda: exp_action_algebra()[0],
 }
@@ -451,9 +451,18 @@ def test_backend_mismatch_errors():
         with pytest.raises(BackendMismatch) as derived:
             getattr(spec, op)(-1, "0")
         assert str(native.value) == str(derived.value), op
-    d = pmv.gamma(pmv.DyadicGroup(), F(1))
-    assert not d.contains(F(1, 3))  # 1/3 is not dyadic
-    assert not d.contains(F(2))  # outside [0, 1]
+    dyadic = pmv.DyadicGroup()
+    d = gamma_flat(dyadic, 1)
+    assert not d.contains(dyadic.from_flat([F(1, 3)]))  # 1/3 is not dyadic
+    assert not d.contains(dyadic.from_flat([2]))  # outside [0, 1]
+    # an exact payload is a reduced pair (n, d) of ints with d > 0: an
+    # unreduced pair, d ≤ 0, a bool or float coordinate and a stray
+    # Fraction are none, even where their value would lie in [0, 1]
+    for bad in ((2, 4), (0, 2), (1, 0), (-1, -2), (True, 1), (1, True), (0.5, 1), (0, 1.0),
+                True, 0.5, F(1, 2)):
+        with pytest.raises(BackendMismatch):
+            dyadic.validate(bad)
+        assert not d.contains(bad), bad
 
 
 def test_operation_entry_points():

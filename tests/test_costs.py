@@ -1,7 +1,7 @@
 """Cost gates that do not depend on the machine: group operations per Γ
-operation, root evaluations per check, Fractions built through
-``Fraction.__new__``, ⊙ evaluations per finite ideal fact, and skeleton
-checks per finite ``analyze``."""
+operation, root evaluations per check, Fractions built on a Γ operation's
+path (none), ⊙ evaluations per finite ideal fact, and skeleton checks per
+finite ``analyze``."""
 
 from __future__ import annotations
 
@@ -52,9 +52,13 @@ def counted_gamma(group, unit):
     return pmv.gamma(group, unit), group
 
 
+def lex_heis():
+    return pmv.LexProduct(pmv.RationalGroup(), pmv.HeisenbergGroup())
+
+
 def counted_lex_heis():
-    return counted_gamma(pmv.LexProduct(pmv.RationalGroup(), pmv.HeisenbergGroup()),
-                         (F(1), (F(0), F(0), F(0))))
+    g = lex_heis()
+    return counted_gamma(g, g.from_flat([1, 0, 0, 0]))
 
 
 def test_gamma_order_and_product_cost_in_group_operations():
@@ -82,23 +86,33 @@ def test_verify_root_evaluations_on_lex_heis():
     assert len(points) <= 7 * 40 + 1
 
 
-@pytest.mark.parametrize("group, unit", [
-    (pmv.LexProduct(pmv.RationalGroup(), pmv.HeisenbergGroup()), (F(1), (F(0), F(0), F(0)))),
-    (pmv.RationalGroup(), F(1)),
+def int_payload(x):
+    """Whether ``x`` is an int or a tuple of int payloads: no Fraction inside."""
+    if type(x) is tuple:
+        return all(map(int_payload, x))
+    return type(x) is int
+
+
+@pytest.mark.parametrize("make, unit", [
+    (lex_heis, [1, 0, 0, 0]),
+    (pmv.RationalGroup, [1]),
 ], ids=["lex(Q,heis)", "Q"])
-def test_gamma_operations_build_no_fraction_through_new(monkeypatch, group, unit):
-    # the exact kernels build reduced results directly, never through
-    # Fraction.__new__ and its normalizing gcd
-    m = pmv.gamma(group, unit)
+def test_gamma_operations_build_no_fraction_through_new(monkeypatch, make, unit):
+    # exact payloads are int pairs: no Γ operation, sampling included,
+    # builds a Fraction
+    group = make()
+    m = pmv.gamma(group, group.from_flat(unit))
     sym = pmv.closed_form(m, "sym")
     rng = make_rng(0, "construction")
-    points = [m.sample(rng) for _ in range(50)]
     calls = []
     new = F.__new__
     monkeypatch.setattr(F, "__new__", lambda cls, *a, **k: calls.append(1) or new(cls, *a, **k))
+    points = [m.sample(rng) for _ in range(50)]
+    results = []
     for x, y in zip(points, points[1:] + points[:1]):
-        m.oplus(x, y), m.neg(x), m.tilde(x), m.odot(x, y), m.leq(x, y), sym(x)
+        results += [m.oplus(x, y), m.neg(x), m.tilde(x), m.odot(x, y), m.leq(x, y), sym(x)]
     assert len(calls) == 0
+    assert all(int_payload(r) for r in points + results if type(r) is not bool)
 
 
 def test_finite_ideal_facts_cost_in_odot(monkeypatch):

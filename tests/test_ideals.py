@@ -25,8 +25,13 @@ from pseudomv.ideals import (
 from pseudomv.roots import closed_form, identity_map, table_map
 
 
+def q(n, d=1):
+    """The payload of the rational n/d in Q, D and H(p)."""
+    return pmv.RationalGroup().from_flat([F(n, d)])
+
+
 def dyadic_unit():
-    return pmv.gamma(pmv.DyadicGroup(), F(1))
+    return pmv.gamma(pmv.DyadicGroup(), q(1))
 
 
 def first_factor_kernel(algebra):
@@ -290,12 +295,12 @@ def test_atoms():
 def test_witness_in_dyadic_interval_at_one_half():
     d = dyadic_unit()
     root = closed_form(d, "sym")
-    got = strongly_atomless_witness(d, F(1, 2), root=root)
+    got = strongly_atomless_witness(d, q(1, 2), root=root)
     assert got is not None
     y, value = got
-    assert y == F(1, 4) and value == F(1, 4)
+    assert y == q(1, 4) and value == q(1, 4)
     # independent evaluation of the witness value: 1/4 ∧ (1/2 ⊙ 3/4)
-    assert d.meet(F(1, 4), d.odot(F(1, 2), d.neg(F(1, 4)))) == F(1, 4)
+    assert d.meet(q(1, 4), d.odot(q(1, 2), d.neg(q(1, 4)))) == q(1, 4)
 
 
 def test_canonical_witness_value_is_half_of_x():
@@ -304,11 +309,11 @@ def test_canonical_witness_value_is_half_of_x():
     rng = make_rng(12, "atomless")
     for _ in range(150):
         x = d.sample(rng)
-        if x == F(0):
+        if x == q(0):
             continue
         y, value = strongly_atomless_witness(d, x, root=root)
         assert value == d.group.halve(x)
-        assert value != F(0)
+        assert value != q(0)
 
 
 def test_atom_of_a_chain_has_no_witness():
@@ -319,11 +324,12 @@ def test_atom_of_a_chain_has_no_witness():
 
 def test_sampled_witness_search():
     # no root and no enumeration: seeded samples meet-projected below x
-    q = pmv.gamma(pmv.RationalGroup(), F(1))
-    x = F(1)
-    y, value = strongly_atomless_witness(q, x)
-    assert F(0) < y < x
-    assert value == min(y, max(x - y, F(0))) != F(0)     # y ∧ (x ⊙ y⁻) on [0, 1]
+    g = pmv.RationalGroup()
+    m = pmv.gamma(g, q(1))
+    y, value = strongly_atomless_witness(m, m.one)
+    [fy], [fvalue] = g.flatten(y), g.flatten(value)
+    assert 0 < fy < 1
+    assert fvalue == min(fy, max(1 - fy, F(0))) != 0     # y ∧ (x ⊙ y⁻) at x = 1
     # Γ(ℤ ×lex ℤ, (1, 0)) is not enumerable: its atom (0, 1) has no witness, (0, 2) has one
     lex = pmv.gamma(pmv.LexProduct(pmv.IntegerGroup(), pmv.IntegerGroup()), (1, 0))
     assert strongly_atomless_witness(lex, (0, 1)) is None
@@ -347,9 +353,9 @@ def test_strongly_atomless_algebras_have_no_atoms_on_probes():
     rng = make_rng(13, "no-atoms")
     for _ in range(80):
         x = d.sample(rng)
-        if x == F(0):
+        if x == q(0):
             continue
         got = strongly_atomless_witness(d, x, root=root)
         assert got is not None
         y, _ = got
-        assert d.lt(F(0), y) and d.lt(y, x)
+        assert d.lt(q(0), y) and d.lt(y, x)

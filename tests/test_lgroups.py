@@ -11,11 +11,16 @@ from hypothesis import strategies as st
 
 import pseudomv as pmv
 from pseudomv.core import make_rng
-from pseudomv.lgroups import LGroup, _frac, power_denominator_member
+from pseudomv.lgroups import LGroup, power_denominator_member
+
+
+def q(n, d=1):
+    """The payload of the rational n/d in Q, D and H(p)."""
+    return pmv.RationalGroup().from_flat([F(n, d)])
 
 
 def heis3(a, b, c):
-    return (F(a), F(b), F(c))
+    return pmv.HeisenbergGroup().from_flat([a, b, c])
 
 
 # ----------------------------------------------------------------------
@@ -24,11 +29,11 @@ def heis3(a, b, c):
 
 def test_dyadic_arithmetic_and_halving():
     d = pmv.DyadicGroup()
-    assert d.add(F(3, 8), F(1, 4)) == F(5, 8)
-    assert d.halve(F(3, 4)) == F(3, 8)
-    assert d.member(F(5, 16)) and not d.member(F(1, 3))
-    with pytest.raises(pmv.BackendMismatch):
-        d.validate(F(1, 3))
+    assert d.add(q(3, 8), q(1, 4)) == q(5, 8)
+    assert d.halve(q(3, 4)) == q(3, 8)
+    assert d.member(q(5, 16)) and not d.member(q(1, 3))
+    with pytest.raises(pmv.BackendMismatch, match="1/3 lies outside D"):
+        d.validate(q(1, 3))
 
 
 def test_integer_halving_parity():
@@ -48,10 +53,10 @@ def test_power_denominator_membership():
 
 def test_power_denominator_group_halving():
     h6 = pmv.PowerDenominatorGroup(6)
-    assert h6.halve(F(1, 6)) == F(1, 12)  # 1/12 = 3/36
+    assert h6.halve(q(1, 6)) == q(1, 12)  # 1/12 = 3/36
     h3 = pmv.PowerDenominatorGroup(3)
-    assert h3.halve(F(1, 3)) is None
-    assert h3.halve(F(2, 9)) == F(1, 9)
+    assert h3.halve(q(1, 3)) is None
+    assert h3.halve(q(2, 9)) == q(1, 9)
 
 
 # ----------------------------------------------------------------------
@@ -73,7 +78,7 @@ def test_heisenberg_neg_and_halve():
         assert g.add(g.neg(a), a) == g.zero()
         h = g.halve(a)
         assert g.add(h, h) == a
-    assert g.halve(heis3(1, 1, 1)) == (F(1, 2), F(1, 2), F(3, 8))
+    assert g.halve(heis3(1, 1, 1)) == heis3(F(1, 2), F(1, 2), F(3, 8))
 
 
 def test_heisenberg_center():
@@ -107,11 +112,11 @@ def test_heisenberg_positive_cone_closed():
 
 def test_lex_product_order_and_center():
     g = pmv.LexProduct(pmv.RationalGroup(), pmv.HeisenbergGroup())
-    u_half = (F(1, 2), heis3(0, 0, 0))
+    u_half = (q(1, 2), heis3(0, 0, 0))
     assert g.center_has(u_half)
-    assert not g.center_has((F(0), heis3(1, 0, 0)))
-    assert g.lt((F(0), heis3(5, 5, 5)), (F(1, 100), heis3(0, 0, 0)))
-    assert g.halve((F(1), heis3(1, 1, 1))) == (F(1, 2), (F(1, 2), F(1, 2), F(3, 8)))
+    assert not g.center_has((q(0), heis3(1, 0, 0)))
+    assert g.lt((q(0), heis3(5, 5, 5)), (q(1, 100), heis3(0, 0, 0)))
+    assert g.halve((q(1), heis3(1, 1, 1))) == (q(1, 2), heis3(F(1, 2), F(1, 2), F(3, 8)))
 
 
 def test_lex_product_requires_linear_head():
@@ -142,8 +147,8 @@ def test_direct_product_partial_order():
     (pmv.IntegerGroup(), 3, 4),
     (pmv.IntegerGroup(), -2, 0),
     (pmv.DirectProductGroup(pmv.IntegerGroup(), pmv.IntegerGroup()), (2, 1), 6),
-    (pmv.DirectProductGroup(pmv.IntegerGroup(), pmv.DyadicGroup()), (10**9, F(1)), None),
-    (pmv.DyadicGroup(), F(1), None),
+    (pmv.DirectProductGroup(pmv.IntegerGroup(), pmv.DyadicGroup()), (10**9, q(1)), None),
+    (pmv.DyadicGroup(), q(1), None),
 ])
 def test_interval_size_counts_the_listed_interval(group, unit, size):
     # a product with a factor it cannot list lists nothing, however large
@@ -270,10 +275,10 @@ def test_gamma_z2_is_the_three_element_chain():
 
 def test_gamma_lex_heis_is_symmetric_noncommutative():
     m = pmv.gamma(pmv.LexProduct(pmv.RationalGroup(), pmv.HeisenbergGroup()),
-                  (F(1), heis3(0, 0, 0)))
+                  (q(1), heis3(0, 0, 0)))
     assert m.symmetry_check(budget=150).passed
-    x = (F(0), heis3(1, 0, 0))
-    y = (F(0), heis3(0, 1, 0))
+    x = (q(0), heis3(1, 0, 0))
+    y = (q(0), heis3(0, 1, 0))
     assert m.contains(x) and m.contains(y)
     assert not m.eq(m.oplus(x, y), m.oplus(y, x))
 
@@ -297,7 +302,7 @@ def test_halving_unique_against_doubling():
 
 def test_sampled_interval_points_stay_inside():
     m = pmv.gamma(pmv.LexProduct(pmv.RationalGroup(), pmv.HeisenbergGroup()),
-                  (F(1), heis3(0, 0, 0)))
+                  (q(1), heis3(0, 0, 0)))
     rng = make_rng(9, "interval")
     for _ in range(200):
         assert m.contains(m.sample(rng))
@@ -314,15 +319,15 @@ def lex_q_heis():
 # (group, unit) for every kind of carrier, abelian or not
 CENTRE_CASES = {
     "Z": (pmv.IntegerGroup, 2),
-    "Q": (pmv.RationalGroup, F(1)),
-    "D": (pmv.DyadicGroup, F(1)),
-    "H(6)": (lambda: pmv.PowerDenominatorGroup(6), F(1)),
+    "Q": (pmv.RationalGroup, q(1)),
+    "D": (pmv.DyadicGroup, q(1)),
+    "H(6)": (lambda: pmv.PowerDenominatorGroup(6), q(1)),
     "heis": (pmv.HeisenbergGroup, heis3(1, F(1, 2), 0)),
     "semi_numeric": (pmv.ScalingSemidirect, (2.0, 0.0)),
     "exp_numeric": (pmv.ExpSemidirect, (1.0, 0.0)),
-    "lex(Q,heis)": (lex_q_heis, (F(1), heis3(0, 0, 0))),
+    "lex(Q,heis)": (lex_q_heis, (q(1), heis3(0, 0, 0))),
     "prod(D,Q)": (lambda: pmv.DirectProductGroup(pmv.DyadicGroup(), pmv.RationalGroup()),
-                  (F(1), F(1))),
+                  (q(1), q(1))),
     "lex(Z,Z)": (lambda: pmv.LexProduct(pmv.IntegerGroup(), pmv.IntegerGroup()), (2, 0)),
 }
 
@@ -353,18 +358,18 @@ def test_center_has_is_exact(name):
 # The first five points of the stream ``analyze --seed 0`` draws A1–A8
 # from.  A sampler that draws differently changes these on purpose.
 STREAM_PINS = [
-    (pmv.RationalGroup, F(1), ["6/7", "131/316", "533/889", "42/103", "414/751"]),
-    (pmv.DyadicGroup, F(1), ["1", "13/16", "51/256", "23/32", "49/64"]),
-    (lambda: pmv.PowerDenominatorGroup(6), F(1),
+    (pmv.RationalGroup, q(1), ["6/7", "131/316", "533/889", "42/103", "414/751"]),
+    (pmv.DyadicGroup, q(1), ["1", "13/16", "51/256", "23/32", "49/64"]),
+    (lambda: pmv.PowerDenominatorGroup(6), q(1),
      ["25/216", "85/216", "1/3", "173/216", "2/3"]),
     (pmv.HeisenbergGroup, heis3(1, F(1, 2), 0),
      ["(0, 0, 1)", "(0, 0, 0)", "(1, 1/2, 0)", "(0, 0, 0)", "(1, 1/2, 0)"]),
-    (lex_q_heis, (F(1), heis3(0, 0, 0)),
+    (lex_q_heis, (q(1), heis3(0, 0, 0)),
      ["(6/7, 0, 5/4, 2)", "(42/103, 7/8, 19/16, 17/16)", "(596/687, 0, -1, -1/2)",
       "(62/75, 29/16, 3/4, -7/4)", "(188/357, -11/8, -19/16, -1/16)"]),
     (lambda: pmv.DirectProductGroup(
         pmv.LexProduct(pmv.DyadicGroup(), pmv.RationalGroup()), pmv.PowerDenominatorGroup(6)),
-     ((F(1), F(0)), F(1)),
+     ((q(1), q(0)), q(1)),
      ["(1, 0, 103/216)", "(199/256, 1013/687, 37/216)", "(1, 0, 2/3)", "(1/16, 13/119, 0)",
       "(1, -937/504, 0)"]),
     (lambda: pmv.LexProduct(pmv.IntegerGroup(), pmv.IntegerGroup()), (2, 0),
@@ -389,10 +394,14 @@ def test_gamma_sample_stream_is_pinned(make, unit, expected):
 
 
 def test_element_formatting_and_flat_parsing():
+    # exact payloads are reduced int pairs; Fractions go in and come out
     g = pmv.LexProduct(pmv.RationalGroup(), pmv.HeisenbergGroup())
-    x = (F(3, 4), heis3(1, 0, -2))
+    x = g.from_flat([F(3, 4), 1, F(0), F(-4, 2)])
+    assert x == ((3, 4), ((1, 1), (0, 1), (-2, 1)))
     assert g.format_element(x) == "(3/4, 1, 0, -2)"
-    assert g.from_flat([F(3, 4), F(1), F(0), F(-2)]) == x
+    flat = g.flatten(x)
+    assert flat == [F(3, 4), F(1), F(0), F(-2)] and all(type(v) is F for v in flat)
+    assert g.from_flat(flat) == x
     assert g.flat_arity == 4
 
 
@@ -401,9 +410,10 @@ def test_element_formatting_and_flat_parsing():
        st.fractions(min_value=-4, max_value=4))
 def test_rational_lattice_identities(a, b):
     g = pmv.RationalGroup()
-    assert g.join(a, b) == max(a, b)
-    assert g.meet(a, b) == min(a, b)
-    assert g.add(g.join(a, b), g.meet(a, b)) == g.add(a, b)
+    x, y = g.from_flat([a]), g.from_flat([b])
+    assert g.flatten(g.join(x, y)) == [max(a, b)]
+    assert g.flatten(g.meet(x, y)) == [min(a, b)]
+    assert g.add(g.join(x, y), g.meet(x, y)) == g.add(x, y)
 
 
 # ----------------------------------------------------------------------
@@ -423,17 +433,9 @@ triples = st.one_of(st.tuples(scalars, scalars, scalars).map(lambda t: tuple(F(v
                     st.tuples(bigs, bigs, bigs))
 
 
-def reduced_fraction(r):
-    return type(r) is F and r.denominator > 0 and math.gcd(r.numerator, r.denominator) == 1
-
-
-def test_frac_matches_fraction_slots():
-    # _frac sets Fraction's two slots itself, skipping __new__
-    assert F.__slots__ == ("_numerator", "_denominator")
-    for n, d in ((3, 4), (-7, 1), (0, 1), (BIG + 1, BIG)):
-        q = _frac(n, d)
-        assert type(q) is F and (q.numerator, q.denominator) == (n, d)
-        assert q == F(n, d) and hash(q) == hash(F(n, d)) and str(q) == str(F(n, d))
+def reduced_pair(p):
+    return (type(p) is tuple and len(p) == 2 and type(p[0]) is int and type(p[1]) is int
+            and p[1] > 0 and math.gcd(p[0], p[1]) == 1)
 
 
 def over_powers_of(base):
@@ -442,22 +444,24 @@ def over_powers_of(base):
 
 @settings(max_examples=200, deadline=None)
 @given(scalars, dyadics, over_powers_of(6), over_powers_of(3), triples)
-def test_halving_kernels(q, d, h6, h3, a):
-    for g, x in ((pmv.RationalGroup(), q), (pmv.DyadicGroup(), d),
+def test_halving_kernels(r, d, h6, h3, a):
+    for g, v in ((pmv.RationalGroup(), r), (pmv.DyadicGroup(), d),
                  (pmv.PowerDenominatorGroup(6), h6)):
-        h = g.halve(x)
-        assert h == F(x) / 2 and reduced_fraction(h)
+        h = g.halve(g.from_flat([v]))
+        assert reduced_pair(h) and g.flatten(h) == [F(v) / 2]
     # H(3) halves i/3ⁿ exactly when i is even
-    half3 = pmv.PowerDenominatorGroup(3).halve(h3)
+    g3 = pmv.PowerDenominatorGroup(3)
+    half3 = g3.halve(g3.from_flat([h3]))
     if h3.numerator % 2:
         assert half3 is None
     else:
-        assert half3 == h3 / 2 and reduced_fraction(half3)
+        assert reduced_pair(half3) and g3.flatten(half3) == [h3 / 2]
     heis = pmv.HeisenbergGroup()
-    h = heis.halve(a)
-    assert all(reduced_fraction(v) for v in h)
-    assert heis.add(h, h) == a
-    assert h == (a[0] / 2, a[1] / 2, (a[2] - a[0] * a[1] / 4) / 2)
+    x = heis.from_flat(a)
+    h = heis.halve(x)
+    assert all(map(reduced_pair, h))
+    assert heis.add(h, h) == x
+    assert heis.flatten(h) == [a[0] / 2, a[1] / 2, (a[2] - a[0] * a[1] / 4) / 2]
 
 
 @settings(max_examples=300, deadline=None)
@@ -465,32 +469,107 @@ def test_halving_kernels(q, d, h6, h3, a):
 def test_fraction_group_kernels_match_operators(a, b):
     g = pmv.RationalGroup()
     fa, fb = F(a), F(b)
-    for got, want in ((g.add(a, b), fa + fb), (g.sub(a, b), fa - fb), (g.neg(a), -fa)):
-        assert got == want and reduced_fraction(got)
-    assert g.cmp(a, b) == (fa > fb) - (fa < fb)
-    assert (g.eq(a, b), g.leq(a, b), g.lt(a, b)) == (fa == fb, fa <= fb, fa < fb)
+    x, y = g.from_flat([a]), g.from_flat([b])
+    for got, want in ((g.add(x, y), fa + fb), (g.sub(x, y), fa - fb), (g.neg(x), -fa)):
+        assert reduced_pair(got) and g.flatten(got) == [want]
+    assert g.cmp(x, y) == (fa > fb) - (fa < fb)
+    assert (g.eq(x, y), g.leq(x, y), g.lt(x, y)) == (fa == fb, fa <= fb, fa < fb)
     # LGroup's tie choices: join returns a and meet returns b on equal inputs
-    assert g.join(a, b) is (b if fa < fb else a)
-    assert g.meet(a, b) is (a if fa < fb else b)
+    assert g.join(x, y) is (y if fa < fb else x)
+    assert g.meet(x, y) is (x if fa < fb else y)
+
+
+def heis_add(a, b):
+    return [a[0] + b[0], a[1] + b[1], a[2] + b[2] + a[0] * b[1]]
+
+
+def heis_neg(a):
+    return [-a[0], -a[1], -a[2] + a[0] * a[1]]
 
 
 @settings(max_examples=200, deadline=None)
 @given(triples, triples)
 def test_heisenberg_kernels_match_operators(a, b):
     h = pmv.HeisenbergGroup()
-    assert h.add(a, b) == (a[0] + b[0], a[1] + b[1], a[2] + b[2] + a[0] * b[1])
-    assert h.neg(a) == (-a[0], -a[1], -a[2] + a[0] * a[1])
-    assert h.sub(a, b) == h.add(a, h.neg(b))
-    assert all(reduced_fraction(v) for v in h.add(a, b) + h.neg(a) + h.sub(a, b))
-    assert h.cmp(a, b) == (a > b) - (a < b)
+    x, y = h.from_flat(a), h.from_flat(b)
+    assert h.flatten(h.add(x, y)) == heis_add(a, b)
+    assert h.flatten(h.neg(x)) == heis_neg(a)
+    assert h.flatten(h.sub(x, y)) == heis_add(a, heis_neg(b))
+    assert h.sub(x, y) == h.add(x, h.neg(y))
+    assert all(map(reduced_pair, h.add(x, y) + h.neg(x) + h.sub(x, y)))
+    assert h.cmp(x, y) == (a > b) - (a < b)
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.tuples(scalars, triples), st.tuples(scalars, triples),
        st.tuples(dyadics, scalars), st.tuples(dyadics, scalars))
 def test_pair_group_sub_is_add_of_neg(x, y, p, q):
-    x, y = (F(x[0]), x[1]), (F(y[0]), y[1])
     lex = pmv.LexProduct(pmv.RationalGroup(), pmv.HeisenbergGroup())
-    assert lex.sub(x, y) == lex.add(x, lex.neg(y))
+    a, b = lex.from_flat([x[0], *x[1]]), lex.from_flat([y[0], *y[1]])
+    diff = lex.sub(a, b)
+    assert diff == lex.add(a, lex.neg(b))
+    assert reduced_pair(diff[0]) and all(map(reduced_pair, diff[1]))
+    assert lex.flatten(diff) == [F(x[0]) - F(y[0])] + heis_add(x[1], heis_neg(y[1]))
     prod = pmv.DirectProductGroup(pmv.DyadicGroup(), pmv.RationalGroup())
-    assert prod.sub(p, q) == prod.add(p, prod.neg(q))
+    c, d = prod.from_flat(list(p)), prod.from_flat(list(q))
+    diff = prod.sub(c, d)
+    assert diff == prod.add(c, prod.neg(d))
+    assert all(map(reduced_pair, diff))
+    assert prod.flatten(diff) == [p[0] - q[0], F(p[1]) - F(q[1])]
+
+
+# ----------------------------------------------------------------------
+# canonical payloads
+# ----------------------------------------------------------------------
+
+#: Each stands where a rational coordinate belongs and is none: an
+#: unreduced pair, a denominator of at most 0, a bool or float coordinate,
+#: and a stray Fraction.
+NOT_CANONICAL = {
+    "unreduced": (2, 4),
+    "unreduced-zero": (0, 2),
+    "denominator-0": (1, 0),
+    "denominator-negative": (1, -2),
+    "bool-numerator": (True, 2),
+    "bool-denominator": (1, True),
+    "float-numerator": (0.5, 1),
+    "bool": True,
+    "float": 0.5,
+    "Fraction": F(1, 2),
+    "int": 1,
+}
+
+CANONICAL_CASES = {
+    "Q": (pmv.RationalGroup, [1]),
+    "D": (pmv.DyadicGroup, [1]),
+    "H(6)": (lambda: pmv.PowerDenominatorGroup(6), [1]),
+    "heis": (pmv.HeisenbergGroup, [1, F(1, 2), 0]),
+    "lex(Q,heis)": (lex_q_heis, [1, 0, 0, 0]),
+}
+
+
+def with_coordinate(g, x, i, value):
+    """``x`` with its i-th rational coordinate replaced by ``value``."""
+    if isinstance(g, pmv.LexProduct):
+        if i == 0:
+            return (value, x[1])
+        return (x[0], with_coordinate(g.second, x[1], i - 1, value))
+    if isinstance(g, pmv.HeisenbergGroup):
+        return x[:i] + (value,) + x[i + 1:]
+    return value
+
+
+@pytest.mark.parametrize("name", list(CANONICAL_CASES))
+def test_only_canonical_payloads_validate(name):
+    make, unit = CANONICAL_CASES[name]
+    g = make()
+    m = pmv.gamma(g, g.from_flat(unit))
+    half = g.halve(m.unit)
+    g.validate(half)
+    assert m.contains(half)
+    for i in range(g.flat_arity):
+        for label, bad in NOT_CANONICAL.items():
+            x = with_coordinate(g, half, i, bad)
+            with pytest.raises(pmv.BackendMismatch):
+                g.validate(x)
+            assert not m.contains(x), (i, label)

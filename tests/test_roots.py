@@ -31,16 +31,22 @@ from pseudomv.roots import (
 )
 from pseudomv.counterexamples import scaling_action_algebra
 
-HEIS0 = (F(0), F(0), F(0))
+
+def q(n, d=1):
+    """The payload of the rational n/d in Q, D and H(p)."""
+    return pmv.RationalGroup().from_flat([F(n, d)])
+
+
+HEIS0 = (q(0), q(0), q(0))
 
 
 def dyadic_unit():
-    return pmv.gamma(pmv.DyadicGroup(), F(1))
+    return pmv.gamma(pmv.DyadicGroup(), q(1))
 
 
 def lex_heis():
     return pmv.gamma(pmv.LexProduct(pmv.RationalGroup(), pmv.HeisenbergGroup()),
-                     (F(1), HEIS0))
+                     (q(1), HEIS0))
 
 
 # ----------------------------------------------------------------------
@@ -60,35 +66,35 @@ def test_identity_on_boolean_passes_everything():
 def test_sym_form_on_dyadic_is_a_strict_square_root():
     d = dyadic_unit()
     root = pmv.closed_form(d, "sym")
-    assert root(F(0)) == F(1, 2)
+    assert root(q(0)) == q(1, 2)
     rep = pmv.verify(d, root, budget=400)
     assert rep.square.passed and rep.maximality.passed
     assert rep.negation_compat.passed and rep.standard.passed
     assert rep.strict
     assert rep.classification == "strict"
-    assert rep.r0 == F(1, 2)
-    assert rep.witness_idempotent == F(0)
+    assert rep.r0 == q(1, 2)
+    assert rep.witness_idempotent == q(0)
 
 
 def test_sym_form_on_lex_heisenberg():
     m = lex_heis()
     root = pmv.closed_form(m, "sym")
-    value = root((F(1, 2), (F(1), F(1), F(1))))
-    assert value == (F(3, 4), (F(1, 2), F(1, 2), F(3, 8)))
+    value = root((q(1, 2), (q(1), q(1), q(1))))
+    assert value == (q(3, 4), (q(1, 2), q(1, 2), q(3, 8)))
     # doubling oracle for the frozen value
     g = m.group
-    assert g.add(value, value) == g.add((F(1, 2), (F(1), F(1), F(1))), m.unit)
+    assert g.add(value, value) == g.add((q(1, 2), (q(1), q(1), q(1))), m.unit)
     rep = pmv.verify(m, root, budget=300)
     assert rep.classification == "strict"
     assert rep.standard.passed
-    assert rep.r0 == (F(1, 2), HEIS0)
+    assert rep.r0 == (q(1, 2), HEIS0)
 
 
 def test_weak_form_agrees_with_sym_form_on_commutative_carrier():
     d = dyadic_unit()
     sym = pmv.closed_form(d, "sym")
     weak = pmv.closed_form(d, "weak")
-    assert weak(F(0)) == F(1, 2)
+    assert weak(q(0)) == q(1, 2)
     rng = make_rng(1, "weak-vs-sym")
     for _ in range(200):
         x = d.sample(rng)
@@ -120,28 +126,28 @@ def test_sym_form_requires_central_half_unit():
 
 def test_mixed_form_splits_along_an_idempotent():
     d = dyadic_unit()
-    root = pmv.closed_form(d, "mixed", witness=F(0))
+    root = pmv.closed_form(d, "mixed", witness=q(0))
     rng = make_rng(2, "mixed")
     sym = pmv.closed_form(d, "sym")
     for _ in range(100):
         x = d.sample(rng)
         assert root(x) == sym(x)
-    whole = pmv.closed_form(d, "mixed", witness=F(1))
+    whole = pmv.closed_form(d, "mixed", witness=q(1))
     for _ in range(50):
         x = d.sample(rng)
         assert whole(x) == x
     with pytest.raises(pmv.AlgebraError):
-        pmv.closed_form(d, "mixed", witness=F(1, 2))
+        pmv.closed_form(d, "mixed", witness=q(1, 2))
 
 
 def test_mixed_form_on_an_unhalvable_unit():
     # Γ(ℤ × D, (1, 1)) is 2 × [0, 1]_D: u cannot be halved, yet the mixed form
     # along w = (1, 0) is the Boolean × strict root, r(0) = (0, 1/2)
-    m = pmv.gamma(pmv.DirectProductGroup(pmv.IntegerGroup(), pmv.DyadicGroup()), (1, F(1)))
-    root = pmv.closed_form(m, "mixed", witness=(1, F(0)))
+    m = pmv.gamma(pmv.DirectProductGroup(pmv.IntegerGroup(), pmv.DyadicGroup()), (1, q(1)))
+    root = pmv.closed_form(m, "mixed", witness=(1, q(0)))
     rep = pmv.verify(m, root, budget=200)
     assert rep.classification == "product"
-    assert rep.r0 == (0, F(1, 2)) and rep.witness_idempotent == (1, F(0))
+    assert rep.r0 == (0, q(1, 2)) and rep.witness_idempotent == (1, q(0))
     dec = pmv.decompose(m, root, budget=200)
     assert dec.classification == "product"
     assert dec.all_pass, {k: v.passed for k, v in dec.checks.items()}
@@ -191,7 +197,7 @@ def test_boolean_witness_values():
     b = pmv.boolean(2)
     assert pmv.boolean_witness(b, pmv.identity_map(b)) == b.one
     d = dyadic_unit()
-    assert pmv.boolean_witness(d, pmv.closed_form(d, "sym")) == F(0)
+    assert pmv.boolean_witness(d, pmv.closed_form(d, "sym")) == q(0)
 
 
 def test_boolean_witness_on_mixed_product():
@@ -199,13 +205,13 @@ def test_boolean_witness_on_mixed_product():
     b1 = pmv.boolean(1)
     m = pmv.ProductPMV(b1, d)
     root = pmv.product_map(m, pmv.identity_map(b1), pmv.closed_form(d, "sym"))
-    assert pmv.boolean_witness(m, root) == (1, F(0))
+    assert pmv.boolean_witness(m, root) == (1, q(0))
 
 
 def test_boolean_witness_rejects_non_roots():
     d = dyadic_unit()
     # r(0) = 1/4 makes r(0)⁻ ⊙ r(0)⁻ = 1/2, which is not idempotent
-    fake = custom_map(d, lambda x: F(1, 4))
+    fake = custom_map(d, lambda x: q(1, 4))
     with pytest.raises(pmv.AlgebraError):
         pmv.boolean_witness(d, fake)
 
@@ -226,7 +232,7 @@ def test_decompose_mixed_product():
     root = pmv.product_map(m, pmv.identity_map(b1), pmv.closed_form(d, "sym"))
     dec = pmv.decompose(m, root, budget=300)
     assert dec.classification == "product"
-    assert dec.witness == (1, F(0))
+    assert dec.witness == (1, q(0))
     assert dec.all_pass, {k: v.passed for k, v in dec.checks.items()}
 
     # the Boolean factor has exactly the two points 0 and u
@@ -234,7 +240,7 @@ def test_decompose_mixed_product():
     seen = set()
     for _ in range(200):
         seen.add(dec.boolean_part.project(m.sample(rng)))
-    assert seen == {m.zero, (1, F(0))}
+    assert seen == {m.zero, (1, q(0))}
 
     # the strict factor is the dyadic interval in disguise: (0, t) ↦ t
     d_alg = dyadic_unit()
@@ -249,7 +255,7 @@ def test_decompose_mixed_product():
     rel = relative_map(root, dec.witness, dec.boolean_part)
     assert rel(m.zero) == m.zero
     rel2 = relative_map(root, m.neg(dec.witness), dec.strict_part)
-    assert rel2((0, F(0)))[1] == F(1, 2)
+    assert rel2((0, q(0)))[1] == q(1, 2)
 
 
 def test_trichotomy_is_exclusive():
@@ -282,8 +288,8 @@ def test_induced_interval_on_dyadic():
     ind = pmv.induced_interval_algebra(d, root, budget=250)
     assert ind.all_pass, {k: v.passed for k, v in ind.checks.items() if not v.passed}
     img = ind.algebra
-    assert img.zero == F(1, 2)
-    assert img.oplus(root(F(1, 2)), root(F(1, 2))) == root(d.oplus(F(1, 2), F(1, 2))) == F(1)
+    assert img.zero == q(1, 2)
+    assert img.oplus(root(q(1, 2)), root(q(1, 2))) == root(d.oplus(q(1, 2), q(1, 2))) == q(1)
 
 
 def test_image_algebra_iterates():
@@ -295,8 +301,8 @@ def test_image_algebra_iterates():
     lifted = pmv.SquareRootMap(first.algebra, root.kind, root)
     second = pmv.induced_interval_algebra(first.algebra, lifted, budget=120)
     assert second.all_pass
-    assert first.algebra.zero == F(1, 2)
-    assert second.algebra.zero == F(3, 4) == pmv.iterate(root, F(0), 2)
+    assert first.algebra.zero == q(1, 2)
+    assert second.algebra.zero == q(3, 4) == pmv.iterate(root, q(0), 2)
 
 
 def test_induced_interval_on_boolean_is_the_algebra_itself():
@@ -317,9 +323,9 @@ def test_induced_interval_on_boolean_is_the_algebra_itself():
 def test_iterate_and_powers():
     d = dyadic_unit()
     root = pmv.closed_form(d, "sym")
-    assert pmv.iterate(root, F(0), 0) == F(0)
-    assert pmv.iterate(root, F(0), 3) == F(7, 8)
-    assert d.odot(root(F(1, 4)), root(F(1, 4))) == F(1, 4)
+    assert pmv.iterate(root, q(0), 0) == q(0)
+    assert pmv.iterate(root, q(0), 3) == q(7, 8)
+    assert d.odot(root(q(1, 4)), root(q(1, 4))) == q(1, 4)
     rng = make_rng(4, "powers")
     for _ in range(60):
         x = d.sample(rng)
@@ -327,10 +333,10 @@ def test_iterate_and_powers():
         assert pmv.power_check(d, root, x, 2, 1)
         assert pmv.power_check(d, root, x, 2, 2)
         assert pmv.power_check(d, root, x, 3, 0)
-    assert odot_power(d, F(7, 8), 2) == d.odot(d.odot(F(7, 8), F(7, 8)),
-                                               d.odot(F(7, 8), F(7, 8)))
+    assert odot_power(d, q(7, 8), 2) == d.odot(d.odot(q(7, 8), q(7, 8)),
+                                               d.odot(q(7, 8), q(7, 8)))
     with pytest.raises(ValueError):
-        pmv.power_check(d, root, F(0), 1, 2)
+        pmv.power_check(d, root, q(0), 1, 2)
 
 
 # ----------------------------------------------------------------------
@@ -340,15 +346,15 @@ def test_iterate_and_powers():
 def test_ladder_on_dyadic():
     d = dyadic_unit()
     rungs = pmv.dyadic_ladder(d, pmv.closed_form(d, "sym"), 3)
-    assert rungs == [F(1, 2), F(1, 4), F(1, 8)]
-    total, partial = d.multiples(F(1, 2), 2)
-    assert total == partial == F(1)
+    assert rungs == [q(1, 2), q(1, 4), q(1, 8)]
+    total, partial = d.multiples(q(1, 2), 2)
+    assert total == partial == q(1)
 
 
 def test_ladder_on_lex_heisenberg():
     m = lex_heis()
     rungs = pmv.dyadic_ladder(m, pmv.closed_form(m, "sym"), 2)
-    assert rungs == [(F(1, 2), HEIS0), (F(1, 4), HEIS0)]
+    assert rungs == [(q(1, 2), HEIS0), (q(1, 4), HEIS0)]
 
 
 def test_ladder_requires_strict_root():
@@ -456,13 +462,13 @@ def test_residuation_bound_fails_on_noncommutative_carriers():
     """
     m = lex_heis()
     root = pmv.closed_form(m, "sym")
-    x = (F(87, 100), (F(7, 8), F(-3, 4), F(-5, 8)))
-    y = (F(6, 23), (F(23, 16), F(3, 16), F(7, 8)))
+    x = (q(87, 100), (q(7, 8), q(-3, 4), q(-5, 8)))
+    y = (q(6, 23), (q(23, 16), q(3, 16), q(7, 8)))
     assert m.contains(x) and m.contains(y)
     lhs = m.arrow(root(x), root(y))
     rhs = root(m.arrow(x, y))
-    assert lhs == (F(3199, 4600), (F(9, 32), F(15, 32), F(879, 2048)))
-    assert rhs == (F(3199, 4600), (F(9, 32), F(15, 32), F(561, 2048)))
+    assert lhs == (q(3199, 4600), (q(9, 32), q(15, 32), q(879, 2048)))
+    assert rhs == (q(3199, 4600), (q(9, 32), q(15, 32), q(561, 2048)))
     assert not m.leq(lhs, rhs)
     # while the root itself is beyond suspicion at these points:
     assert m.odot(root(x), root(x)) == x
@@ -509,12 +515,12 @@ def test_integer_headed_lex_interval_has_no_weak_root():
     # {(0, q) : q ≥ 0}, which has no greatest element, so no weak square
     # root can exist; detection correctly reports nothing
     g = pmv.LexProduct(pmv.IntegerGroup(), pmv.RationalGroup())
-    m = pmv.gamma(g, (1, F(0)))
-    for q in range(8):
-        z = (0, F(q))
+    m = pmv.gamma(g, (1, q(0)))
+    for n in range(8):
+        z = (0, q(n))
         assert m.contains(z)
         assert m.eq(m.odot(z, z), m.zero)  # squares collapse to 0
-        assert m.lt(z, (0, F(q + 1)))     # and climb without bound
+        assert m.lt(z, (0, q(n + 1)))     # and climb without bound
     root, how = pmv.detect_square_root(m)
     assert root is None and "none" in how
 
