@@ -24,10 +24,13 @@ module-private kernels on pairs (``_add``, ``_sub``, ``_neg``, ``_half``,
 third coordinate is summed over one denominator and reduced once.  As
 payloads are reduced, equal values are equal pairs.  ``Fraction`` appears
 only at the boundary: ``from_flat`` takes ints and ``Fraction``s in, and
-``flatten`` and ``format_element`` hand ``Fraction``s and text out.  ℤ
-keeps plain ints.  The Γ-construction turns the
-interval [0, u] of a unital group into a pseudo MV-algebra via
-x ⊕ y = (x+y) ∧ u, x⁻ = u−x, x∼ = −x+u.
+``flatten`` and ``format_element`` hand ``Fraction``s and text out.  The
+operations of Q, D and H(p), and ``gamma`` for its unit, also read a bare
+int or ``Fraction`` argument as its pair; ``validate`` accepts pairs
+only, so ``contains`` refuses a bare number.  ℤ keeps plain ints.
+
+The Γ-construction turns the interval [0, u] of a unital group into a
+pseudo MV-algebra via x ⊕ y = (x+y) ∧ u, x⁻ = u−x, x∼ = −x+u.
 
 The float groups order their pairs lexicographically within an absolute
 tolerance t: the first coordinate whose difference d has |d| > t decides,
@@ -72,7 +75,6 @@ __all__ = [
     "ExpSemidirect",
     "GammaPMV",
     "gamma",
-    "power_denominator_member",
 ]
 
 #: The denominator bound of the points Γ(G, u) samples (``LGroup.sample_interval``).
@@ -86,6 +88,12 @@ def _as_pair(v: Any) -> tuple[int, int]:
         q = Fraction(v)
         return q.numerator, q.denominator
     raise BackendMismatch(f"exact payload expected, got {v!r}")
+
+
+def _pair(v: Any) -> tuple[int, int]:
+    """``v`` itself if it is a tuple, else the reduced pair of a bare int or
+    Fraction."""
+    return v if type(v) is tuple else _as_pair(v)
 
 
 def _is_pair(a: Any) -> bool:
@@ -201,6 +209,11 @@ class LGroup(ABC):
     @abstractmethod
     def validate(self, a: Any) -> None:
         """Raise BackendMismatch when the payload has the wrong shape."""
+
+    def _read(self, a: Any) -> Any:
+        """``a`` as a payload; Q, D and H(p) read a bare int or Fraction as
+        its pair."""
+        return a
 
     def sub(self, a: Any, b: Any) -> Any:
         """a − b = a + (−b)."""
@@ -325,31 +338,70 @@ class IntegerGroup(LGroup):
 
 class _FractionGroup(LGroup):
     """Shared machinery for subgroups of the rationals, whose payloads are
-    reduced pairs (n, d)."""
+    reduced pairs (n, d).
+
+    The operations also take a bare int or Fraction for an argument and
+    read it as its pair: a number has no items, so the kernel raises
+    TypeError and the call is made again on pairs.  Pairs never take that
+    branch, and no result is a Fraction.  ``validate`` still accepts pairs
+    only.
+    """
 
     def zero(self):
         return _ZERO
 
-    add = staticmethod(_add)
-    sub = staticmethod(_sub)
-    neg = staticmethod(_neg)
-    cmp = staticmethod(_cmp)
+    _read = staticmethod(_pair)
+
+    def add(self, a, b):
+        try:
+            return _add(a, b)
+        except TypeError:
+            return _add(_pair(a), _pair(b))
+
+    def sub(self, a, b):
+        try:
+            return _sub(a, b)
+        except TypeError:
+            return _sub(_pair(a), _pair(b))
+
+    def neg(self, a):
+        try:
+            return _neg(a)
+        except TypeError:
+            return _neg(_pair(a))
+
+    def cmp(self, a, b):
+        try:
+            return _cmp(a, b)
+        except TypeError:
+            return _cmp(_pair(a), _pair(b))
 
     # One cross-multiplication each; ties keep LGroup's choices (join
     # returns a, meet returns b).  Payloads are reduced, so equal values
     # are equal pairs.
 
     def eq(self, a, b):
-        return a == b
+        if type(a) is tuple is type(b):
+            return a == b
+        return _pair(a) == _pair(b)
 
     def leq(self, a, b):
-        return a[0] * b[1] <= b[0] * a[1]
+        try:
+            return a[0] * b[1] <= b[0] * a[1]
+        except TypeError:
+            return self.leq(_pair(a), _pair(b))
 
     def join(self, a, b):
-        return b if a[0] * b[1] < b[0] * a[1] else a
+        try:
+            return b if a[0] * b[1] < b[0] * a[1] else a
+        except TypeError:
+            return self.join(_pair(a), _pair(b))
 
     def meet(self, a, b):
-        return a if a[0] * b[1] < b[0] * a[1] else b
+        try:
+            return a if a[0] * b[1] < b[0] * a[1] else b
+        except TypeError:
+            return self.meet(_pair(a), _pair(b))
 
     def validate(self, a):
         if not _is_pair(a):
@@ -366,7 +418,10 @@ class _FractionGroup(LGroup):
     _coerce_scalar = staticmethod(_as_pair)
 
     def halve(self, a):
-        h = _half(a)
+        try:
+            h = _half(a)
+        except TypeError:
+            h = _half(_pair(a))
         return h if self.member(h) else None
 
     def _denominator(self, rng: random.Random) -> int:
@@ -410,29 +465,20 @@ class PowerDenominatorGroup(_FractionGroup):
         self.dsl = f"H({base})"
 
     def member(self, a):
-        return _divides_power(a[1], self.base)
+        """Whether the denominator of a divides some power of the base."""
+        d, base = a[1], self.base
+        g = math.gcd(d, base)
+        while g > 1:
+            while d % g == 0:
+                d //= g
+            g = math.gcd(d, base)
+        return d == 1
 
     def _denominator(self, rng):
         d = 1
         while d * self.base <= SAMPLE_DENOMINATOR_BOUND and rng.random() < 0.75:
             d *= self.base
         return d
-
-
-def power_denominator_member(base: int, q: Rational) -> bool:
-    """Decide q ∈ H(base), i.e. whether the reduced denominator of q divides
-    some power of the base."""
-    return _divides_power(q.denominator, base)
-
-
-def _divides_power(d: int, base: int) -> bool:
-    """Whether d divides some power of the base."""
-    g = math.gcd(d, base)
-    while g > 1:
-        while d % g == 0:
-            d //= g
-        g = math.gcd(d, base)
-    return d == 1
 
 
 # ----------------------------------------------------------------------
@@ -800,6 +846,7 @@ class GammaPMV(PseudoMV):
     backend = "gamma-interval"
 
     def __init__(self, group: LGroup, unit: Any, sampler: SamplerConfig | None = None):
+        unit = group._read(unit)
         group.validate(unit)
         if not group.lt(group.zero(), unit):
             raise AlgebraError("unit must be strictly positive")

@@ -20,7 +20,6 @@ import json
 import subprocess
 import sys
 import time
-from fractions import Fraction as F
 
 import pytest
 
@@ -44,11 +43,7 @@ from pseudomv.roots import (
     SKIPPED,
     square_root_properties,
 )
-
-
-def q(n, d=1):
-    """The payload of the rational n/d in Q, D and H(p)."""
-    return pmv.RationalGroup().from_flat([F(n, d)])
+from points import q
 
 
 HEIS0 = (q(0), q(0), q(0))

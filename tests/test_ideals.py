@@ -23,11 +23,7 @@ from pseudomv.ideals import (
     strongly_atomless_witness,
 )
 from pseudomv.roots import closed_form, identity_map, table_map
-
-
-def q(n, d=1):
-    """The payload of the rational n/d in Q, D and H(p)."""
-    return pmv.RationalGroup().from_flat([F(n, d)])
+from points import q
 
 
 def dyadic_unit():

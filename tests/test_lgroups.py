@@ -11,12 +11,8 @@ from hypothesis import strategies as st
 
 import pseudomv as pmv
 from pseudomv.core import make_rng
-from pseudomv.lgroups import LGroup, power_denominator_member
-
-
-def q(n, d=1):
-    """The payload of the rational n/d in Q, D and H(p)."""
-    return pmv.RationalGroup().from_flat([F(n, d)])
+from pseudomv.lgroups import LGroup
+from points import q
 
 
 def heis3(a, b, c):
@@ -44,11 +40,12 @@ def test_integer_halving_parity():
 
 
 def test_power_denominator_membership():
-    assert power_denominator_member(6, F(1, 3))
-    assert not power_denominator_member(2, F(1, 3))
-    assert power_denominator_member(6, F(0))
-    assert power_denominator_member(6, F(5, 36))
-    assert power_denominator_member(1, F(7)) and not power_denominator_member(1, F(1, 2))
+    h1, h2, h6 = (pmv.PowerDenominatorGroup(p) for p in (1, 2, 6))
+    assert h6.member(q(1, 3))
+    assert not h2.member(q(1, 3))
+    assert h6.member(q(0))
+    assert h6.member(q(5, 36))
+    assert h1.member(q(7)) and not h1.member(q(1, 2))
 
 
 def test_power_denominator_group_halving():
@@ -573,3 +570,40 @@ def test_only_canonical_payloads_validate(name):
             with pytest.raises(pmv.BackendMismatch):
                 g.validate(x)
             assert not m.contains(x), (i, label)
+
+
+RATIONAL_GROUPS = {
+    "Q": pmv.RationalGroup,
+    "D": pmv.DyadicGroup,
+    "H(6)": lambda: pmv.PowerDenominatorGroup(6),
+}
+
+
+@pytest.mark.parametrize("name", list(RATIONAL_GROUPS))
+def test_rational_groups_read_bare_numbers(name):
+    # an argument written as an int or a Fraction reads as its pair, so each
+    # operation gives what it gives on pairs, and its results are pairs
+    g = RATIONAL_GROUPS[name]()
+    numbers = [F(3, 4), F(-1, 2), 2, 0]
+    for x in numbers:
+        px = g.from_flat([x])
+        assert g.neg(x) == g.neg(px) and g.halve(x) == g.halve(px)
+        for y in numbers:
+            py = g.from_flat([y])
+            for op in ("add", "sub", "cmp", "eq", "leq", "lt", "join", "meet"):
+                want = getattr(g, op)(px, py)
+                for args in ((x, y), (x, py), (px, y)):
+                    got = getattr(g, op)(*args)
+                    assert got == want and type(got) is type(want), (op, args)
+    m = pmv.gamma(g, F(1))
+    assert m.unit == g.from_flat([1]) and pmv.gamma(g, 1).unit == m.unit
+    assert m.leq(F(1, 4), F(1, 2)) and m.oplus(F(3, 4), F(1, 2)) == m.unit
+    # validate and contains still take pairs only, and a non-number is refused
+    assert not m.contains(F(1, 2)) and m.contains(g.from_flat([F(1, 2)]))
+    for bad in (0.5, True, "1"):
+        with pytest.raises(pmv.BackendMismatch):
+            pmv.gamma(g, bad)
+    for bad in (0.5, True):
+        for op in ("add", "cmp", "eq", "leq", "join"):
+            with pytest.raises(pmv.BackendMismatch):
+                getattr(g, op)(g.from_flat([1]), bad)

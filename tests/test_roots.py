@@ -9,7 +9,6 @@ frozen value is re-checked against an in-test doubling oracle.
 from __future__ import annotations
 
 from collections import Counter
-from fractions import Fraction as F
 
 import pytest
 
@@ -30,11 +29,7 @@ from pseudomv.roots import (
     variety_identities,
 )
 from pseudomv.counterexamples import scaling_action_algebra
-
-
-def q(n, d=1):
-    """The payload of the rational n/d in Q, D and H(p)."""
-    return pmv.RationalGroup().from_flat([F(n, d)])
+from points import q
 
 
 HEIS0 = (q(0), q(0), q(0))
