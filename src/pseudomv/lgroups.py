@@ -389,19 +389,21 @@ class _FractionGroup(LGroup):
         try:
             return a[0] * b[1] <= b[0] * a[1]
         except TypeError:
-            return self.leq(_pair(a), _pair(b))
+            return _cmp(_pair(a), _pair(b)) <= 0
 
     def join(self, a, b):
         try:
             return b if a[0] * b[1] < b[0] * a[1] else a
         except TypeError:
-            return self.join(_pair(a), _pair(b))
+            a, b = _pair(a), _pair(b)
+            return b if _cmp(a, b) < 0 else a
 
     def meet(self, a, b):
         try:
             return a if a[0] * b[1] < b[0] * a[1] else b
         except TypeError:
-            return self.meet(_pair(a), _pair(b))
+            a, b = _pair(a), _pair(b)
+            return a if _cmp(a, b) < 0 else b
 
     def validate(self, a):
         if not _is_pair(a):

@@ -607,3 +607,7 @@ def test_rational_groups_read_bare_numbers(name):
         for op in ("add", "cmp", "eq", "leq", "join"):
             with pytest.raises(pmv.BackendMismatch):
                 getattr(g, op)(g.from_flat([1]), bad)
+    # a malformed pair is read once, not again and again
+    for op in ("add", "sub", "cmp", "leq", "lt", "join", "meet"):
+        with pytest.raises(TypeError):
+            getattr(g, op)((1, None), g.from_flat([1]))
