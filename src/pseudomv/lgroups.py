@@ -20,14 +20,24 @@ Exact carriers other than ℤ store each rational coordinate as a reduced
 pair ``(n, d)`` of ints with d > 0, and never hold floats; a Heisenberg
 element is a triple of such pairs.  Their operations run through a few
 module-private kernels on pairs (``_add``, ``_sub``, ``_neg``, ``_half``,
-``_cmp``), each reducing by only the gcds its scheme needs; the Heisenberg
-third coordinate is summed over one denominator and reduced once.  As
-payloads are reduced, equal values are equal pairs.  ``Fraction`` appears
-only at the boundary: ``from_flat`` takes ints and ``Fraction``s in, and
-``flatten`` and ``format_element`` hand ``Fraction``s and text out.  The
-operations of Q, D and H(p), and ``gamma`` for its unit, also read a bare
-int or ``Fraction`` argument as its pair; ``validate`` accepts pairs
-only, so ``contains`` refuses a bare number.  ℤ keeps plain ints.
+``_cmp``), each reducing by only the gcds its scheme needs, and the
+``add``, ``sub``, ``neg`` and ``cmp`` of Q, D and H(p) are those kernels;
+the Heisenberg third coordinate is summed over one denominator and
+reduced once, inline.  ``Fraction`` appears only at the boundary:
+``from_flat`` takes ints and ``Fraction``s in, and ``flatten`` and
+``format_element`` hand ``Fraction``s and text out.  The operations of Q,
+D and H(p), and ``gamma`` for its unit, also read a bare int or
+``Fraction`` argument as its pair, the kernels in their unpacking;
+``validate`` accepts pairs only, so ``contains`` refuses a bare number.
+ℤ keeps plain ints and refuses bools.
+
+As ``validate`` admits canonical payloads only, equal elements of an exact
+group are equal payloads, so ℤ, the Heisenberg group and exact products
+compare by structure (``a == b``).  Composite order operations make one
+comparison: the Heisenberg ``leq``, ``join`` and ``meet`` read one
+lexicographic ``_cmp`` chain, lex ones one ``cmp`` of the head factor
+(and the tail's own operation on a tie), and product ``leq`` one ``leq``
+per factor.
 
 The Γ-construction turns the interval [0, u] of a unital group into a
 pseudo MV-algebra via x ⊕ y = (x+y) ∧ u, x⁻ = u−x, x∼ = −x+u.
@@ -114,24 +124,21 @@ def _reduced(p: tuple[int, int]) -> tuple[int, int]:
     return p if g == 1 else (n // g, d // g)
 
 
-def _sum(p: tuple[int, int], q: tuple[int, int]) -> tuple[int, int]:
-    """p + q, not reduced; equal denominators are not multiplied."""
-    n1, d1 = p
-    n2, d2 = q
-    if d1 == d2:
-        return n1 + n2, d1
-    return n1 * d2 + n2 * d1, d1 * d2
-
-
-# Exact kernels.  Arguments and results are reduced pairs (n, d), and each
-# result is the reduced pair of what the Fraction operators give on the
-# arguments as Fractions.  ``_add`` and ``_sub`` follow Knuth, TAOCP vol. 2
-# §4.5.1: with g = gcd(da, db), the sum t/(da·db/g) can only share a
-# factor with g.
+# Exact kernels, and the add, sub, neg and cmp of Q, D and H(p).  Arguments
+# and results are reduced pairs (n, d), and each result is the reduced pair
+# of what the Fraction operators give on the arguments as Fractions.  A bare
+# int or Fraction argument has no items, so unpacking it raises TypeError
+# and the kernel reads both arguments through ``_pair``; pairs never take
+# that branch.  ``_add`` and ``_sub`` follow Knuth, TAOCP vol. 2 §4.5.1:
+# with g = gcd(da, db), the sum t/(da·db/g) can only share a factor with g.
 
 def _add(a, b):
-    na, da = a
-    nb, db = b
+    try:
+        na, da = a
+        nb, db = b
+    except TypeError:
+        na, da = _pair(a)
+        nb, db = _pair(b)
     g = math.gcd(da, db)
     if g == 1:
         return na * db + nb * da, da * db
@@ -144,8 +151,12 @@ def _add(a, b):
 
 
 def _sub(a, b):
-    na, da = a
-    nb, db = b
+    try:
+        na, da = a
+        nb, db = b
+    except TypeError:
+        na, da = _pair(a)
+        nb, db = _pair(b)
     g = math.gcd(da, db)
     if g == 1:
         return na * db - nb * da, da * db
@@ -158,7 +169,11 @@ def _sub(a, b):
 
 
 def _neg(a):
-    return -a[0], a[1]
+    try:
+        n, d = a
+    except TypeError:
+        n, d = _pair(a)
+    return -n, d
 
 
 def _half(a):
@@ -170,8 +185,14 @@ def _half(a):
 
 
 def _cmp(a, b):
-    x = a[0] * b[1]
-    y = b[0] * a[1]
+    try:
+        na, da = a
+        nb, db = b
+    except TypeError:
+        na, da = _pair(a)
+        nb, db = _pair(b)
+    x = na * db
+    y = nb * da
     return (x > y) - (x < y)
 
 
@@ -311,23 +332,26 @@ class IntegerGroup(LGroup):
     def cmp(self, a, b):
         return (a > b) - (a < b)
 
+    def eq(self, a, b):
+        return a == b
+
     def validate(self, a):
-        if not isinstance(a, int):
+        if type(a) is not int:
             raise BackendMismatch(f"integer expected, got {a!r}")
 
     def halve(self, a):
         return a // 2 if a % 2 == 0 else None
 
     def _coerce_scalar(self, v):
-        if isinstance(v, Rational) and v.denominator == 1:
+        if isinstance(v, Rational) and not isinstance(v, bool) and v.denominator == 1:
             return int(v.numerator)
         raise BackendMismatch(f"integer expected, got {v!r}")
 
     def random_element(self, rng):
-        return rng.randint(-8, 8)
+        return rng.randrange(-8, 9)
 
     def sample_interval(self, rng, unit):
-        return rng.randint(0, unit)
+        return rng.randrange(0, unit + 1)
 
     def interval_size(self, hi):
         return max(hi + 1, 0)
@@ -340,41 +364,21 @@ class _FractionGroup(LGroup):
     """Shared machinery for subgroups of the rationals, whose payloads are
     reduced pairs (n, d).
 
-    The operations also take a bare int or Fraction for an argument and
-    read it as its pair: a number has no items, so the kernel raises
-    TypeError and the call is made again on pairs.  Pairs never take that
-    branch, and no result is a Fraction.  ``validate`` still accepts pairs
-    only.
+    ``add``, ``sub``, ``neg`` and ``cmp`` are the pair kernels themselves.
+    Every operation also takes a bare int or Fraction for an argument and
+    reads it as its pair: the kernels in their unpacking, the rest when a
+    number raises TypeError.  Pairs never take that branch, and no result
+    is a Fraction.  ``validate`` still accepts pairs only.
     """
 
     def zero(self):
         return _ZERO
 
     _read = staticmethod(_pair)
-
-    def add(self, a, b):
-        try:
-            return _add(a, b)
-        except TypeError:
-            return _add(_pair(a), _pair(b))
-
-    def sub(self, a, b):
-        try:
-            return _sub(a, b)
-        except TypeError:
-            return _sub(_pair(a), _pair(b))
-
-    def neg(self, a):
-        try:
-            return _neg(a)
-        except TypeError:
-            return _neg(_pair(a))
-
-    def cmp(self, a, b):
-        try:
-            return _cmp(a, b)
-        except TypeError:
-            return _cmp(_pair(a), _pair(b))
+    add = staticmethod(_add)
+    sub = staticmethod(_sub)
+    neg = staticmethod(_neg)
+    cmp = staticmethod(_cmp)
 
     # One cross-multiplication each; ties keep LGroup's choices (join
     # returns a, meet returns b).  Payloads are reduced, so equal values
@@ -427,16 +431,16 @@ class _FractionGroup(LGroup):
         return h if self.member(h) else None
 
     def _denominator(self, rng: random.Random) -> int:
-        return rng.randint(1, SAMPLE_DENOMINATOR_BOUND)
+        return rng.randrange(1, SAMPLE_DENOMINATOR_BOUND + 1)
 
     def random_element(self, rng):
         d = self._denominator(rng)
-        return _reduced((rng.randint(-2 * d, 2 * d), d))
+        return _reduced((rng.randrange(-2 * d, 2 * d + 1), d))
 
     def sample_interval(self, rng, unit):
         d = self._denominator(rng)
         hi = unit[0] * d // unit[1]
-        q = _reduced((rng.randint(0, max(hi, 0)), d))
+        q = _reduced((rng.randrange(0, max(hi, 0) + 1), d))
         return self.meet(q, unit)
 
 
@@ -454,7 +458,7 @@ class DyadicGroup(_FractionGroup):
         return d & (d - 1) == 0
 
     def _denominator(self, rng):
-        return 1 << rng.randint(0, SAMPLE_DENOMINATOR_BOUND.bit_length() - 1)
+        return 1 << rng.randrange(0, SAMPLE_DENOMINATOR_BOUND.bit_length())
 
 
 class PowerDenominatorGroup(_FractionGroup):
@@ -501,46 +505,93 @@ class HeisenbergGroup(LGroup):
 
     # Each coordinate is a reduced pair.  The third coordinate of add, neg,
     # sub and halve is summed over one common denominator and reduced once.
+    # Payloads are reduced, so equal elements are equal triples, and each
+    # order operation reads one lexicographic ``_cmp`` chain.
 
     def zero(self):
         return (_ZERO, _ZERO, _ZERO)
 
     def add(self, a, b):
-        a0, b1 = a[0], b[1]
-        c = _sum(_sum(a[2], b[2]), (a0[0] * b1[0], a0[1] * b1[1]))
-        return (_add(a0, b[0]), _add(a[1], b1), _reduced(c))
+        a0, a1, (n, d) = a
+        b0, b1, (m, e) = b
+        p = a0[0] * b1[0]
+        if d != e:
+            n, m, d = n * e, m * d, d * e
+        n += m
+        if p:
+            q = a0[1] * b1[1]
+            if d != q:
+                n, p, d = n * q, p * d, d * q
+            n += p
+        g = math.gcd(n, d)
+        return (_add(a0, b0), _add(a1, b1), (n, d) if g == 1 else (n // g, d // g))
 
     def neg(self, a):
-        a0, a1, a2 = a
-        c = _sum((a0[0] * a1[0], a0[1] * a1[1]), (-a2[0], a2[1]))
-        return (_neg(a0), _neg(a1), _reduced(c))
+        """(−a₀, −a₁, −a₂+a₀a₁)."""
+        a0, a1, (n, d) = a
+        n = -n
+        p = a0[0] * a1[0]
+        if p:
+            q = a0[1] * a1[1]
+            if d != q:
+                n, p, d = n * q, p * d, d * q
+            n += p
+            g = math.gcd(n, d)
+            if g != 1:
+                n, d = n // g, d // g
+        return ((-a0[0], a0[1]), (-a1[0], a1[1]), (n, d))
 
     def sub(self, a, b):
         """a + (−b) = (a₀−b₀, a₁−b₁, a₂−b₂−(a₀−b₀)·b₁)."""
         d0 = _sub(a[0], b[0])
-        b1, b2 = b[1], b[2]
-        c = _sum(_sum(a[2], (-b2[0], b2[1])), (-d0[0] * b1[0], d0[1] * b1[1]))
-        return (d0, _sub(a[1], b1), _reduced(c))
+        n, d = a[2]
+        b1, (m, e) = b[1], b[2]
+        if d != e:
+            n, m, d = n * e, m * d, d * e
+        n -= m
+        p = d0[0] * b1[0]
+        if p:
+            q = d0[1] * b1[1]
+            if d != q:
+                n, p, d = n * q, p * d, d * q
+            n -= p
+        g = math.gcd(n, d)
+        return (d0, _sub(a[1], b1), (n, d) if g == 1 else (n // g, d // g))
 
     def cmp(self, a, b):
         return _cmp(a[0], b[0]) or _cmp(a[1], b[1]) or _cmp(a[2], b[2])
+
+    def eq(self, a, b):
+        return a == b
+
+    def leq(self, a, b):
+        return (_cmp(a[0], b[0]) or _cmp(a[1], b[1]) or _cmp(a[2], b[2])) <= 0
+
+    def join(self, a, b):
+        return b if (_cmp(a[0], b[0]) or _cmp(a[1], b[1]) or _cmp(a[2], b[2])) < 0 else a
+
+    def meet(self, a, b):
+        return a if (_cmp(a[0], b[0]) or _cmp(a[1], b[1]) or _cmp(a[2], b[2])) < 0 else b
 
     def validate(self, a):
         if not (type(a) is tuple and len(a) == 3 and all(map(_is_pair, a))):
             raise BackendMismatch(f"Heisenberg triple of reduced pairs expected, got {a!r}")
 
     def halve(self, a):
-        """(a₀/2, a₁/2, a₂/2 − a₀a₁/8)."""
-        a0, a1, a2 = a
-        c = _sum((a2[0], a2[1] << 1), (-a0[0] * a1[0], (a0[1] * a1[1]) << 3))
-        return (_half(a0), _half(a1), _reduced(c))
+        """(a₀/2, a₁/2, a₂/2 − a₀a₁/8), the last as (4n·q − p·d)/8dq for
+        a₂ = n/d and a₀a₁ = p/q."""
+        a0, a1, (n, d) = a
+        p, q = a0[0] * a1[0], a0[1] * a1[1]
+        return (_half(a0), _half(a1), _reduced(((n * q << 2) - p * d, d * q << 3)))
 
     def center_has(self, a):
         return a[0][0] == 0 and a[1][0] == 0
 
     def random_element(self, rng):
-        d = 1 << rng.randint(0, 4)
-        return tuple(_reduced((rng.randint(-2 * d, 2 * d), d)) for _ in range(3))
+        d = 1 << rng.randrange(0, 5)
+        lo, hi = -2 * d, 2 * d + 1
+        return (_reduced((rng.randrange(lo, hi), d)), _reduced((rng.randrange(lo, hi), d)),
+                _reduced((rng.randrange(lo, hi), d)))
 
     def flatten(self, a):
         return [Fraction(*v) for v in a]
@@ -583,6 +634,13 @@ class _PairGroup(LGroup):
 
     def sub(self, a, b):
         return (self.first.sub(a[0], b[0]), self.second.sub(a[1], b[1]))
+
+    def eq(self, a, b):
+        """Structural on exact payloads, which are canonical; factor-wise
+        when a factor compares floats within a tolerance."""
+        if self.exact:
+            return a == b
+        return self.first.eq(a[0], b[0]) and self.second.eq(a[1], b[1])
 
     def validate(self, a):
         if not (isinstance(a, tuple) and len(a) == 2):
@@ -629,10 +687,13 @@ class LexProduct(_PairGroup):
         self.linear = tail.linear
 
     def cmp(self, a, b):
+        return self.first.cmp(a[0], b[0]) or self.second.cmp(a[1], b[1])
+
+    def leq(self, a, b):
         c = self.first.cmp(a[0], b[0])
-        if c != 0:
-            return c
-        return self.second.cmp(a[1], b[1])
+        if c:
+            return c < 0
+        return self.second.leq(a[1], b[1])
 
     def join(self, a, b):
         c = self.first.cmp(a[0], b[0])
@@ -670,6 +731,9 @@ class DirectProductGroup(_PairGroup):
         if ge:
             return 1
         return None
+
+    def leq(self, a, b):
+        return self.first.leq(a[0], b[0]) and self.second.leq(a[1], b[1])
 
     def join(self, a, b):
         return (self.first.join(a[0], b[0]), self.second.join(a[1], b[1]))

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import pseudomv as pmv
 from pseudomv.core import make_rng
-from pseudomv.lgroups import LGroup
+from pseudomv.lgroups import SAMPLE_DENOMINATOR_BOUND, LGroup
 from points import q
 
 
@@ -390,6 +390,16 @@ def test_gamma_sample_stream_is_pinned(make, unit, expected):
     assert draws == expected
 
 
+@pytest.mark.parametrize("make", [pmv.DyadicGroup, lambda: pmv.PowerDenominatorGroup(2)],
+                         ids=["D", "H(2)"])
+def test_samplers_reach_the_denominator_bound(make):
+    # the pinned streams above are too short to meet the largest denominator
+    # (Q draws it once in 1,024 denominators, so it is left out)
+    g = make()
+    rng = make_rng(0, "denominators")
+    assert max(g.random_element(rng)[1] for _ in range(4000)) == SAMPLE_DENOMINATOR_BOUND
+
+
 def test_element_formatting_and_flat_parsing():
     # exact payloads are reduced int pairs; Fractions go in and come out
     g = pmv.LexProduct(pmv.RationalGroup(), pmv.HeisenbergGroup())
@@ -515,6 +525,95 @@ def test_pair_group_sub_is_add_of_neg(x, y, p, q):
     assert prod.flatten(diff) == [p[0] - q[0], F(p[1]) - F(q[1])]
 
 
+small_q = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+small_z = st.integers(-3, 3)
+small_d = st.builds(F, st.integers(-12, 12), st.sampled_from([1, 2, 4]))
+small_h6 = st.builds(F, st.integers(-12, 12), st.sampled_from([1, 6, 36]))
+
+#: Groups whose order operations, equality and arithmetic have fast paths,
+#: with a strategy for each coordinate that ``from_flat`` takes.  Small
+#: coordinates make ties at every lexicographic level common.
+COMPOSITE_CASES = {
+    "heis": (pmv.HeisenbergGroup, [small_q] * 3),
+    "lex(Q,heis)": (lex_q_heis, [small_q] * 4),
+    "prod(Q,D)": (lambda: pmv.DirectProductGroup(pmv.RationalGroup(), pmv.DyadicGroup()),
+                  [small_q, small_d]),
+    # lex needs a linear head, so prod(Z,D) stands in the tail
+    "lex(Q,prod(Z,D))": (lambda: pmv.LexProduct(pmv.RationalGroup(), pmv.DirectProductGroup(
+        pmv.IntegerGroup(), pmv.DyadicGroup())), [small_q, small_z, small_d]),
+    "prod(lex(Q,Q),H(6))": (lambda: pmv.DirectProductGroup(pmv.LexProduct(
+        pmv.RationalGroup(), pmv.RationalGroup()), pmv.PowerDenominatorGroup(6)),
+        [small_q, small_q, small_h6]),
+    # float factors within the ranges of FLOAT_ELEMENTS
+    "prod(Q,exp_numeric)": (lambda: pmv.DirectProductGroup(pmv.RationalGroup(),
+                                                           pmv.ExpSemidirect()),
+                            [small_q, st.floats(-50, 50), st.floats(-1e6, 1e6)]),
+    "lex(Q,semi_numeric)": (lambda: pmv.LexProduct(pmv.RationalGroup(), pmv.ScalingSemidirect()),
+                            [small_q, st.floats(1e-3, 1e3), st.floats(-1e6, 1e6)]),
+}
+
+FLOAT_GROUPS = (pmv.ScalingSemidirect, pmv.ExpSemidirect)
+
+
+def spec_cmp(g, a, b):
+    """The order as specified: rationals and Heisenberg triples compare
+    their coordinates lexicographically, a lex product its head and then
+    its tail, a direct product factor by factor, and the float groups by
+    ``abs_cmp``."""
+    if isinstance(g, pmv.DirectProductGroup):
+        cs = {spec_cmp(g.first, a[0], b[0]), spec_cmp(g.second, a[1], b[1])}
+        return None if None in cs or {-1, 1} <= cs else max(cs, key=abs)
+    if isinstance(g, pmv.LexProduct):
+        return spec_cmp(g.first, a[0], b[0]) or spec_cmp(g.second, a[1], b[1])
+    if isinstance(g, FLOAT_GROUPS):
+        return abs_cmp(g, a, b)
+    x, y = g.flatten(a), g.flatten(b)
+    return (x > y) - (x < y)
+
+
+def spec_op(g, op, *xs):
+    """``op`` factor by factor through each factor's public operation, and
+    on the Heisenberg group by its formulas on Fractions."""
+    if isinstance(g, (pmv.LexProduct, pmv.DirectProductGroup)):
+        return (spec_op(g.first, op, *(x[0] for x in xs)),
+                spec_op(g.second, op, *(x[1] for x in xs)))
+    if isinstance(g, pmv.HeisenbergGroup):
+        formulas = {"add": heis_add, "neg": heis_neg,
+                    "sub": lambda a, b: heis_add(a, heis_neg(b))}
+        return g.from_flat(formulas[op](*map(g.flatten, xs)))
+    return getattr(g, op)(*xs)
+
+
+@pytest.mark.parametrize("name", list(COMPOSITE_CASES))
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_exact_fast_paths_match_derived_definitions(name, data):
+    make, coordinates = COMPOSITE_CASES[name]
+    g = make()
+    x = [data.draw(s) for s in coordinates]
+    # each coordinate of y ties with x's, is near it (floats), or is fresh
+    y = [data.draw(st.one_of(st.just(v), s, st.sampled_from([1e-10, -1e-10]).map(v.__add__))
+                   if isinstance(v, float) else st.one_of(st.just(v), s))
+         for v, s in zip(x, coordinates)]
+    a, b = g.from_flat(x), g.from_flat(y)   # equal values are distinct objects
+    c = g.cmp(a, b)
+    assert c == spec_cmp(g, a, b)
+    for op in ("eq", "leq", "lt"):
+        assert getattr(g, op)(a, b) == getattr(LGroup, op)(g, a, b), op
+    if c is not None:
+        for op in ("join", "meet"):
+            got, want = getattr(g, op)(a, b), getattr(LGroup, op)(g, a, b)
+            # a composite may build a new pair equal to the chosen argument,
+            # and a direct product with a float factor one within tolerance
+            if got is a or got is b:
+                assert got is want, op
+            else:
+                assert got == want if g.exact else spec_cmp(g, got, want) == 0, op
+    assert g.add(a, b) == spec_op(g, "add", a, b)
+    assert g.sub(a, b) == spec_op(g, "sub", a, b)
+    assert g.neg(a) == spec_op(g, "neg", a)
+
+
 # ----------------------------------------------------------------------
 # canonical payloads
 # ----------------------------------------------------------------------
@@ -536,12 +635,17 @@ NOT_CANONICAL = {
     "int": 1,
 }
 
+#: Each stands where an integer of Z belongs and is none; ``True == 1``,
+#: so a bool would pass a test by ``==``.
+NOT_INTEGER = {"True": True, "False": False, "float": 1.0, "Fraction": F(1), "pair": (1, 1)}
+
 CANONICAL_CASES = {
-    "Q": (pmv.RationalGroup, [1]),
-    "D": (pmv.DyadicGroup, [1]),
-    "H(6)": (lambda: pmv.PowerDenominatorGroup(6), [1]),
-    "heis": (pmv.HeisenbergGroup, [1, F(1, 2), 0]),
-    "lex(Q,heis)": (lex_q_heis, [1, 0, 0, 0]),
+    "Q": (pmv.RationalGroup, [1], NOT_CANONICAL),
+    "D": (pmv.DyadicGroup, [1], NOT_CANONICAL),
+    "H(6)": (lambda: pmv.PowerDenominatorGroup(6), [1], NOT_CANONICAL),
+    "heis": (pmv.HeisenbergGroup, [1, F(1, 2), 0], NOT_CANONICAL),
+    "lex(Q,heis)": (lex_q_heis, [1, 0, 0, 0], NOT_CANONICAL),
+    "Z": (pmv.IntegerGroup, [2], NOT_INTEGER),
 }
 
 
@@ -558,14 +662,17 @@ def with_coordinate(g, x, i, value):
 
 @pytest.mark.parametrize("name", list(CANONICAL_CASES))
 def test_only_canonical_payloads_validate(name):
-    make, unit = CANONICAL_CASES[name]
+    make, unit, not_canonical = CANONICAL_CASES[name]
     g = make()
     m = pmv.gamma(g, g.from_flat(unit))
     half = g.halve(m.unit)
     g.validate(half)
     assert m.contains(half)
+    for flag in (True, False):
+        with pytest.raises(pmv.BackendMismatch):
+            g.from_flat([flag] * g.flat_arity)
     for i in range(g.flat_arity):
-        for label, bad in NOT_CANONICAL.items():
+        for label, bad in not_canonical.items():
             x = with_coordinate(g, half, i, bad)
             with pytest.raises(pmv.BackendMismatch):
                 g.validate(x)
