@@ -23,12 +23,16 @@ module-private kernels on pairs (``_add``, ``_sub``, ``_neg``, ``_half``,
 ``_cmp``), each reducing by only the gcds its scheme needs, and the
 ``add``, ``sub``, ``neg`` and ``cmp`` of Q, D and H(p) are those kernels;
 the Heisenberg third coordinate is summed over one denominator and
-reduced once, inline.  ``Fraction`` appears only at the boundary:
-``from_flat`` takes ints and ``Fraction``s in, and ``flatten`` and
-``format_element`` hand ``Fraction``s and text out.  The operations of Q,
+reduced once, inline in ``add`` and by ``_sum3`` in ``neg`` and ``sub``.
+``Fraction`` appears only at the boundary: ``from_flat`` takes ints and
+``Fraction``s in, and ``flatten`` and ``format_element`` hand
+``Fraction``s and text out.  The operations of Q,
 D and H(p), and ``gamma`` for its unit, also read a bare int or
 ``Fraction`` argument as its pair, the kernels in their unpacking;
 ``validate`` accepts pairs only, so ``contains`` refuses a bare number.
+Only whole arguments of Q, D and H(p) are read so: a coordinate of a
+Heisenberg or product point must be a canonical pair, as ``validate``
+requires, and a bare number there equals no point under ``eq``.
 ℤ keeps plain ints and refuses bools.
 
 As ``validate`` admits canonical payloads only, equal elements of an exact
@@ -194,6 +198,21 @@ def _cmp(a, b):
     x = na * db
     y = nb * da
     return (x > y) - (x < y)
+
+
+def _sum3(n, d, m, e, p, q):
+    """n/d + m/e + p/q in lowest terms, for d, e, q > 0, over one common
+    denominator with one gcd: the Heisenberg third coordinate of ``neg``
+    and ``sub`` (``add`` computes the same inline)."""
+    if d != e:
+        n, m, d = n * e, m * d, d * e
+    n += m
+    if p:
+        if d != q:
+            n, p, d = n * q, p * d, d * q
+        n += p
+    g = math.gcd(n, d)
+    return (n, d) if g == 1 else (n // g, d // g)
 
 
 def _format_rational(q: Rational) -> str:
@@ -503,10 +522,11 @@ class HeisenbergGroup(LGroup):
     dsl = "heis"
     flat_arity = 3
 
-    # Each coordinate is a reduced pair.  The third coordinate of add, neg,
-    # sub and halve is summed over one common denominator and reduced once.
-    # Payloads are reduced, so equal elements are equal triples, and each
-    # order operation reads one lexicographic ``_cmp`` chain.
+    # Each coordinate is a reduced pair, never a bare number.  The third
+    # coordinate of add, neg, sub and halve is summed over one common
+    # denominator and reduced once (inline in add, by ``_sum3`` in neg and
+    # sub).  Payloads are reduced, so equal elements are equal triples, and
+    # each order operation reads one lexicographic ``_cmp`` chain.
 
     def zero(self):
         return (_ZERO, _ZERO, _ZERO)
@@ -529,34 +549,15 @@ class HeisenbergGroup(LGroup):
     def neg(self, a):
         """(−a₀, −a₁, −a₂+a₀a₁)."""
         a0, a1, (n, d) = a
-        n = -n
-        p = a0[0] * a1[0]
-        if p:
-            q = a0[1] * a1[1]
-            if d != q:
-                n, p, d = n * q, p * d, d * q
-            n += p
-            g = math.gcd(n, d)
-            if g != 1:
-                n, d = n // g, d // g
-        return ((-a0[0], a0[1]), (-a1[0], a1[1]), (n, d))
+        return ((-a0[0], a0[1]), (-a1[0], a1[1]),
+                _sum3(-n, d, 0, d, a0[0] * a1[0], a0[1] * a1[1]))
 
     def sub(self, a, b):
         """a + (−b) = (a₀−b₀, a₁−b₁, a₂−b₂−(a₀−b₀)·b₁)."""
         d0 = _sub(a[0], b[0])
         n, d = a[2]
         b1, (m, e) = b[1], b[2]
-        if d != e:
-            n, m, d = n * e, m * d, d * e
-        n -= m
-        p = d0[0] * b1[0]
-        if p:
-            q = d0[1] * b1[1]
-            if d != q:
-                n, p, d = n * q, p * d, d * q
-            n -= p
-        g = math.gcd(n, d)
-        return (d0, _sub(a[1], b1), (n, d) if g == 1 else (n // g, d // g))
+        return (d0, _sub(a[1], b1), _sum3(n, d, -m, e, -d0[0] * b1[0], d0[1] * b1[1]))
 
     def cmp(self, a, b):
         return _cmp(a[0], b[0]) or _cmp(a[1], b[1]) or _cmp(a[2], b[2])
@@ -636,8 +637,12 @@ class _PairGroup(LGroup):
         return (self.first.sub(a[0], b[0]), self.second.sub(a[1], b[1]))
 
     def eq(self, a, b):
-        """Structural on exact payloads, which are canonical; factor-wise
-        when a factor compares floats within a tolerance."""
+        """Structural on exact payloads; factor-wise when a factor compares
+        floats within a tolerance.
+
+        Every coordinate of an exact pair must be canonical, as ``validate``
+        requires: a bare int or ``Fraction`` where a pair belongs is not
+        read as its pair here, so it equals no point."""
         if self.exact:
             return a == b
         return self.first.eq(a[0], b[0]) and self.second.eq(a[1], b[1])

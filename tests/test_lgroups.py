@@ -645,13 +645,15 @@ CANONICAL_CASES = {
     "H(6)": (lambda: pmv.PowerDenominatorGroup(6), [1], NOT_CANONICAL),
     "heis": (pmv.HeisenbergGroup, [1, F(1, 2), 0], NOT_CANONICAL),
     "lex(Q,heis)": (lex_q_heis, [1, 0, 0, 0], NOT_CANONICAL),
+    "prod(Q,D)": (lambda: pmv.DirectProductGroup(pmv.RationalGroup(), pmv.DyadicGroup()),
+                  [1, 1], NOT_CANONICAL),
     "Z": (pmv.IntegerGroup, [2], NOT_INTEGER),
 }
 
 
 def with_coordinate(g, x, i, value):
     """``x`` with its i-th rational coordinate replaced by ``value``."""
-    if isinstance(g, pmv.LexProduct):
+    if isinstance(g, (pmv.LexProduct, pmv.DirectProductGroup)):
         if i == 0:
             return (value, x[1])
         return (x[0], with_coordinate(g.second, x[1], i - 1, value))
@@ -677,6 +679,22 @@ def test_only_canonical_payloads_validate(name):
             with pytest.raises(pmv.BackendMismatch):
                 g.validate(x)
             assert not m.contains(x), (i, label)
+
+
+@pytest.mark.parametrize("name", ["heis", "lex(Q,heis)", "prod(Q,D)"])
+def test_composite_points_refuse_bare_coordinates(name):
+    # only whole arguments of Q, D and H(p) read as pairs: a bare number in
+    # a coordinate of a Heisenberg or product point is refused loudly where
+    # points come in, and eq, which compares payloads, does not read it
+    g = CANONICAL_CASES[name][0]()
+    point = g.from_flat([F(1, 2)] * g.flat_arity)
+    for i in range(g.flat_arity):
+        bare = with_coordinate(g, point, i, F(1, 2))
+        with pytest.raises(pmv.BackendMismatch):
+            g.validate(bare)
+        with pytest.raises(pmv.BackendMismatch):
+            pmv.gamma(g, bare)
+        assert not g.eq(bare, point) and not g.eq(point, bare)
 
 
 RATIONAL_GROUPS = {

@@ -2,15 +2,15 @@
 
 Usage (from the root of a checkout)::
 
-    python3 tools/mutants.py [--jobs 2] [--timeout 600] [--only NAME ...]
+    python3 tools/mutants.py
 
 The tree is copied once, unmutated, into a temporary directory and tier-1
 runs on it: the baseline.  Then each mutant of ``MUTANTS`` patches its own
 copy, replacing ``old`` (which must occur exactly once in its file) by
-``new``, and tier-1 runs on that copy with ``-x -q``, at most two copies at
-a time, each under ``--timeout`` seconds.  ``-x`` is widened by the number
-of tests that fail at baseline, so a failure the tree already has neither
-stops a run nor counts.  A mutant is killed when a test that passes on the
+``new``, and tier-1 runs on that copy with ``-q``, ``JOBS`` copies at a
+time, each under ``TIMEOUT`` seconds.  A run stops at its first failure
+beyond the number of tests that fail at baseline (``--maxfail``), so a
+failure the tree already has neither stops a run nor counts.  A mutant is killed when a test that passes on the
 baseline fails (or errors); it survives when the suite finishes without
 one; a run cut by the time bound is reported as ``timeout``.
 
@@ -21,7 +21,6 @@ out, and 2 when a mutant no longer applies or the baseline errs.
 
 from __future__ import annotations
 
-import argparse
 import os
 import shutil
 import subprocess
@@ -35,6 +34,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 #: What tier-1 reads of the tree.
 COPIED = ("src", "tests", "bench", "pyproject.toml", "BENCHMARK.json")
+
+#: Tier-1 runs at a time, and the seconds each may take.
+JOBS = 2
+TIMEOUT = 600
 
 LG = "src/pseudomv/lgroups.py"
 
@@ -64,8 +67,9 @@ MUTANTS = {
                                  "            n -= p\n        g = math.gcd(n, d)\n        return (_add"),
     "heis-add-unreduced": (LG, "return (_add(a0, b0), _add(a1, b1), (n, d) if g == 1 else (n // g, d // g))",
                            "return (_add(a0, b0), _add(a1, b1), (n, d))"),
-    "heis-neg-cross-term-sign": (LG, "p = a0[0] * a1[0]\n        if p:", "p = -a0[0] * a1[0]\n        if p:"),
-    "heis-sub-cross-term-sign": (LG, "            n -= p\n", "            n += p\n"),
+    "heis-neg-cross-term-sign": (LG, "_sum3(-n, d, 0, d, a0[0] * a1[0]", "_sum3(-n, d, 0, d, -a0[0] * a1[0]"),
+    "heis-sub-cross-term-sign": (LG, "-d0[0] * b1[0], d0[1] * b1[1])", "d0[0] * b1[0], d0[1] * b1[1])"),
+    "sum3-unreduced": (LG, "    return (n, d) if g == 1 else (n // g, d // g)\n", "    return n, d\n"),
     "heis-halve-quarter": (LG, "(n * q << 2) - p * d", "(n * q << 1) - p * d"),
     # bare numbers read in the kernels' unpacking
     "cmp-bare-reads-b-as-a": (LG, "        nb, db = _pair(b)\n    x = na * db",
@@ -125,16 +129,16 @@ def apply(dest: Path, mutant: tuple[str, str, str]) -> None:
     target.write_text(text.replace(old, new), encoding="utf-8")
 
 
-def run_suite(tree: Path, maxfail: int, timeout: float) -> tuple[set[str] | None, float]:
+def run_suite(tree: Path, maxfail: int) -> tuple[set[str] | None, float]:
     """The ids of the tests that failed or erred on ``tree`` (None when the
     run was cut by the time bound), and the seconds it took."""
     report = tree / "junit.xml"
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
-    argv = [sys.executable, "-m", "pytest", "-x", f"--maxfail={maxfail}", "-q",
+    argv = [sys.executable, "-m", "pytest", f"--maxfail={maxfail}", "-q",
             "--continue-on-collection-errors", "-p", "no:cacheprovider", f"--junitxml={report}"]
     start = time.perf_counter()
     try:
-        subprocess.run(argv, cwd=tree, env=env, timeout=timeout,
+        subprocess.run(argv, cwd=tree, env=env, timeout=TIMEOUT,
                        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
     except subprocess.TimeoutExpired:
         return None, time.perf_counter() - start
@@ -148,13 +152,8 @@ def run_suite(tree: Path, maxfail: int, timeout: float) -> tuple[set[str] | None
     return failed, seconds
 
 
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--jobs", type=int, choices=(1, 2), default=2)
-    ap.add_argument("--timeout", type=float, default=600.0, help="seconds per tier-1 run")
-    ap.add_argument("--only", nargs="+", choices=sorted(MUTANTS), metavar="NAME")
-    args = ap.parse_args(argv)
-    names = args.only or list(MUTANTS)
+def main() -> int:
+    names = list(MUTANTS)
     start = time.perf_counter()
     with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
         tmp = Path(tmp)
@@ -168,21 +167,21 @@ def main(argv=None) -> int:
                 except ValueError as exc:
                     print(f"{name}: does not apply: {exc}")
                     return 2
-        baseline, seconds = run_suite(trees["baseline"], 1 << 30, args.timeout)
+        baseline, seconds = run_suite(trees["baseline"], 1 << 30)
         if baseline is None:
             print(f"baseline: timeout after {seconds:.0f} s")
             return 2
         print(f"baseline: {seconds:.1f} s, {len(baseline)} failing: {', '.join(sorted(baseline))}")
 
         def judge(name):
-            failed, seconds = run_suite(trees[name], len(baseline) + 1, args.timeout)
+            failed, seconds = run_suite(trees[name], len(baseline) + 1)
             if failed is None:
                 return name, "timeout", seconds, ""
             new = sorted(failed - baseline)
             return name, ("killed" if new else "survived"), seconds, (new[0] if new else "")
 
         status = {}
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
+        with ThreadPoolExecutor(max_workers=JOBS) as pool:
             for name, verdict, seconds, test in pool.map(judge, names):
                 status[name] = verdict
                 print(f"{verdict:8} {seconds:6.1f} s  {name}  {test}", flush=True)
