@@ -457,9 +457,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
     if isinstance(algebra, FinitePMV) and algebra.size <= IDEAL_CEILING:
         handles = enumerate_ideals(algebra)
-        atomless = (strongly_atomless_scan(algebra, budget=args.samples, root=root,
-                                           seed=args.seed)["status"]
-                    if report["algebra"]["representable"] else "criterion-inapplicable")
+        atomless = strongly_atomless_scan(algebra, budget=args.samples, root=root,
+                                          seed=args.seed)["status"]
         report["ideals"] = {
             "count": len(handles),
             "normal": sum(h.is_normal for h in handles),
@@ -582,9 +581,6 @@ def cmd_quotient(args: argparse.Namespace) -> int:
         handle = classify_ideal(algebra, members)
     except NotAnIdeal as exc:
         print(f"not an ideal: {exc}", file=sys.stderr)
-        return EXIT_VIOLATION
-    if not handle.is_normal:
-        print("ideal is not normal; no quotient", file=sys.stderr)
         return EXIT_VIOLATION
     root, how = detect_square_root(algebra)
     result = quotient(algebra, handle, root)

@@ -12,21 +12,26 @@ is representable when every polar a⊥ = {x : x ∧ a = 0} is a normal ideal.
 Strong atomlessness is probed through the pointwise criterion: every
 nonzero x admits 0 < y < x with y ∧ (x ⊙ y⁻) ≠ 0; on group intervals with
 a strict root the canonical witness y = r(x⁻)∼ realizes the value x/2.
-The criterion holds only on representable algebras, which the caller of
-``strongly_atomless_scan`` checks.
+The criterion holds only on representable algebras; finite ones all are.
 
-In a finite algebra satisfying A1–A8 every ideal I is ↓e = {x : x ≤ e}
-for exactly one idempotent e, so ``enumerate_ideals`` reads the ideals off
-``boolean_skeleton`` and ``is_representable`` counts a polar as an ideal
-exactly when it is one of the ↓e.  Proof: the ⊕ of all members of I lies
-in I and bounds each one, so it is the maximum e of I, I = ↓e, and
-e ⊕ e ∈ I gives e ⊕ e = e; conversely x, y ≤ e gives x ⊕ y ≤ e ⊕ e = e.
-On other tables ``boolean_skeleton`` raises when the idempotents are not a
-subalgebra, and other axiom failures go unnoticed, so callers check A1–A8
-first.  Each call computes the difference tables left[x][y] = x ⊙ y⁻ and
-right[x][y] = y∼ ⊙ x once, with 2n² ⊙, each a lookup in the algebra's ⊙
-table; the normal and prime flags read them.  ``quotient`` needs only
-x ⊙ y⁻ for its relation, so it builds that table alone, with n² ⊙.
+A finite algebra satisfying A1–A8 is an MV-algebra, which settles
+normality and representability.  It is Archimedean, so the ℓ-group G of
+its representation Γ(G, u) is Archimedean (Dvurečenskij, *Pseudo
+MV-algebras are intervals in ℓ-groups*, J. Aust. Math. Soc. 2002), hence
+abelian (Birkhoff–Iwasawa).  So x⁻ = x∼ and ⊙ commutes: y∼ ⊙ x = x ⊙ y⁻,
+the two sides of normality coincide, and every ideal is normal.  A finite
+MV-algebra is a product of finite chains (Chang), so it is representable.
+``classify_ideal``, ``enumerate_ideals``, ``quotient`` and
+``is_representable`` first test x⁻ = x∼ and x ⊕ y = y ⊕ x (n² + n
+comparisons, no ⊙) and raise on a table that fails, which fails A1–A8 too.
+
+Every ideal I is then ↓e = {x : x ≤ e} for exactly one idempotent e, so
+``enumerate_ideals`` reads the ideals off ``boolean_skeleton``.  Proof:
+the ⊕ of all members of I lies in I and bounds each one, so it is the
+maximum e of I, I = ↓e, and e ⊕ e ∈ I gives e ⊕ e = e; conversely
+x, y ≤ e gives x ⊕ y ≤ e ⊕ e = e.  Other axiom failures go unnoticed, so
+callers check A1–A8 first.  The prime flag and ``quotient``'s relation
+read one table, x ⊙ y⁻, built once per call with n² ⊙ lookups.
 """
 
 from __future__ import annotations
@@ -68,7 +73,8 @@ class NotAnIdeal(AlgebraError):
 class IdealHandle:
     """A verified ideal with recomputed flags (never trusted from input);
     test membership with ``x in handle.members``.  Under A1–A8 the members
-    are ↓e for their maximum e, an idempotent (see the module docstring)."""
+    are ↓e for their maximum e, an idempotent, and ``is_normal`` is True:
+    every ideal of a finite algebra is normal (see the module docstring)."""
 
     members: frozenset
     is_normal: bool
@@ -77,43 +83,37 @@ class IdealHandle:
     is_proper: bool
 
 
-def _differences(algebra: FinitePMV) -> tuple[list, list]:
-    """The tables left[x][y] = x ⊙ y⁻ and right[x][y] = y∼ ⊙ x (2n² ⊙), indexed
-    by element value: ``FinitePMV.elements()`` is range(n)."""
+def _check_commutative(algebra: FinitePMV) -> None:
+    """Raise unless x⁻ = x∼ and x ⊕ y = y ⊕ x, as A1–A8 imply on a finite table."""
+    t = algebra.table
+    if tuple(t.neg) != tuple(t.tilde) or tuple(map(tuple, t.oplus)) != tuple(zip(*t.oplus)):
+        raise AlgebraError(f"the table of {algebra.name} is not commutative, so it fails A1–A8")
+
+
+def _differences(algebra: FinitePMV) -> list:
+    """The table left[x][y] = x ⊙ y⁻ (n² ⊙), indexed by element value:
+    ``FinitePMV.elements()`` is range(n)."""
     xs = range(algebra.size)
-    return ([[algebra.odot(x, algebra.neg(y)) for y in xs] for x in xs],
-            [[algebra.odot(algebra.tilde(y), x) for y in xs] for x in xs])
+    return [[algebra.odot(x, algebra.neg(y)) for y in xs] for x in xs]
 
 
-def _normal(members: frozenset, left: list, right: list) -> bool:
-    """x ⊙ y⁻ ∈ I ⟺ y∼ ⊙ x ∈ I for all x, y, read off the difference tables."""
-    return all((a in members) == (b in members)
-               for lrow, rrow in zip(left, right) for a, b in zip(lrow, rrow))
-
-
-def _handle(algebra: FinitePMV, members: frozenset, left: list, right: list) -> IdealHandle:
+def _handle(algebra: FinitePMV, members: frozenset, left: list) -> IdealHandle:
     """The handle of an ideal known to be one, with its flags computed."""
     xs = range(algebra.size)
     return IdealHandle(
         members=members,
-        is_normal=_normal(members, left, right),
+        is_normal=True,
         is_prime=all(left[x][y] in members or left[y][x] in members for x in xs for y in xs),
         is_boolean_ideal=all(algebra.meet(x, algebra.tilde(x)) in members for x in xs),
         is_proper=len(members) < algebra.size,
     )
 
 
-def _down_sets(algebra: FinitePMV) -> list[frozenset]:
-    """↓e for each idempotent e, in the order of ``boolean_skeleton``: under
-    A1–A8 these are all the ideals (see the module docstring)."""
-    elems = list(algebra.elements())
-    return [frozenset(x for x in elems if algebra.leq(x, e)) for e in algebra.boolean_skeleton()]
-
-
 def classify_ideal(algebra: FinitePMV, subset) -> IdealHandle:
     """Verify the ideal axioms, raising :class:`NotAnIdeal` with a witness,
     and compute the normal / prime / Boolean flags for a subset of a finite
     carrier."""
+    _check_commutative(algebra)
     members = frozenset(subset)
     if not members:
         raise NotAnIdeal("an ideal is nonempty")
@@ -129,14 +129,17 @@ def classify_ideal(algebra: FinitePMV, subset) -> IdealHandle:
         for b in members:
             if algebra.oplus(a, b) not in members:
                 raise NotAnIdeal("not closed under ⊕", (a, b))
-    return _handle(algebra, members, *_differences(algebra))
+    return _handle(algebra, members, _differences(algebra))
 
 
 def enumerate_ideals(algebra: FinitePMV) -> list[IdealHandle]:
     """All ideals of a small finite algebra satisfying A1–A8: ↓e for each
     idempotent e, in the order of ``boolean_skeleton``."""
-    tables = _differences(algebra)
-    return [_handle(algebra, members, *tables) for members in _down_sets(algebra)]
+    _check_commutative(algebra)
+    left = _differences(algebra)
+    elems = list(algebra.elements())
+    return [_handle(algebra, frozenset(x for x in elems if algebra.leq(x, e)), left)
+            for e in algebra.boolean_skeleton()]
 
 
 @dataclass
@@ -154,11 +157,11 @@ def quotient(algebra: FinitePMV, ideal: IdealHandle,
     The induced root r(x)/I is checked to be well defined (equivalent
     inputs give equivalent outputs) and re-verified on the quotient.
     """
+    _check_commutative(algebra)
     if not ideal.is_normal:
         raise AlgebraError("quotients need a normal ideal")
     elems = list(algebra.elements())
-    # the relation reads only x ⊙ y⁻ (n² ⊙), indexed by element value like _differences
-    left = [[algebra.odot(x, algebra.neg(y)) for y in elems] for x in elems]
+    left = _differences(algebra)
 
     def equivalent(x, y):
         return left[x][y] in ideal.members and left[y][x] in ideal.members
@@ -214,16 +217,11 @@ def is_r_invariant(ideal: IdealHandle, root: SquareRootMap) -> bool:
 
 
 def is_representable(algebra: FinitePMV) -> bool:
-    """Every polar a⊥ = {x : x ∧ a = 0} must be a normal ideal.  Like
-    ``enumerate_ideals`` this needs A1–A8: a polar is then an ideal exactly
-    when it is one of the ↓e, and its normality is read off the tables."""
-    elems = list(algebra.elements())
-    polars = {frozenset(x for x in elems if algebra.eq(algebra.meet(x, a), algebra.zero))
-              for a in elems}
-    if not polars <= set(_down_sets(algebra)):
-        return False
-    left, right = _differences(algebra)
-    return all(_normal(polar, left, right) for polar in polars)
+    """Whether every polar a⊥ = {x : x ∧ a = 0} is a normal ideal: always,
+    for a finite MV-algebra is a product of chains, and A1–A8 make a finite
+    table one (see the module docstring).  A noncommutative table raises."""
+    _check_commutative(algebra)
+    return True
 
 
 def atoms(algebra: FinitePMV) -> list:
@@ -285,8 +283,7 @@ def strongly_atomless_scan(algebra: PseudoMV, budget: int | None = None,
     """Summarize witness existence over the probed nonzero elements.
 
     The pointwise criterion characterizes strong atomlessness only on
-    representable algebras; callers check that first (``analyze`` reports
-    ``criterion-inapplicable`` on a finite carrier that is not).
+    representable algebras, which every finite one is (``is_representable``).
     """
     domains = Domains(algebra, budget, seed, elements="atomless-scan")
     domains.elems = [x for x in domains.elems if not algebra.eq(x, algebra.zero)]

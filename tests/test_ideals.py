@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
+import json
 import random
 from fractions import Fraction as F
 from itertools import combinations
@@ -9,9 +12,11 @@ from itertools import combinations
 import pytest
 
 import pseudomv as pmv
+from pseudomv import cli
 from pseudomv.core import make_rng
 from pseudomv.finite import catalogue_closure
 from pseudomv.ideals import (
+    IdealHandle,
     NotAnIdeal,
     atoms,
     classify_ideal,
@@ -276,6 +281,41 @@ def test_catalogue_is_representable():
                     pmv.product(pmv.boolean(1), pmv.chain(2)),
                     pmv.chain(0)):
         assert is_representable(algebra)
+
+
+def chain2_with(oplus_entry=None, tilde_entry=None):
+    """The table of chain(2), unvalidated, with one ⊕ or ∼ entry replaced."""
+    t = pmv.chain(2).table
+    oplus, tilde = [list(row) for row in t.oplus], list(t.tilde)
+    if oplus_entry:
+        x, y, v = oplus_entry
+        oplus[x][y] = v
+    if tilde_entry:
+        x, v = tilde_entry
+        tilde[x] = v
+    return pmv.FiniteTable(t.n, tuple(map(tuple, oplus)), t.neg, tuple(tilde), t.zero, t.one)
+
+
+@pytest.mark.parametrize("table", [
+    chain2_with(oplus_entry=(1, 0, 2)),     # 1 ⊕ 0 = 2 but 0 ⊕ 1 = 1
+    chain2_with(tilde_entry=(1, 0)),        # ⊕ commutes, 1⁻ = 1 but 1∼ = 0
+], ids=["oplus-not-commutative", "neg-not-tilde"])
+def test_noncommutative_tables_are_refused(table, tmp_path):
+    # A1–A8 make a finite table commutative; the finite ideal functions
+    # refuse one that is not, and analyze still reports its axiom failure
+    algebra = pmv.FinitePMV(table)
+    handle = IdealHandle(frozenset({0}), is_normal=True, is_prime=True,
+                         is_boolean_ideal=False, is_proper=True)
+    for call in (lambda: classify_ideal(algebra, [0]), lambda: enumerate_ideals(algebra),
+                 lambda: quotient(algebra, handle), lambda: is_representable(algebra)):
+        with pytest.raises(pmv.AlgebraError, match="not commutative"):
+            call()
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps({"finite": {
+        "n": table.n, "oplus": table.oplus, "neg": table.neg, "tilde": table.tilde,
+        "zero": table.zero, "one": table.one}}))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["analyze", str(path)]) == 2
 
 
 # ----------------------------------------------------------------------

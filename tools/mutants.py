@@ -102,8 +102,10 @@ MUTANTS = {
                                    "s.M.eq(s.M.odot(rx := s.r(x), s.r0), s.M.odot(rx, s.r0))"),
     "strict-classified-product": ("src/pseudomv/roots.py", 'classification = "strict"',
                                   'classification = "product"'),
-    "ideal-normal-always": ("src/pseudomv/ideals.py", "return all((a in members) == (b in members)",
-                            "return True or all((a in members) == (b in members)"),
+    "commutative-check-drops-tilde": ("src/pseudomv/ideals.py", "if tuple(t.neg) != tuple(t.tilde) or ",
+                                      "if "),
+    "commutative-check-drops-oplus": ("src/pseudomv/ideals.py",
+                                      "or tuple(map(tuple, t.oplus)) != tuple(zip(*t.oplus)):", ":"),
     "negation-compat-drops-tilde": ("src/pseudomv/roots.py",
                                     "and algebra.eq(root(algebra.tilde(x)), algebra.snake(rx, r0)))",
                                     "and True)"),
