@@ -1,7 +1,7 @@
 """Command-line surface: parse algebra descriptions, run analyses, emit
 deterministic JSON reports, and drive the finite search.
 
-Input files are JSON with exactly one of three shapes::
+Input files are JSON objects with exactly one of three keys, else refused::
 
     {"finite":    {"n": 4, "oplus": [[...]], "neg": [...], "tilde": [...],
                    "zero": 0, "one": 3}}
@@ -12,7 +12,8 @@ Input files are JSON with exactly one of three shapes::
 
 Group constructors: ``Z``, ``Q``, ``D``, ``H(p)``, ``heis``,
 ``semi_numeric``, ``lex(G,G)``, ``prod(G,G)``.  Element literals are
-rationals ``p/q`` or flat tuples ``(a, b, ...)``.
+rationals ``p/q`` or flat tuples ``(a, b, ...)``.  Catalogue kinds and
+their parameters are ``finite.CATALOGUE_KINDS``.
 
 Reports are byte-stable for a fixed (input, flags, seed, version): keys are
 sorted, rationals render as ``p/q``, floats with 12 significant digits.
@@ -46,14 +47,15 @@ from .counterexamples import (
     scaling_action_verdicts,
 )
 from .finite import (
-    CATALOGUE_DEPTH_CEILING,
     SEARCH_CEILING,
     TABLE_CEILING,
-    CatalogueSpec,
+    CatalogueSpecError,
     FinitePMV,
     FiniteTable,
     build_catalogue,
     catalogue_size,
+    json_int,
+    parse_catalogue,
     search_square_rootable,
 )
 from .ideals import (
@@ -240,35 +242,6 @@ def parse_element_literal(group: LGroup, text: str) -> Any:
         raise SpecFileError(str(exc)) from exc
 
 
-def _json_int(value: Any) -> int:
-    """``value`` if it is a JSON integer; a float, string or boolean raises
-    ``TypeError`` instead of being truncated or read digit by digit."""
-    if type(value) is not int:
-        raise TypeError(f"expected an integer, got {value!r:.20}")
-    return value
-
-
-def parse_catalogue(obj: dict, depth: int = 1) -> CatalogueSpec:
-    """The spec of ``obj``, found ``depth`` levels deep in the file."""
-    if depth > CATALOGUE_DEPTH_CEILING:
-        raise SpecFileError(f"catalogue spec nests deeper than {CATALOGUE_DEPTH_CEILING} levels")
-    try:
-        kind = obj["kind"]
-        params = obj["params"]
-    except (KeyError, TypeError) as exc:
-        raise SpecFileError("catalogue spec needs 'kind' and 'params'") from exc
-    if not isinstance(params, list):
-        raise SpecFileError(f"catalogue params must be a list, got {type(params).__name__}")
-    if kind in ("chain", "boolean"):
-        return CatalogueSpec(kind, (_json_int(params[0]),))
-    if kind == "product":
-        return CatalogueSpec(kind, (parse_catalogue(params[0], depth + 1),
-                                    parse_catalogue(params[1], depth + 1)))
-    if kind == "interval":
-        return CatalogueSpec(kind, (parse_catalogue(params[0], depth + 1), _json_int(params[1])))
-    raise SpecFileError(f"unknown catalogue kind {kind!r}")
-
-
 def _check_float_unit(coordinates: list[float], tolerance: float) -> None:
     if tolerance > FLOAT_TOLERANCE_CEILING:
         raise SpecFileError(f"--tolerance {tolerance:.6g} exceeds {FLOAT_TOLERANCE_CEILING:.6g}, "
@@ -299,19 +272,21 @@ def load_algebra(path: str, sampler: SamplerConfig, tolerance: float) -> PseudoM
         raise SpecFileError(f"{path} nests too deeply to read") from exc
     if not isinstance(data, dict):
         raise SpecFileError("top level must be an object")
+    if sum(shape in data for shape in ("finite", "gamma", "catalogue")) != 1:
+        raise SpecFileError("expected exactly one of 'finite', 'gamma', 'catalogue'")
 
     if "finite" in data:
         spec = data["finite"]
         try:
-            n = _json_int(spec["n"])
+            n = json_int(spec["n"])
             _check_table_size(n, "finite table")
             table = FiniteTable(
                 n=n,
-                oplus=tuple(tuple(map(_json_int, row)) for row in spec["oplus"]),
-                neg=tuple(map(_json_int, spec["neg"])),
-                tilde=tuple(map(_json_int, spec["tilde"])),
-                zero=_json_int(spec["zero"]),
-                one=_json_int(spec["one"]),
+                oplus=tuple(tuple(map(json_int, row)) for row in spec["oplus"]),
+                neg=tuple(map(json_int, spec["neg"])),
+                tilde=tuple(map(json_int, spec["tilde"])),
+                zero=json_int(spec["zero"]),
+                one=json_int(spec["one"]),
             )
         except (KeyError, TypeError, AlgebraError) as exc:
             raise SpecFileError(f"bad finite table: {exc}") from exc
@@ -328,15 +303,15 @@ def load_algebra(path: str, sampler: SamplerConfig, tolerance: float) -> PseudoM
             return gamma(group, unit, sampler)
         except (KeyError, TypeError, AlgebraError) as exc:
             raise SpecFileError(f"bad gamma spec: {exc}") from exc
-    if "catalogue" in data:
-        try:
-            spec = parse_catalogue(data["catalogue"])
-            _check_table_size(catalogue_size(spec), f"catalogue {spec.label()}")
-            # a table is enumerable, so no check reads the sampler it would carry
-            return build_catalogue(spec)
-        except (IndexError, TypeError, ValueError, AlgebraError) as exc:
-            raise SpecFileError(f"bad catalogue spec: {exc}") from exc
-    raise SpecFileError("expected one of 'finite', 'gamma', 'catalogue'")
+    try:
+        spec = parse_catalogue(data["catalogue"])
+        _check_table_size(catalogue_size(spec), f"catalogue {spec.label()}")
+        # a table is enumerable, so no check reads the sampler it would carry
+        return build_catalogue(spec)
+    except CatalogueSpecError as exc:
+        raise SpecFileError(str(exc)) from exc
+    except (TypeError, ValueError, AlgebraError) as exc:
+        raise SpecFileError(f"bad catalogue spec: {exc}") from exc
 
 
 # ----------------------------------------------------------------------

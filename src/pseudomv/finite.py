@@ -2,11 +2,15 @@
 
 Construction of Cayley-style tables and their exhaustive A1–A8 check by
 plain lookups into the table tuples, native ⊙ ∧ ∨ ≤ read off an x ⊙ y and
-an x ∧ y table built once per algebra, the Boolean skeleton computed and
-checked once per algebra, the structured catalogue (chains
-Γ(ℤ,n), Boolean algebras 2ᵏ, direct products, intervals [0, a] below an
-idempotent), brute-force search for weak square roots, and small-scale
-isomorphism checks.
+an x ∧ y table built once per algebra, the Boolean skeleton and the
+commutativity test computed once per algebra, the structured catalogue
+(chains Γ(ℤ,n), Boolean algebras 2ᵏ, direct products, intervals [0, a]
+below an idempotent), brute-force search for weak square roots, and
+small-scale isomorphism checks.
+
+The catalogue grammar is one table, ``CATALOGUE_KINDS``, which
+``parse_catalogue`` (from JSON), ``catalogue_size``, ``CatalogueSpec.label``
+and ``build_catalogue`` each walk once per spec level.
 
 The finite search deliberately ranges over the catalogue closure, not over
 all magmas of a given size: raw table enumeration explodes and adds
@@ -19,7 +23,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Iterator
+from typing import Any, Callable, Iterator, NamedTuple
 
 from .core import (
     AlgebraError,
@@ -36,6 +40,8 @@ __all__ = [
     "FiniteTable",
     "FinitePMV",
     "CatalogueSpec",
+    "CatalogueSpecError",
+    "CATALOGUE_KINDS",
     "AxiomValidationError",
     "WeakSqrtSearch",
     "SearchRow",
@@ -55,6 +61,7 @@ __all__ = [
     "TABLE_CEILING",
     "CATALOGUE_DEPTH_CEILING",
     "catalogue_size",
+    "parse_catalogue",
 ]
 
 SEARCH_CEILING = 6
@@ -62,8 +69,8 @@ ISO_CEILING = 12
 #: Largest carrier a table read from outside the program may have: every
 #: check on a table is exhaustive, and A1 alone takes n³ steps.
 TABLE_CEILING = 64
-#: Deepest nesting of a catalogue spec read from outside the program (a
-#: chain or Boolean algebra is 1 deep); building recurses once per level.
+#: Deepest nesting ``parse_catalogue`` reads (a chain or Boolean algebra is
+#: 1 deep); parsing, sizing, labelling and building recurse once per level.
 CATALOGUE_DEPTH_CEILING = 32
 
 
@@ -190,6 +197,13 @@ class FinitePMV(PseudoMV):
         return self._meet_table[self._idx(x)][self._idx(y)] == x
 
     @cached_property
+    def commutative(self) -> bool:
+        """x⁻ = x∼ and x ⊕ y = y ⊕ x, as A1–A8 imply on a finite table
+        (n² + n comparisons, no ⊙); computed once per algebra."""
+        t = self.table
+        return tuple(t.neg) == tuple(t.tilde) and tuple(map(tuple, t.oplus)) == tuple(zip(*t.oplus))
+
+    @cached_property
     def _skeleton(self) -> tuple:
         return tuple(super().boolean_skeleton())
 
@@ -275,9 +289,11 @@ class FinitePMV(PseudoMV):
         return self
 
 
-def tabulate(algebra: PseudoMV, name: str | None = None) -> FinitePMV:
-    """Materialize any enumerable algebra as an index table, keeping the
-    original elements as labels."""
+def tabulate(algebra: PseudoMV, name: str | None = None,
+             label: Callable[[Any], Any] | None = None) -> FinitePMV:
+    """Materialize any enumerable algebra as an index table, labelling each
+    element by ``label`` of it; by default an int or tuple element is its
+    own label and any other element its formatted text."""
     elems = list(algebra.elements())
     # every enumerable carrier has hashable elements whose eq is ==
     index = {e: i for i, e in enumerate(elems)}
@@ -295,115 +311,132 @@ def tabulate(algebra: PseudoMV, name: str | None = None) -> FinitePMV:
         zero=find(algebra.zero),
         one=find(algebra.one),
     )
-    labels = tuple(algebra.format_element(e) if not isinstance(e, (int, tuple)) else e
-                   for e in elems)
-    return FinitePMV(table, labels=labels, sampler=algebra.sampler, name=name)
+    label = label or (lambda e: e if isinstance(e, (int, tuple)) else algebra.format_element(e))
+    return FinitePMV(table, labels=tuple(map(label, elems)), sampler=algebra.sampler, name=name)
 
 
 # ----------------------------------------------------------------------
 # catalogue
 # ----------------------------------------------------------------------
 
+class CatalogueSpecError(ValueError):
+    """A catalogue spec read from outside the program has the wrong shape."""
+
+
 @dataclass(frozen=True)
 class CatalogueSpec:
     """Constructor description: chain(n), boolean(k), product(a, b),
-    interval(a, idempotent-index)."""
+    interval(a, idempotent-index), as ``CATALOGUE_KINDS`` reads them."""
 
     kind: str
     params: tuple
 
     def label(self) -> str:
-        if self.kind in ("chain", "boolean"):
-            return f"{self.kind}({self.params[0]})"
-        if self.kind == "product":
-            return f"product({self.params[0].label()},{self.params[1].label()})"
-        if self.kind == "interval":
-            return f"interval({self.params[0].label()},{self.params[1]})"
-        return f"{self.kind}{self.params!r}"
+        return f"{self.kind}({','.join(map(str, _args(self, CatalogueSpec.label)))})"
+
+
+def _symmetric_table(size: int, oplus: Callable, neg: Callable, name: str) -> FinitePMV:
+    """The table on {0, ..., size - 1} with x∼ = x⁻, 0 = 0 and 1 = size - 1."""
+    xs = range(size)
+    negs = tuple(map(neg, xs))
+    table = FiniteTable(n=size, oplus=tuple(tuple(oplus(i, j) for j in xs) for i in xs),
+                        neg=negs, tilde=negs, zero=0, one=size - 1)
+    return FinitePMV(table, name=name).validated()
 
 
 def chain(n: int) -> FinitePMV:
     """The n+1 element chain {0, 1, ..., n} with x ⊕ y = (x+y) ∧ n."""
     if n < 0:
         raise ValueError("chain parameter must be nonnegative")
-    size = n + 1
-    table = FiniteTable(
-        n=size,
-        oplus=tuple(tuple(min(i + j, n) for j in range(size)) for i in range(size)),
-        neg=tuple(n - i for i in range(size)),
-        tilde=tuple(n - i for i in range(size)),
-        zero=0,
-        one=n,
-    )
-    return FinitePMV(table, name=f"chain({n})").validated()
+    return _symmetric_table(n + 1, lambda i, j: min(i + j, n), lambda i: n - i, f"chain({n})")
 
 
 def boolean(k: int) -> FinitePMV:
     """The Boolean algebra 2ᵏ on bitmask carriers, x ⊕ y = x | y."""
     if k < 0:
         raise ValueError("boolean parameter must be nonnegative")
-    size = 1 << k
-    full = size - 1
-    table = FiniteTable(
-        n=size,
-        oplus=tuple(tuple(i | j for j in range(size)) for i in range(size)),
-        neg=tuple(full ^ i for i in range(size)),
-        tilde=tuple(full ^ i for i in range(size)),
-        zero=0,
-        one=full,
-    )
-    return FinitePMV(table, name=f"boolean({k})").validated()
+    full = (1 << k) - 1
+    return _symmetric_table(full + 1, int.__or__, full.__xor__, f"boolean({k})")
 
 
 def product(a: FinitePMV, b: FinitePMV) -> FinitePMV:
     """Direct product, materialized as a table with pair labels."""
-    prod = ProductPMV(a, b)
-    out = tabulate(prod, name=f"product({a.name},{b.name})")
-    out = FinitePMV(out.table,
-                    labels=tuple((a.label(i), b.label(j))
-                                 for i in range(a.size) for j in range(b.size)),
-                    sampler=out.sampler, name=out.name)
-    return out.validated()
+    return tabulate(ProductPMV(a, b), name=f"product({a.name},{b.name})",
+                    label=lambda e: (a.labels[e[0]], b.labels[e[1]])).validated()
 
 
 def interval(a: FinitePMV, top: int) -> FinitePMV:
     """The algebra on [0, top] for an idempotent top, with relativized
     negations x⁻ ∧ top and x∼ ∧ top."""
-    sub = IntervalPMV(a, top)
-    carrier = list(sub.elements())
-    out = tabulate(sub, name=f"interval({a.name},{a.format_element(top)})")
-    out = FinitePMV(out.table, labels=tuple(a.label(x) for x in carrier),
-                    sampler=out.sampler, name=out.name)
-    return out.validated()
+    return tabulate(IntervalPMV(a, top), name=f"interval({a.name},{a.format_element(top)})",
+                    label=a.labels.__getitem__).validated()
+
+
+class CatalogueKind(NamedTuple):
+    params: tuple[type, ...]            # each ``int`` (a JSON integer) or ``CatalogueSpec``
+    size: Callable[..., int]            # the largest carrier that building it tabulates
+    build: Callable[..., FinitePMV]
+
+
+#: Every catalogue kind; ``size`` and ``build`` take each nested spec as its
+#: size or its algebra.  A product tabulates its factors too, and an interval
+#: its parent; Boolean sizes stop growing past ``2 * TABLE_CEILING``.
+CATALOGUE_KINDS = {
+    "chain": CatalogueKind((int,), lambda n: n + 1, chain),
+    "boolean": CatalogueKind((int,), lambda k: 1 << min(max(k, 0), TABLE_CEILING.bit_length()),
+                             boolean),
+    "product": CatalogueKind((CatalogueSpec, CatalogueSpec), lambda a, b: max(a, b, a * b),
+                             product),
+    "interval": CatalogueKind((CatalogueSpec, int), lambda a, top: a, interval),
+}
+
+
+def _kind(kind: Any) -> CatalogueKind:
+    if not isinstance(kind, str) or kind not in CATALOGUE_KINDS:
+        raise CatalogueSpecError(f"unknown catalogue kind {kind!r}")
+    return CATALOGUE_KINDS[kind]
+
+
+def _args(spec: CatalogueSpec, walk: Callable[[CatalogueSpec], Any]) -> list:
+    """The parameters of ``spec``, each nested spec replaced by ``walk`` of it."""
+    return [walk(p) if isinstance(p, CatalogueSpec) else p for p in spec.params]
+
+
+def json_int(value: Any) -> int:
+    """``value`` if it is a JSON integer; a float, string or boolean raises
+    ``TypeError`` instead of being truncated or read digit by digit."""
+    if type(value) is not int:
+        raise TypeError(f"expected an integer, got {value!r:.20}")
+    return value
+
+
+def parse_catalogue(obj: Any, depth: int = 1) -> CatalogueSpec:
+    """The spec of the JSON value ``obj``, found ``depth`` levels deep in
+    its file.  A spec of the wrong shape raises ``CatalogueSpecError`` and a
+    parameter that is no JSON integer where one belongs ``TypeError``."""
+    if depth > CATALOGUE_DEPTH_CEILING:
+        raise CatalogueSpecError(f"catalogue spec nests deeper than {CATALOGUE_DEPTH_CEILING} levels")
+    try:
+        kind, params = obj["kind"], obj["params"]
+    except (KeyError, TypeError) as exc:
+        raise CatalogueSpecError("catalogue spec needs 'kind' and 'params'") from exc
+    if not isinstance(params, list):
+        raise CatalogueSpecError(f"catalogue params must be a list, got {type(params).__name__}")
+    shapes = _kind(kind).params
+    if len(params) != len(shapes):
+        raise CatalogueSpecError(f"catalogue kind {kind!r} takes {len(shapes)} params, "
+                                 f"got {len(params)}")
+    return CatalogueSpec(kind, tuple(parse_catalogue(p, depth + 1) if shape is CatalogueSpec
+                                     else json_int(p) for shape, p in zip(shapes, params)))
 
 
 def catalogue_size(spec: CatalogueSpec) -> int:
-    """The largest carrier that building ``spec`` tabulates, found without
-    building anything: a product tabulates its factors too, and an interval
-    its parent.  Boolean sizes stop growing past ``2 * TABLE_CEILING``."""
-    kind, params = spec.kind, spec.params
-    if kind == "chain":
-        return params[0] + 1
-    if kind == "boolean":
-        return 1 << min(max(params[0], 0), TABLE_CEILING.bit_length())
-    if kind == "product":
-        a, b = catalogue_size(params[0]), catalogue_size(params[1])
-        return max(a, b, a * b)
-    if kind == "interval":
-        return catalogue_size(params[0])
-    raise ValueError(f"unknown catalogue kind {kind!r}")
+    """The largest carrier that building ``spec`` tabulates, found without building."""
+    return _kind(spec.kind).size(*_args(spec, catalogue_size))
 
 
 def build_catalogue(spec: CatalogueSpec) -> FinitePMV:
-    if spec.kind == "chain":
-        return chain(spec.params[0])
-    if spec.kind == "boolean":
-        return boolean(spec.params[0])
-    if spec.kind == "product":
-        return product(build_catalogue(spec.params[0]), build_catalogue(spec.params[1]))
-    if spec.kind == "interval":
-        return interval(build_catalogue(spec.params[0]), spec.params[1])
-    raise ValueError(f"unknown catalogue kind {spec.kind!r}")
+    return _kind(spec.kind).build(*_args(spec, build_catalogue))
 
 
 # ----------------------------------------------------------------------
@@ -477,15 +510,8 @@ class SearchRow:
 def catalogue_closure(max_size: int) -> list[FinitePMV]:
     """Chains and Boolean algebras up to ``max_size`` elements, their
     pairwise products, and the nontrivial intervals of everything built."""
-    base: list[FinitePMV] = []
-    m = 1
-    while m + 1 <= max_size:
-        base.append(chain(m))
-        m += 1
-    k = 1
-    while (1 << k) <= max_size:
-        base.append(boolean(k))
-        k += 1
+    base = ([chain(m) for m in range(1, max_size)]
+            + [boolean(k) for k in range(1, max_size.bit_length()) if 1 << k <= max_size])
     out = list(base)
     for a, b in itertools.product(base, base):
         if a.size * b.size <= max_size:

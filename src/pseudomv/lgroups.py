@@ -33,7 +33,7 @@ D and H(p), and ``gamma`` for its unit, also read a bare int or
 Only whole arguments of Q, D and H(p) are read so: a coordinate of a
 Heisenberg or product point must be a canonical pair, as ``validate``
 requires, and a bare number there equals no point under ``eq``.
-ℤ keeps plain ints and refuses bools.
+ℤ keeps plain ints and refuses bools, and so do the float carriers.
 
 As ``validate`` admits canonical payloads only, equal elements of an exact
 group are equal payloads, so ℤ, the Heisenberg group and exact products
@@ -727,15 +727,13 @@ class DirectProductGroup(_PairGroup):
     linear = False
 
     def cmp(self, a, b):
-        le = self.first.leq(a[0], b[0]) and self.second.leq(a[1], b[1])
-        ge = self.first.leq(b[0], a[0]) and self.second.leq(b[1], a[1])
-        if le and ge:
-            return 0
-        if le:
-            return -1
-        if ge:
-            return 1
-        return None
+        """The first nonzero factor sign; None when a factor is incomparable
+        or the two signs disagree."""
+        c = self.first.cmp(a[0], b[0])
+        d = self.second.cmp(a[1], b[1])
+        if c is None or d is None or c * d < 0:
+            return None
+        return c or d
 
     def leq(self, a, b):
         return self.first.leq(a[0], b[0]) and self.second.leq(a[1], b[1])
@@ -823,7 +821,7 @@ class _FloatPairGroup(LGroup):
 
     def validate(self, a):
         if not (isinstance(a, tuple) and len(a) == 2
-                and all(isinstance(v, (int, float)) for v in a)):
+                and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in a)):
             raise BackendMismatch(f"float pair expected, got {a!r}")
 
     def flatten(self, a):

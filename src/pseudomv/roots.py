@@ -186,7 +186,7 @@ _ROOT_PROBES = 16
 
 
 def _evaluable_everywhere(algebra: PseudoMV, root: SquareRootMap) -> bool:
-    """Closed forms can construct but still hit unhalvable points (整-valued
+    """Closed forms can construct but still hit unhalvable points (integer-valued
     carriers with an even unit); probe before trusting the map."""
     try:
         for x in Domains(algebra, _ROOT_PROBES, elements="root-probe").elems[:_ROOT_PROBES]:

@@ -280,12 +280,18 @@ def test_analyze_malformed_unit_exits_3(tmp_path, unit):
     {"catalogue": {"kind": "interval", "params": {"a": 1}}},
     {"catalogue": {"kind": "chain", "params": "12"}},
     {"catalogue": {"kind": "interval", "params": [BOOL2["catalogue"], int("9" * 4000)]}},
+    {"catalogue": {"kind": "chain", "params": [2, 99]}},
+    {"catalogue": {"kind": "product", "params": [CHAIN3["catalogue"]] * 3}},
+    {**CHAIN3, **GAMMA_DYADIC},
+    {**BOOL2, "finite": {"n": 2, "oplus": [[0, 1], [1, 1]], "neg": [1, 0], "tilde": [1, 0],
+                         "zero": 0, "one": 1}},
 ], ids=["group-number", "chain-negative", "chain-params-string",
         "interval-top-not-idempotent", "product-one-param", "product-600-deep",
         "finite-1500-brackets", "catalogue-above-depth-ceiling", "group-1200-deep",
         "q-unit-1e10000000", "semi-unit-1e400", "chain-param-1e400", "finite-n-1e400",
         "semi-unit-1e8", "semi-unit-4-1e8", "chain-params-object", "product-params-object",
-        "interval-params-object", "chain-params-digits", "interval-top-4000-digits"])
+        "interval-params-object", "chain-params-digits", "interval-top-4000-digits",
+        "chain-two-params", "product-three-params", "catalogue-and-gamma", "catalogue-and-finite"])
 def test_analyze_malformed_spec_exits_3(tmp_path, payload):
     path = write(tmp_path, "bad.json", payload)
     proc = (run_process if payload in DEEP_SPECS else run_cli)("analyze", path)

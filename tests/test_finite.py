@@ -10,10 +10,12 @@ import pseudomv as pmv
 from pseudomv.finite import (
     TABLE_CEILING,
     CatalogueSpec,
+    CatalogueSpecError,
     build_catalogue,
     catalogue_closure,
     catalogue_size,
     maximum_of,
+    parse_catalogue,
     search_square_rootable,
 )
 
@@ -68,6 +70,22 @@ def test_build_catalogue_specs():
     assert build_catalogue(CatalogueSpec("chain", (3,))).size == 4
     with pytest.raises(ValueError):
         build_catalogue(CatalogueSpec("ring", (1,)))
+
+
+def test_parse_catalogue_reads_each_kind():
+    obj = {"kind": "interval", "params": [{"kind": "product", "params": [
+        {"kind": "chain", "params": [3]}, {"kind": "boolean", "params": [1]}]}, 6]}
+    spec = parse_catalogue(obj)
+    assert spec.label() == "interval(product(chain(3),boolean(1)),6)"
+    m, parent = build_catalogue(spec), build_catalogue(spec.params[0])
+    assert catalogue_size(spec) == parent.size == 8
+    # an interval keeps its parent's labels, a product pairs its factors'
+    assert m.labels == tuple(parent.label(x) for x in parent.elements() if parent.leq(x, 6))
+    assert m.labels[-1] == parent.label(6) == (3, 0)
+    for bad in ({"kind": "chain", "params": [2, 99]}, {"kind": "ring", "params": [1]},
+                {"kind": "product", "params": [obj]}):
+        with pytest.raises(CatalogueSpecError):
+            parse_catalogue(bad)
 
 
 def test_catalogue_size_without_building():

@@ -252,6 +252,19 @@ def test_float_kernels_match_derived_definitions(cls, tolerance, data):
     assert all(map(same_float, fast.sub(x, y), spec.sub(x, y))), (x, y)
 
 
+@pytest.mark.parametrize("cls, unit, inside", [(pmv.ScalingSemidirect, (2.0, 0.0), 1.5),
+                                               (pmv.ExpSemidirect, (2.0, 0.0), 0.5)],
+                         ids=["semi_numeric", "exp_numeric"])
+def test_float_carriers_refuse_bool_coordinates(cls, unit, inside):
+    # True == 1 and False == 0, so a bool would pass as a point of [0, u]
+    m = pmv.gamma(cls(), unit)
+    assert m.contains((inside, 0.0))
+    for bad in ((True, 0.0), (inside, False)):
+        with pytest.raises(pmv.BackendMismatch):
+            m.group.validate(bad)
+        assert not m.contains(bad)
+
+
 # ----------------------------------------------------------------------
 # Γ
 # ----------------------------------------------------------------------
@@ -612,6 +625,38 @@ def test_exact_fast_paths_match_derived_definitions(name, data):
     assert g.add(a, b) == spec_op(g, "add", a, b)
     assert g.sub(a, b) == spec_op(g, "sub", a, b)
     assert g.neg(a) == spec_op(g, "neg", a)
+
+
+#: Direct products for ``cmp``: the nested one has incomparable factors.
+PROD_CMP_CASES = {
+    "prod(Q,D)": COMPOSITE_CASES["prod(Q,D)"],
+    "prod(lex(Q,Q),H(6))": COMPOSITE_CASES["prod(lex(Q,Q),H(6))"],
+    "prod(prod(Z,D),Q)": (lambda: pmv.DirectProductGroup(pmv.DirectProductGroup(
+        pmv.IntegerGroup(), pmv.DyadicGroup()), pmv.RationalGroup()), [small_z, small_d, small_q]),
+}
+
+
+@pytest.mark.parametrize("name", list(PROD_CMP_CASES))
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_product_cmp_matches_factor_leq_both_ways(name, data):
+    make, coordinates = PROD_CMP_CASES[name]
+    g = make()
+    x = [data.draw(s) for s in coordinates]
+    y = [data.draw(st.one_of(st.just(v), s)) for v, s in zip(x, coordinates)]
+    a, b = g.from_flat(x), g.from_flat(y)
+    le = g.first.leq(a[0], b[0]) and g.second.leq(a[1], b[1])
+    ge = g.first.leq(b[0], a[0]) and g.second.leq(b[1], a[1])
+    assert g.cmp(a, b) == (0 if le and ge else -1 if le else 1 if ge else None)
+
+
+def test_nested_product_compares_through_incomparable_factors():
+    g = PROD_CMP_CASES["prod(prod(Z,D),Q)"][0]()
+    a, b, c = (g.from_flat(v) for v in ([0, 1, 0], [1, 0, 0], [1, 1, -1]))
+    assert g.first.cmp(a[0], b[0]) is None and g.cmp(a, b) is None
+    # the factor signs disagree
+    assert g.first.cmp(a[0], c[0]) == -1 and g.second.cmp(a[1], c[1]) == 1 and g.cmp(a, c) is None
+    assert g.cmp(a, g.from_flat([1, 1, 0])) == -1 and g.cmp(c, a) is None
 
 
 # ----------------------------------------------------------------------

@@ -40,6 +40,7 @@ JOBS = 2
 TIMEOUT = 600
 
 LG = "src/pseudomv/lgroups.py"
+FN = "src/pseudomv/finite.py"
 
 #: name -> (file, old, new).  Each mutant changes one line; ``old`` may
 #: carry the neighbouring lines that make it unique.
@@ -95,17 +96,24 @@ MUTANTS = {
     "weak-form-operand-order": ("src/pseudomv/roots.py",
                                 "lambda x: group.add(halve_or_raise(group.sub(x, unit)), unit))",
                                 "lambda x: group.add(unit, halve_or_raise(group.sub(x, unit))))"),
-    "table-a6-dropped": ("src/pseudomv/finite.py", "lambda x, y: op[x][od[tl[x]][y]] ==",
+    "table-a6-dropped": (FN, "lambda x, y: op[x][od[tl[x]][y]] ==",
                          "lambda x, y: True or op[x][od[tl[x]][y]] =="),
     "standard-row-operand-order": ("src/pseudomv/roots.py",
                                    "s.M.eq(s.M.odot(rx := s.r(x), s.r0), s.M.odot(s.r0, rx))",
                                    "s.M.eq(s.M.odot(rx := s.r(x), s.r0), s.M.odot(rx, s.r0))"),
     "strict-classified-product": ("src/pseudomv/roots.py", 'classification = "strict"',
                                   'classification = "product"'),
-    "commutative-check-drops-tilde": ("src/pseudomv/ideals.py", "if tuple(t.neg) != tuple(t.tilde) or ",
-                                      "if "),
-    "commutative-check-drops-oplus": ("src/pseudomv/ideals.py",
-                                      "or tuple(map(tuple, t.oplus)) != tuple(zip(*t.oplus)):", ":"),
+    "commutative-check-drops-tilde": (FN, "return tuple(t.neg) == tuple(t.tilde) and ", "return "),
+    "commutative-check-drops-oplus": (FN, " and tuple(map(tuple, t.oplus)) == tuple(zip(*t.oplus))",
+                                      ""),
+    # the catalogue table, the product order and the float carriers' shape
+    "catalogue-arity-unchecked": (FN, "if len(params) != len(shapes):", "if False:"),
+    "chain-size-off-by-one": (FN, "CatalogueKind((int,), lambda n: n + 1, chain)",
+                              "CatalogueKind((int,), lambda n: n, chain)"),
+    "prod-cmp-ignores-disagreement": (LG, "if c is None or d is None or c * d < 0:",
+                                      "if c is None or d is None:"),
+    "float-validate-takes-bools": (LG, "isinstance(v, (int, float)) and not isinstance(v, bool) for v",
+                                   "isinstance(v, (int, float)) for v"),
     "negation-compat-drops-tilde": ("src/pseudomv/roots.py",
                                     "and algebra.eq(root(algebra.tilde(x)), algebra.snake(rx, r0)))",
                                     "and True)"),
