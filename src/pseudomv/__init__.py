@@ -28,7 +28,6 @@ from .finite import (
     brute_force_weak_sqrt,
     build_catalogue,
     chain,
-    find_isomorphism,
     interval,
     product,
     search_square_rootable,

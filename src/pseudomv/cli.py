@@ -1,7 +1,8 @@
 """Command-line surface: parse algebra descriptions, run analyses, emit
 deterministic JSON reports, and drive the finite search.
 
-Input files are JSON objects with exactly one of three keys, else refused::
+Input files are JSON objects with exactly one of three keys, whose objects
+hold no keys but those shown, at every depth; anything else is refused::
 
     {"finite":    {"n": 4, "oplus": [[...]], "neg": [...], "tilde": [...],
                    "zero": 0, "one": 3}}
@@ -52,6 +53,8 @@ from .finite import (
     CatalogueSpecError,
     FinitePMV,
     FiniteTable,
+    _known_keys,
+    _prefix,
     build_catalogue,
     catalogue_size,
     json_int,
@@ -106,10 +109,6 @@ SAMPLES_CEILING = 100_000
 
 #: The default ``--tolerance``, and the one ``quotient`` loads its table with.
 TOLERANCE_DEFAULT = 1e-9
-
-#: How many characters of a malformed group expression or literal an
-#: error message echoes.
-ECHO_PREFIX = 20
 
 #: The most digits the numerator or the denominator of a numeric literal may
 #: have, counted as written before reduction (``1e999`` has 1,000).  Reports
@@ -185,11 +184,6 @@ def parse_group(text: str, tolerance: float = 1e-9) -> LGroup:
     if rest.strip():
         raise SpecFileError(f"trailing input after group expression: {_prefix(rest.strip())}")
     return group
-
-
-def _prefix(text: str) -> str:
-    """``text`` quoted, cut to its first ``ECHO_PREFIX`` characters."""
-    return repr(text[:ECHO_PREFIX]) + ("..." if len(text) > ECHO_PREFIX else "")
 
 
 def _literal_digits(tok: str) -> float:
@@ -272,11 +266,13 @@ def load_algebra(path: str, sampler: SamplerConfig, tolerance: float) -> PseudoM
         raise SpecFileError(f"{path} nests too deeply to read") from exc
     if not isinstance(data, dict):
         raise SpecFileError("top level must be an object")
-    if sum(shape in data for shape in ("finite", "gamma", "catalogue")) != 1:
+    _known_keys(data, ("finite", "gamma", "catalogue"), "the top level", SpecFileError)
+    if len(data) != 1:
         raise SpecFileError("expected exactly one of 'finite', 'gamma', 'catalogue'")
 
     if "finite" in data:
         spec = data["finite"]
+        _known_keys(spec, ("n", "oplus", "neg", "tilde", "zero", "one"), "finite spec", SpecFileError)
         try:
             n = json_int(spec["n"])
             _check_table_size(n, "finite table")
@@ -293,6 +289,7 @@ def load_algebra(path: str, sampler: SamplerConfig, tolerance: float) -> PseudoM
         return FinitePMV(table, sampler=sampler, name="file")
     if "gamma" in data:
         spec = data["gamma"]
+        _known_keys(spec, ("group", "unit"), "gamma spec", SpecFileError)
         try:
             group = parse_group(spec["group"], tolerance)
             unit = parse_element_literal(group, spec["unit"])

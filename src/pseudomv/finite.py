@@ -5,8 +5,7 @@ plain lookups into the table tuples, native ⊙ ∧ ∨ ≤ read off an x ⊙ y 
 an x ∧ y table built once per algebra, the Boolean skeleton and the
 commutativity test computed once per algebra, the structured catalogue
 (chains Γ(ℤ,n), Boolean algebras 2ᵏ, direct products, intervals [0, a]
-below an idempotent), brute-force search for weak square roots, and
-small-scale isomorphism checks.
+below an idempotent), and brute-force search for weak square roots.
 
 The catalogue grammar is one table, ``CATALOGUE_KINDS``, which
 ``parse_catalogue`` (from JSON), ``catalogue_size``, ``CatalogueSpec.label``
@@ -55,9 +54,7 @@ __all__ = [
     "maximum_of",
     "search_square_rootable",
     "catalogue_closure",
-    "find_isomorphism",
     "SEARCH_CEILING",
-    "ISO_CEILING",
     "TABLE_CEILING",
     "CATALOGUE_DEPTH_CEILING",
     "catalogue_size",
@@ -65,13 +62,15 @@ __all__ = [
 ]
 
 SEARCH_CEILING = 6
-ISO_CEILING = 12
 #: Largest carrier a table read from outside the program may have: every
 #: check on a table is exhaustive, and A1 alone takes n³ steps.
 TABLE_CEILING = 64
 #: Deepest nesting ``parse_catalogue`` reads (a chain or Boolean algebra is
 #: 1 deep); parsing, sizing, labelling and building recurse once per level.
 CATALOGUE_DEPTH_CEILING = 32
+#: How many characters of a malformed key, group expression or literal an
+#: error message echoes.
+ECHO_PREFIX = 20
 
 
 class AxiomValidationError(AlgebraError):
@@ -410,6 +409,20 @@ def json_int(value: Any) -> int:
     return value
 
 
+def _prefix(text: str) -> str:
+    """``text`` quoted, cut to its first ``ECHO_PREFIX`` characters."""
+    return repr(text[:ECHO_PREFIX]) + ("..." if len(text) > ECHO_PREFIX else "")
+
+
+def _known_keys(obj: Any, keys: tuple[str, ...], what: str,
+                error: type[Exception] = CatalogueSpecError) -> None:
+    """Raise ``error`` naming the first key of the JSON object ``obj`` that
+    is not in ``keys``, so a misspelt key is not silently ignored."""
+    for key in obj if isinstance(obj, dict) else ():
+        if key not in keys:
+            raise error(f"unknown key {_prefix(key)} in {what}")
+
+
 def parse_catalogue(obj: Any, depth: int = 1) -> CatalogueSpec:
     """The spec of the JSON value ``obj``, found ``depth`` levels deep in
     its file.  A spec of the wrong shape raises ``CatalogueSpecError`` and a
@@ -420,6 +433,7 @@ def parse_catalogue(obj: Any, depth: int = 1) -> CatalogueSpec:
         kind, params = obj["kind"], obj["params"]
     except (KeyError, TypeError) as exc:
         raise CatalogueSpecError("catalogue spec needs 'kind' and 'params'") from exc
+    _known_keys(obj, ("kind", "params"), "catalogue spec")
     if not isinstance(params, list):
         raise CatalogueSpecError(f"catalogue params must be a list, got {type(params).__name__}")
     shapes = _kind(kind).params
@@ -540,83 +554,3 @@ def search_square_rootable(max_size: int = SEARCH_CEILING) -> list[SearchRow]:
         rows.append(SearchRow(algebra.name, algebra.size, search.found, is_bool, detail))
     return rows
 
-
-# ----------------------------------------------------------------------
-# isomorphism search
-# ----------------------------------------------------------------------
-
-def _signature(algebra: FinitePMV, x: int, down_counts: list[int]) -> tuple:
-    return (
-        down_counts[x],
-        algebra.is_boolean_element(x),
-        down_counts[algebra.neg(x)],
-        down_counts[algebra.tilde(x)],
-        x == algebra.zero,
-        x == algebra.one,
-    )
-
-
-def find_isomorphism(a: FinitePMV, b: FinitePMV) -> dict | None:
-    """Backtracking search for a bijection preserving ⊕, ⁻, ∼, 0, 1.
-
-    Prunes on cardinality, idempotent counts, and per-element order
-    profiles, which keeps carriers of up to a dozen elements instant.
-    """
-    if a.size != b.size:
-        return None
-    if a.size > ISO_CEILING:
-        raise ValueError(f"isomorphism ceiling is {ISO_CEILING} elements")
-    ea, eb = list(a.elements()), list(b.elements())
-    down_a = [sum(a.leq(y, x) for y in ea) for x in ea]
-    down_b = [sum(b.leq(y, x) for y in eb) for x in eb]
-    sig_a = {x: _signature(a, x, down_a) for x in ea}
-    sig_b = {x: _signature(b, x, down_b) for x in eb}
-    if sorted(sig_a.values()) != sorted(sig_b.values()):
-        return None
-
-    candidates = {x: [y for y in eb if sig_b[y] == sig_a[x]] for x in ea}
-    order = sorted(ea, key=lambda x: len(candidates[x]))
-    mapping: dict[int, int] = {}
-    used: set[int] = set()
-
-    def compatible(x: int, y: int) -> bool:
-        if mapping.get(a.neg(x), b.neg(y)) != b.neg(y):
-            return False
-        if mapping.get(a.tilde(x), b.tilde(y)) != b.tilde(y):
-            return False
-        for p, q in mapping.items():
-            s = a.oplus(x, p)
-            if s in mapping and mapping[s] != b.oplus(y, q):
-                return False
-            s = a.oplus(p, x)
-            if s in mapping and mapping[s] != b.oplus(q, y):
-                return False
-        return True
-
-    def extend(i: int) -> bool:
-        if i == len(order):
-            return all(
-                mapping[a.oplus(x, y)] == b.oplus(mapping[x], mapping[y])
-                for x in ea for y in ea
-            ) and all(
-                mapping[a.neg(x)] == b.neg(mapping[x])
-                and mapping[a.tilde(x)] == b.tilde(mapping[x])
-                for x in ea
-            ) and mapping[a.zero] == b.zero and mapping[a.one] == b.one
-        x = order[i]
-        for y in candidates[x]:
-            if y in used:
-                continue
-            if not compatible(x, y):
-                continue
-            mapping[x] = y
-            used.add(y)
-            if extend(i + 1):
-                return True
-            del mapping[x]
-            used.discard(y)
-        return False
-
-    if (a.zero != a.one) != (b.zero != b.one):
-        return None
-    return dict(mapping) if extend(0) else None

@@ -131,7 +131,7 @@ def test_load_algebra_shapes(tmp_path):
                           "neg": list(table.neg), "tilde": list(table.tilde),
                           "zero": 0, "one": 2}}
     c = load_algebra(write(tmp_path, "f.json", payload), sampler, 1e-9)
-    assert pmv.find_isomorphism(c, pmv.chain(2)) is not None
+    assert c.table == pmv.chain(2).table
 
 
 def test_serialized_catalogue_reparses_isomorphic(tmp_path):
@@ -145,7 +145,7 @@ def test_serialized_catalogue_reparses_isomorphic(tmp_path):
         "one": src.one,
     }}
     again = load_algebra(write(tmp_path, "rt.json", payload), SamplerConfig(), 1e-9)
-    assert pmv.find_isomorphism(again, src) is not None
+    assert again.table == src.table
 
 
 # ----------------------------------------------------------------------
@@ -285,13 +285,23 @@ def test_analyze_malformed_unit_exits_3(tmp_path, unit):
     {**CHAIN3, **GAMMA_DYADIC},
     {**BOOL2, "finite": {"n": 2, "oplus": [[0, 1], [1, 1]], "neg": [1, 0], "tilde": [1, 0],
                          "zero": 0, "one": 1}},
+    {"catalogue": {"kind": "chain", "params": [2], "prams": [5]}},
+    {"catalogue": {"kind": "product", "params": [
+        CHAIN3["catalogue"], {"kind": "chain", "params": [1], "prams": [5]}]}},
+    {"gamma": {"group": "Z", "unit": "3", "units": "3"}},
+    {**CHAIN3, "note": "chain(3)"},
+    {"finite": {"n": 2, "oplus": [[0, 1], [1, 1]], "neg": [1, 0], "tilde": [1, 0],
+                "zero": 0, "one": 1, "labels": ["0", "1"]}},
+    {**GAMMA_DYADIC, "k" * 5000: 1},
 ], ids=["group-number", "chain-negative", "chain-params-string",
         "interval-top-not-idempotent", "product-one-param", "product-600-deep",
         "finite-1500-brackets", "catalogue-above-depth-ceiling", "group-1200-deep",
         "q-unit-1e10000000", "semi-unit-1e400", "chain-param-1e400", "finite-n-1e400",
         "semi-unit-1e8", "semi-unit-4-1e8", "chain-params-object", "product-params-object",
         "interval-params-object", "chain-params-digits", "interval-top-4000-digits",
-        "chain-two-params", "product-three-params", "catalogue-and-gamma", "catalogue-and-finite"])
+        "chain-two-params", "product-three-params", "catalogue-and-gamma", "catalogue-and-finite",
+        "catalogue-unknown-key", "nested-catalogue-unknown-key", "gamma-unknown-key",
+        "top-unknown-key", "finite-unknown-key", "top-5000-char-key"])
 def test_analyze_malformed_spec_exits_3(tmp_path, payload):
     path = write(tmp_path, "bad.json", payload)
     proc = (run_process if payload in DEEP_SPECS else run_cli)("analyze", path)
@@ -300,6 +310,15 @@ def test_analyze_malformed_spec_exits_3(tmp_path, payload):
     assert "Traceback" not in proc.stderr
     # the error echoes a prefix of the input, not the whole of it
     assert len(proc.stderr.encode()) < 200
+
+
+def test_unknown_key_is_named(tmp_path):
+    # a misspelt key two levels down is refused by name, not read as absent
+    spec = {"catalogue": {"kind": "product", "params": [
+        CHAIN3["catalogue"], {"kind": "chain", "params": [1], "prams": [5]}]}}
+    proc = run_cli("analyze", write(tmp_path, "bad.json", spec))
+    assert proc.returncode == 3
+    assert proc.stderr == "error: unknown key 'prams' in catalogue spec\n"
 
 
 CHAIN1_TABLE = {"n": 2, "oplus": [[0, 1], [1, 1]], "neg": [1, 0], "tilde": [1, 0],

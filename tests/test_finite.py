@@ -1,4 +1,4 @@
-"""Finite tables: catalogue, brute-force weak roots, search, isomorphism."""
+"""Finite tables: catalogue, brute-force weak roots, search, equal tables."""
 
 from __future__ import annotations
 
@@ -27,7 +27,7 @@ from pseudomv.finite import (
 def test_chain_1_is_two_element_boolean():
     c = pmv.chain(1)
     assert c.size == 2
-    assert pmv.find_isomorphism(c, pmv.boolean(1)) is not None
+    assert c.table == pmv.boolean(1).table
 
 
 def test_chain_3_lukasiewicz_arithmetic():
@@ -42,7 +42,7 @@ def test_chain_matches_integer_interval():
     # dual route: the chain table must coincide with Γ(ℤ, n)
     for n in range(1, 6):
         table = pmv.tabulate(pmv.gamma(pmv.IntegerGroup(), n))
-        assert pmv.find_isomorphism(table, pmv.chain(n)) is not None
+        assert table.table == pmv.chain(n).table
 
 
 def test_product_sizes_and_skeleton():
@@ -222,35 +222,14 @@ def test_search_ceiling():
 
 
 # ----------------------------------------------------------------------
-# isomorphism search
+# equal tables
 # ----------------------------------------------------------------------
 
-def test_isomorphism_identity():
-    m = pmv.product(pmv.boolean(1), pmv.chain(2))
-    iso = pmv.find_isomorphism(m, m)
-    assert iso is not None
-    for x in m.elements():
-        for y in m.elements():
-            assert iso[m.oplus(x, y)] == m.oplus(iso[x], iso[y])
-
-
 def test_isomorphism_product_vs_boolean():
-    a = pmv.product(pmv.boolean(1), pmv.boolean(1))
-    b = pmv.boolean(2)
-    iso = pmv.find_isomorphism(a, b)
-    assert iso is not None
-    assert iso[a.zero] == b.zero and iso[a.one] == b.one
-
-
-def test_isomorphism_rejects_on_size_and_structure():
-    assert pmv.find_isomorphism(pmv.chain(2), pmv.boolean(2)) is None  # 3 vs 4
-    assert pmv.find_isomorphism(pmv.chain(3), pmv.boolean(2)) is None  # both 4
-
-
-def test_isomorphism_ceiling():
-    big = pmv.product(pmv.chain(3), pmv.chain(3))  # 16 elements
-    with pytest.raises(ValueError):
-        pmv.find_isomorphism(big, big)
+    # a product lists the pair (a, b) at index 2a + b, the bitmask of 2²
+    # with a as its high bit, so 2 × 2 and 2² agree entry for entry
+    assert pmv.product(pmv.boolean(1), pmv.boolean(1)).table == pmv.boolean(2).table
+    assert pmv.product(pmv.chain(1), pmv.chain(1)).table == pmv.boolean(2).table
 
 
 def test_tabulate_round_trip_labels():

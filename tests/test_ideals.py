@@ -187,7 +187,7 @@ def test_quotient_by_projection_kernel():
     h = classify_ideal(m, first_factor_kernel(m))
     res = quotient(m, h, identity_map(m))
     assert res.algebra.size == 2
-    assert pmv.find_isomorphism(res.algebra, pmv.boolean(1)) is not None
+    assert res.algebra.table == pmv.boolean(1).table
     assert all(c.passed for c in res.checks.values())
 
 
@@ -196,7 +196,7 @@ def test_quotient_by_zero_is_identity():
     h = classify_ideal(m, [m.zero])
     res = quotient(m, h)
     assert res.algebra.size == m.size
-    assert pmv.find_isomorphism(res.algebra, m) is not None
+    assert res.algebra.table == m.table
 
 
 def test_quotient_by_everything_is_degenerate():

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pseudomv as pmv
+from pseudomv.cli import parse_element_literal, parse_group
 from pseudomv.core import make_rng
 from pseudomv.lgroups import SAMPLE_DENOMINATOR_BOUND, LGroup
 from points import q
@@ -280,7 +281,7 @@ def test_gamma_z2_is_the_three_element_chain():
     g = pmv.gamma(pmv.IntegerGroup(), 2)
     assert g.size == 3
     table = pmv.tabulate(g)
-    assert pmv.find_isomorphism(table, pmv.chain(2)) is not None
+    assert table.table == pmv.chain(2).table
 
 
 def test_gamma_lex_heis_is_symmetric_noncommutative():
@@ -291,6 +292,27 @@ def test_gamma_lex_heis_is_symmetric_noncommutative():
     y = (q(0), heis3(0, 1, 0))
     assert m.contains(x) and m.contains(y)
     assert not m.eq(m.oplus(x, y), m.oplus(y, x))
+
+
+#: One unit per gamma template of the benchmark, then two float units.
+SYMMETRY_UNITS = [
+    ("Q", "3/2"), ("D", "5/4"), ("H(6)", "7/36"), ("H(3)", "5/9"),
+    ("heis", "(0,0,3/2)"), ("heis", "(3/2,-1/3,2/5)"), ("heis", "(1/5,2/3,-1/8)"),
+    ("lex(Q,heis)", "(1,0,0,1/8)"), ("lex(Q,heis)", "(2,5/2,1/3,-1/4)"),
+    ("prod(Q,H(4))", "(1/3,5/16)"), ("prod(lex(D,Q),H(2))", "(3/4,-2/5,5/4)"),
+    ("lex(heis,prod(Q,Q))", "(2,1/3,-1/2,-1,3/7)"), ("Z", "4"), ("lex(Z,Z)", "(3,-2)"),
+    ("semi_numeric", "(2,0)"), ("semi_numeric", "(3,1)"),
+]
+
+
+@pytest.mark.parametrize("group, unit", SYMMETRY_UNITS)
+@pytest.mark.parametrize("seed", [0, 1])
+def test_gamma_symmetry_is_unit_centrality(group, unit, seed):
+    # x⁻ = u − x and x∼ = −x + u agree on [0, u] exactly when the strong
+    # unit u is central, so the exact test decides what the sampled one checks
+    g = parse_group(group)
+    u = parse_element_literal(g, unit)
+    assert g.center_has(u) == pmv.gamma(g, u).symmetry_check(400, seed).passed
 
 
 def test_gamma_scaling_action_interval():

@@ -114,6 +114,13 @@ MUTANTS = {
                                       "if c is None or d is None:"),
     "float-validate-takes-bools": (LG, "isinstance(v, (int, float)) and not isinstance(v, bool) for v",
                                    "isinstance(v, (int, float)) for v"),
+    # the table order of tabulate, and the unknown-key checks of spec files
+    "tabulate-reversed-order": (FN, "    elems = list(algebra.elements())\n    # every enumerable",
+                                "    elems = list(algebra.elements())[::-1]\n    # every enumerable"),
+    "finite-spec-keys-unchecked": ("src/pseudomv/cli.py", '        _known_keys(spec, ("n", "oplus"',
+                                   '        False and _known_keys(spec, ("n", "oplus"'),
+    "nested-catalogue-keys-unchecked": (FN, '    _known_keys(obj, ("kind", "params")',
+                                        '    depth > 1 or _known_keys(obj, ("kind", "params")'),
     "negation-compat-drops-tilde": ("src/pseudomv/roots.py",
                                     "and algebra.eq(root(algebra.tilde(x)), algebra.snake(rx, r0)))",
                                     "and True)"),
