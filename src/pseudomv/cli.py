@@ -379,6 +379,17 @@ def render_numeric_witness(w: NumericWitness) -> dict:
 # commands
 # ----------------------------------------------------------------------
 
+def _symmetric(algebra: PseudoMV, args: argparse.Namespace) -> bool:
+    """x⁻ = x∼ on the whole carrier: read off a finite table's negations;
+    on exact Γ(G, u) it holds exactly when u is central, as [0, u]
+    generates G; on float carriers it is sampled."""
+    if isinstance(algebra, FinitePMV):
+        return tuple(algebra.table.neg) == tuple(algebra.table.tilde)
+    if algebra.group.exact:
+        return algebra.group.center_has(algebra.unit)
+    return algebra.symmetry_check(args.samples, args.seed).passed
+
+
 def cmd_analyze(args: argparse.Namespace) -> int:
     sampler = SamplerConfig(seed=args.seed, sample_count=args.samples)
     algebra = load_algebra(args.path, sampler, args.tolerance)
@@ -397,7 +408,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         sys.stdout.write(canonical_json(report))
         return EXIT_AXIOMS
 
-    report["algebra"]["symmetric"] = algebra.symmetry_check(args.samples, args.seed).passed
+    report["algebra"]["symmetric"] = _symmetric(algebra, args)
     if isinstance(algebra, FinitePMV):
         report["algebra"]["representable"] = is_representable(algebra)
         report["algebra"]["boolean_skeleton_size"] = len(algebra.boolean_skeleton())

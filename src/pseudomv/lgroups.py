@@ -54,6 +54,18 @@ d > t or d < −t, and their ``sub`` repeats the float expressions of
 ``add(a, neg(b))``; each returns exactly what LGroup's derived definition
 returns, bit for bit.
 
+On the two float groups Γ(G, u) is one call deep.  ``gamma_kernels``
+builds, once per unit, a closure for each of x ⊕ y = (x+y) ∧ u,
+x⁻ = u − x, x∼ = −x + u and x ⊙ y = (x − u + y) ∨ 0, with the tolerance
+test inline and the unit's constants (1/u₀ and −u₁/u₀, or e^{±u₀})
+computed once, and an interval sampler that draws as ``random.uniform``
+does and joins and meets inline.  ``GammaPMV`` binds these, and binds
+``eq``, ``leq``, ``meet`` and ``join`` straight to the group's.  Each
+closure makes the float expressions of the composition in the same order,
+so it returns the same floats, bit for bit.  Every other group's
+``gamma_kernels`` returns None, and Γ keeps its methods, which compose the
+group operations and stay the specification.
+
 Γ(G, u) samples its points with denominators at most the module constant
 :data:`SAMPLE_DENOMINATOR_BOUND`, and every group decides centre
 membership exactly through ``center_has``.
@@ -300,6 +312,12 @@ class LGroup(ABC):
         clamped into the interval."""
         x = self.random_element(rng)
         return self.meet(self.join(x, self.zero()), unit)
+
+    def gamma_kernels(self, unit: Any) -> dict[str, Any] | None:
+        """Fused ``oplus``, ``neg``, ``tilde``, ``odot`` and ``sample`` for
+        Γ(G, unit), each returning what :class:`GammaPMV`'s own method
+        returns, bit for bit; or None, and Γ composes the group operations."""
+        return None
 
     def interval_size(self, hi: Any) -> int | None:
         """The size of [0, hi] if ``enumerate_interval`` lists it, else None."""
@@ -840,6 +858,34 @@ class _FloatPairGroup(LGroup):
         x = (rng.uniform(zero[0], unit[0]), rng.uniform(-1.0, 1.0))
         return self.meet(self.join(x, zero), unit)
 
+    # Γ(G, u) one call deep: each subclass's ``gamma_kernels`` builds, once
+    # per unit, closures that make the float expressions of the generic
+    # composition in the same order, with the tolerance test of join and
+    # meet inline, so they return the same floats bit for bit
+    # (``test_fused_gamma_kernels_match_generic``).
+
+    def _interval_sampler(self, unit):
+        """``sample_interval(·, unit)`` in one call: ``rng.uniform(a, b)`` is
+        ``a + (b − a) * rng.random()``, and the join with 0 and the meet
+        with u are inline."""
+        t = self.tolerance
+        u0, u1 = unit
+        z0, z1 = self.zero()
+        w0 = u0 - z0
+
+        def sample(rng):
+            x0 = z0 + w0 * rng.random()
+            x1 = -1.0 + 2.0 * rng.random()
+            d = x0 - z0
+            if not d > t and (d < -t or x1 - z1 < -t):
+                x0, x1 = z0, z1
+            d = x0 - u0
+            if d > t:
+                return unit
+            return (x0, x1) if d < -t or x1 - u1 < -t else unit
+
+        return sample
+
 
 class ScalingSemidirect(_FloatPairGroup):
     """Positive reals (multiplicative) acting on ℝ by scaling:
@@ -874,6 +920,42 @@ class ScalingSemidirect(_FloatPairGroup):
         s = math.sqrt(a[0])
         return (s, a[1] / (s + 1.0))
 
+    def gamma_kernels(self, unit):
+        t = self.tolerance
+        u0, u1 = unit
+        zero = self.zero()
+        h = 1.0 / u0            # sub(x, u) = (x0 * h, h * x1 + c)
+        c = -u1 / u0
+
+        def oplus(x, y):        # add(x, y) ∧ u
+            y0 = y[0]
+            s0 = x[0] * y0
+            s1 = y0 * x[1] + y[1]
+            d = s0 - u0
+            if d > t:
+                return unit
+            return (s0, s1) if d < -t or s1 - u1 < -t else unit
+
+        def neg(x):             # sub(u, x)
+            k = 1.0 / x[0]
+            return (u0 * k, k * u1 + -x[1] / x[0])
+
+        def tilde(x):           # add(neg(x), u)
+            x0 = x[0]
+            return (1.0 / x0 * u0, u0 * (-x[1] / x0) + u1)
+
+        def odot(x, y):         # add(sub(x, u), y) ∨ 0, where 0 = (1, 0)
+            y0 = y[0]
+            s0 = x[0] * h * y0
+            s1 = y0 * (h * x[1] + c) + y[1]
+            d = s0 - 1.0
+            if d > t:
+                return (s0, s1)
+            return zero if d < -t or s1 - 0.0 < -t else (s0, s1)
+
+        return {"oplus": oplus, "neg": neg, "tilde": tilde, "odot": odot,
+                "sample": self._interval_sampler(unit)}
+
     def random_element(self, rng):
         return (math.exp(rng.uniform(-0.7, 0.7)), rng.uniform(-2.0, 2.0))
 
@@ -901,6 +983,48 @@ class ExpSemidirect(_FloatPairGroup):
     def halve(self, a):
         return (a[0] / 2.0, a[1] / (math.exp(a[0] / 2.0) + 1.0))
 
+    def gamma_kernels(self, unit):
+        t = self.tolerance
+        u0, u1 = unit
+        zero = self.zero()
+        exp = math.exp
+        try:
+            eu = exp(u0)        # add(n, u) scales n's second coordinate by eu
+        except OverflowError:   # no finite constant: Γ composes the operations
+            return None
+        e = exp(-u0)            # sub(x, u) = (x0 + m, e * x1 + c)
+        m, c = -u0, -e * u1
+
+        def oplus(x, y):        # add(x, y) ∧ u
+            y0 = y[0]
+            s0 = x[0] + y0
+            s1 = exp(y0) * x[1] + y[1]
+            d = s0 - u0
+            if d > t:
+                return unit
+            return (s0, s1) if d < -t or s1 - u1 < -t else unit
+
+        def neg(x):             # sub(u, x)
+            x0 = x[0]
+            k = exp(-x0)
+            return (u0 + -x0, k * u1 + -k * x[1])
+
+        def tilde(x):           # add(neg(x), u)
+            x0 = x[0]
+            return (-x0 + u0, eu * (-exp(-x0) * x[1]) + u1)
+
+        def odot(x, y):         # add(sub(x, u), y) ∨ 0, where 0 = (0, 0)
+            y0 = y[0]
+            s0 = x[0] + m + y0
+            s1 = exp(y0) * (e * x[1] + c) + y[1]
+            d = s0 - 0.0
+            if d > t:
+                return (s0, s1)
+            return zero if d < -t or s1 - 0.0 < -t else (s0, s1)
+
+        return {"oplus": oplus, "neg": neg, "tilde": tilde, "odot": odot,
+                "sample": self._interval_sampler(unit)}
+
     def random_element(self, rng):
         return (rng.uniform(-0.7, 0.7), rng.uniform(-2.0, 2.0))
 
@@ -925,6 +1049,9 @@ class GammaPMV(PseudoMV):
         self._zero = group.zero()
         size = group.interval_size(unit)
         self._interval = None if size is None else group.enumerate_interval(unit)
+        fused = group.gamma_kernels(unit)
+        if fused is not None:   # the methods below stay the specification
+            vars(self).update(fused, eq=group.eq, leq=group.leq, meet=group.meet, join=group.join)
 
     @property
     def zero(self):

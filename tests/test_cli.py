@@ -187,6 +187,19 @@ def test_analyze_gamma_dyadic_strict(tmp_path):
     assert payload["ideals"] is None
 
 
+@pytest.mark.parametrize("spec, symmetric", [
+    ({"gamma": {"group": "heis", "unit": "(1/3,2/3,-1/8)"}}, False),
+    ({"gamma": {"group": "heis", "unit": "(0,0,3/2)"}}, True),
+    ({"catalogue": {"kind": "product", "params": [{"kind": "chain", "params": [2]},
+                                                   {"kind": "boolean", "params": [1]}]}}, True),
+])
+def test_analyze_symmetry_is_a_fact_on_exact_carriers(tmp_path, spec, symmetric):
+    # two samples reach only 0 and 1, where x⁻ = x∼ always holds; the unit's
+    # centrality (or the table's negations) decides the whole carrier
+    proc = run_cli("analyze", write(tmp_path, "s.json", spec), "--samples", "2")
+    assert json.loads(proc.stdout)["algebra"]["symmetric"] is symmetric
+
+
 def test_analyze_axiom_failure_exits_2(tmp_path):
     table = pmv.chain(2).table
     rows = [list(r) for r in table.oplus]

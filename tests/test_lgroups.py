@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
+import json
 import math
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -10,9 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pseudomv as pmv
-from pseudomv.cli import parse_element_literal, parse_group
+from pseudomv.cli import main, parse_element_literal, parse_group
 from pseudomv.core import make_rng
-from pseudomv.lgroups import SAMPLE_DENOMINATOR_BOUND, LGroup
+from pseudomv.lgroups import SAMPLE_DENOMINATOR_BOUND, GammaPMV, LGroup
 from points import q
 
 
@@ -251,6 +255,95 @@ def test_float_kernels_match_derived_definitions(cls, tolerance, data):
         assert getattr(fast, op)(a, b) is getattr(spec, op)(a, b), op
     x, y = data.draw(FLOAT_ELEMENTS[cls]), data.draw(FLOAT_ELEMENTS[cls])
     assert all(map(same_float, fast.sub(x, y), spec.sub(x, y))), (x, y)
+
+
+#: Units of Γ on the float groups: first coordinate above the zero's, or
+#: level with it (then the second coordinate decides).
+FUSED_UNITS = {
+    pmv.ScalingSemidirect: st.one_of(st.tuples(st.floats(1.01, 4), st.floats(-2, 2)),
+                                     st.tuples(st.just(1.0), st.floats(0.01, 2))),
+    pmv.ExpSemidirect: st.one_of(st.tuples(st.floats(0.01, 3), st.floats(-2, 2)),
+                                 st.tuples(st.just(0.0), st.floats(0.01, 2))),
+}
+
+
+class ScriptedRandom(random.Random):
+    """A Random whose ``random()`` returns the given values in turn."""
+
+    def __init__(self, values):
+        super().__init__(0)
+        self.values = iter(values)
+
+    def random(self):
+        return next(self.values)
+
+
+@pytest.mark.parametrize("tolerance", [0.0, 1e-9, 1e-6])
+@pytest.mark.parametrize("cls", list(FUSED_UNITS), ids=lambda c: c.dsl)
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_fused_gamma_kernels_match_generic(cls, tolerance, data):
+    # Γ on a float group binds one closure per primitive; GammaPMV's methods
+    # compose the group operations and are the specification
+    m = pmv.gamma(cls(tolerance), data.draw(FUSED_UNITS[cls]))
+    assert {"oplus", "neg", "tilde", "odot", "sample"} <= set(vars(m))
+    t, zero, unit = tolerance, m.zero, m.unit
+    steps = st.sampled_from([0.0, t, -t, t / 2, -t / 2, 2 * t, -2 * t, 1e-3, -1e-3])
+
+    def nudged(p):
+        return (p[0] + data.draw(steps), p[1] + data.draw(steps))
+
+    x = data.draw(st.one_of(FLOAT_ELEMENTS[cls], st.sampled_from([zero, unit])))
+    # y = x∼ puts x + y at u and y = x⁻ puts x − u + y at 0: nudged, on
+    # either side of the meet with u and the join with 0, or tied in them
+    near = data.draw(st.sampled_from([m.tilde(x), m.neg(x), x, zero, unit]))
+    y = data.draw(st.one_of(FLOAT_ELEMENTS[cls], st.just(near).map(nudged)))
+    for op in ("oplus", "odot"):
+        assert all(map(same_float, getattr(m, op)(x, y), getattr(GammaPMV, op)(m, x, y))), op
+    for op in ("neg", "tilde"):
+        assert all(map(same_float, getattr(m, op)(x), getattr(GammaPMV, op)(m, x))), op
+    for op in ("meet", "join"):
+        assert getattr(m, op)(x, y) is getattr(GammaPMV, op)(m, x, y), op
+    for op in ("eq", "leq"):
+        assert getattr(m, op)(x, y) == getattr(GammaPMV, op)(m, x, y), op
+
+    # the sampler draws x0 = z0 + (u0 − z0)·r and x1 = −1 + 2·r′, then
+    # joins with 0 and meets with u: r near 0 or 1 and r′ near the
+    # zero's or the unit's second coordinate reach both sides of each
+    w = unit[0] - zero[0] or 1.0    # on a level unit x0 is z0 whatever r
+    firsts = [0.0, t / w, t / (2 * w), 2 * t / w, 1 - t / (2 * w), 1 - 2 * t / w, 1 - 2 ** -53]
+    seconds = [(1 + v + s) / 2 for v in (zero[1], unit[1]) for s in (0.0, t, -t, t / 2, -t / 2, 2 * t)]
+    r = [data.draw(st.one_of(st.sampled_from(firsts), st.floats(0, 1, exclude_max=True))),
+         data.draw(st.one_of(st.sampled_from(seconds), st.floats(0, 1, exclude_max=True)))]
+    assert all(map(same_float, m.sample(ScriptedRandom(r)), GammaPMV.sample(m, ScriptedRandom(r))))
+
+
+def test_exp_unit_past_the_float_range_keeps_the_composition():
+    # e^{u₀} overflows, so the fused ∼ has no constant; Γ builds as before
+    m = pmv.gamma(pmv.ExpSemidirect(), (800.0, 0.0))
+    assert "tilde" not in vars(m) and m.leq(m.zero, m.one)
+
+
+def _cli_stdout(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+@pytest.mark.parametrize("command", ["counterexamples", "analyze"])
+def test_fused_gamma_kernels_change_no_report(tmp_path, monkeypatch, command):
+    argv = ["counterexamples", "--samples", "200"]
+    if command == "analyze":
+        path = tmp_path / "semi.json"
+        path.write_text(json.dumps({"gamma": {"group": "semi_numeric", "unit": "(5/2,1/3)"}}))
+        argv = ["analyze", str(path), "--samples", "200", "--seed", "7"]
+    fused = _cli_stdout(argv)
+    assert fused[1].startswith("{")
+    for cls in FUSED_UNITS:
+        monkeypatch.setattr(cls, "gamma_kernels", LGroup.gamma_kernels)
+    assert "odot" not in vars(pmv.gamma(pmv.ScalingSemidirect(), (2.0, 0.0)))
+    assert _cli_stdout(argv) == fused
 
 
 @pytest.mark.parametrize("cls, unit, inside", [(pmv.ScalingSemidirect, (2.0, 0.0), 1.5),

@@ -14,6 +14,10 @@ failure the tree already has neither stops a run nor counts.  A mutant is killed
 baseline fails (or errors); it survives when the suite finishes without
 one; a run cut by the time bound is reported as ``timeout``.
 
+Each run starts in a session of its own.  On SIGTERM or SIGINT the tool
+kills the process groups of the runs in progress, starts no more, removes
+the copies and exits with 128 plus the signal's number.
+
 This is not part of tier-1; it takes a few minutes on two cores.  The exit
 status is 0 when every mutant was killed, 1 when one survived or timed
 out, and 2 when a mutant no longer applies or the baseline errs.
@@ -23,9 +27,11 @@ from __future__ import annotations
 
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 import xml.etree.ElementTree as ET
 from concurrent.futures import ThreadPoolExecutor
@@ -121,6 +127,12 @@ MUTANTS = {
                                    '        False and _known_keys(spec, ("n", "oplus"'),
     "nested-catalogue-keys-unchecked": (FN, '    _known_keys(obj, ("kind", "params")',
                                         '    depth > 1 or _known_keys(obj, ("kind", "params")'),
+    # the fused Γ operations and sampler of the float groups
+    "fused-oplus-unclamped": (LG, "            s1 = y0 * x[1] + y[1]\n            d = s0 - u0\n",
+                              "            s1 = y0 * x[1] + y[1]\n            return (s0, s1)\n"),
+    "fused-odot-zero-clamp-dropped": (LG, "            d = s0 - 1.0\n", "            return (s0, s1)\n"),
+    "fused-sampler-meet-tie-flipped": (LG, "return (x0, x1) if d < -t or x1 - u1 < -t else unit",
+                                       "return (x0, x1) if d < -t or u1 - x1 < -t else unit"),
     "negation-compat-drops-tilde": ("src/pseudomv/roots.py",
                                     "and algebra.eq(root(algebra.tilde(x)), algebra.snake(rx, r0)))",
                                     "and True)"),
@@ -146,19 +158,72 @@ def apply(dest: Path, mutant: tuple[str, str, str]) -> None:
     target.write_text(text.replace(old, new), encoding="utf-8")
 
 
-def run_suite(tree: Path, maxfail: int) -> tuple[set[str] | None, float]:
+class Stopped(Exception):
+    """SIGTERM or SIGINT arrived; ``args[0]`` is its number."""
+
+
+def _raise_stopped(signum, frame):
+    raise Stopped(signum)
+
+
+class Runs:
+    """The tier-1 runs in progress, and whether new ones may start."""
+
+    def __init__(self):
+        self.lock = threading.Lock()
+        self.running: set[subprocess.Popen] = set()
+        self.stopping = False
+
+    def start(self, argv, **kwargs) -> subprocess.Popen | None:
+        """``argv`` in a session of its own, or None once halted."""
+        with self.lock:
+            if self.stopping:
+                return None
+            proc = subprocess.Popen(argv, start_new_session=True, **kwargs)
+            self.running.add(proc)
+            return proc
+
+    def done(self, proc: subprocess.Popen) -> None:
+        with self.lock:
+            self.running.discard(proc)
+
+    def halt(self) -> None:
+        """Start no more runs and kill the ones in progress."""
+        with self.lock:
+            self.stopping = True
+            for proc in self.running:
+                kill(proc)
+
+
+def kill(proc: subprocess.Popen) -> None:
+    """Kill the session ``proc`` leads: pytest and whatever it started."""
+    if proc.poll() is None:
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+
+
+def run_suite(runs: Runs, tree: Path, maxfail: int) -> tuple[set[str] | None, float]:
     """The ids of the tests that failed or erred on ``tree`` (None when the
-    run was cut by the time bound), and the seconds it took."""
+    run was cut by the time bound or by ``runs.halt``), and the seconds it
+    took."""
     report = tree / "junit.xml"
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
     argv = [sys.executable, "-m", "pytest", f"--maxfail={maxfail}", "-q",
             "--continue-on-collection-errors", "-p", "no:cacheprovider", f"--junitxml={report}"]
     start = time.perf_counter()
+    proc = runs.start(argv, cwd=tree, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    if proc is None:
+        return None, 0.0
     try:
-        subprocess.run(argv, cwd=tree, env=env, timeout=TIMEOUT,
-                       stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        proc.wait(timeout=TIMEOUT)
     except subprocess.TimeoutExpired:
+        kill(proc)
+        proc.wait()
         return None, time.perf_counter() - start
+    finally:
+        runs.done(proc)
     seconds = time.perf_counter() - start
     if not report.exists():
         return {"<no report>"}, seconds
@@ -170,8 +235,21 @@ def run_suite(tree: Path, maxfail: int) -> tuple[set[str] | None, float]:
 
 
 def main() -> int:
+    for signum in (signal.SIGTERM, signal.SIGINT):
+        signal.signal(signum, _raise_stopped)
+    try:
+        return run_all()
+    except Stopped as exc:
+        print(f"stopped by signal {exc.args[0]}; runs killed and copies removed", flush=True)
+        return 128 + exc.args[0]
+
+
+def run_all() -> int:
     names = list(MUTANTS)
     start = time.perf_counter()
+    status = {}
+    # the runs go to the pool's threads, so a signal reaches the main thread
+    # while it waits, never between starting a run and recording it
     with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
         tmp = Path(tmp)
         trees = {}
@@ -184,24 +262,29 @@ def main() -> int:
                 except ValueError as exc:
                     print(f"{name}: does not apply: {exc}")
                     return 2
-        baseline, seconds = run_suite(trees["baseline"], 1 << 30)
-        if baseline is None:
-            print(f"baseline: timeout after {seconds:.0f} s")
-            return 2
-        print(f"baseline: {seconds:.1f} s, {len(baseline)} failing: {', '.join(sorted(baseline))}")
+        runs, pool = Runs(), ThreadPoolExecutor(max_workers=JOBS)
+        try:
+            baseline, seconds = pool.submit(run_suite, runs, trees["baseline"], 1 << 30).result()
+            if baseline is None:
+                print(f"baseline: timeout after {seconds:.0f} s")
+                return 2
+            print(f"baseline: {seconds:.1f} s, {len(baseline)} failing: {', '.join(sorted(baseline))}")
 
-        def judge(name):
-            failed, seconds = run_suite(trees[name], len(baseline) + 1)
-            if failed is None:
-                return name, "timeout", seconds, ""
-            new = sorted(failed - baseline)
-            return name, ("killed" if new else "survived"), seconds, (new[0] if new else "")
+            def judge(name):
+                failed, seconds = run_suite(runs, trees[name], len(baseline) + 1)
+                if failed is None:
+                    return name, "timeout", seconds, ""
+                new = sorted(failed - baseline)
+                return name, ("killed" if new else "survived"), seconds, (new[0] if new else "")
 
-        status = {}
-        with ThreadPoolExecutor(max_workers=JOBS) as pool:
             for name, verdict, seconds, test in pool.map(judge, names):
                 status[name] = verdict
                 print(f"{verdict:8} {seconds:6.1f} s  {name}  {test}", flush=True)
+        finally:
+            for signum in (signal.SIGTERM, signal.SIGINT):   # cleaning up is not cut short
+                signal.signal(signum, signal.SIG_IGN)
+            runs.halt()
+            pool.shutdown(cancel_futures=True)
     killed = sum(v == "killed" for v in status.values())
     print(f"{killed} of {len(names)} killed in {time.perf_counter() - start:.0f} s; "
           f"survived or timed out: {', '.join(n for n, v in status.items() if v != 'killed') or 'none'}")
