@@ -380,13 +380,18 @@ def render_numeric_witness(w: NumericWitness) -> dict:
 # ----------------------------------------------------------------------
 
 def _symmetric(algebra: PseudoMV, args: argparse.Namespace) -> bool:
-    """x⁻ = x∼ on the whole carrier: read off a finite table's negations;
-    on exact Γ(G, u) it holds exactly when u is central, as [0, u]
-    generates G; on float carriers it is sampled."""
+    """x⁻ = x∼ on the whole carrier, that is, u commutes with [0, u]: read
+    off a finite table's negations; on exact Γ(G, u) it holds when u is
+    central, and fails when u is not but is a strong unit, as [0, u] then
+    generates G; elsewhere it is sampled."""
     if isinstance(algebra, FinitePMV):
         return tuple(algebra.table.neg) == tuple(algebra.table.tilde)
-    if algebra.group.exact:
-        return algebra.group.center_has(algebra.unit)
+    group, unit = algebra.group, algebra.unit
+    if group.exact:
+        if group.center_has(unit):
+            return True
+        if group.strong_unit(unit):
+            return False
     return algebra.symmetry_check(args.samples, args.seed).passed
 
 

@@ -67,8 +67,9 @@ so it returns the same floats, bit for bit.  Every other group's
 group operations and stay the specification.
 
 Γ(G, u) samples its points with denominators at most the module constant
-:data:`SAMPLE_DENOMINATOR_BOUND`, and every group decides centre
-membership exactly through ``center_has``.
+:data:`SAMPLE_DENOMINATOR_BOUND`.  Every group decides centre membership
+exactly through ``center_has``, and whether a unit is strong through
+``strong_unit``.
 """
 
 from __future__ import annotations
@@ -302,6 +303,12 @@ class LGroup(ABC):
         """Whether a commutes with every element.  True here; every
         non-abelian group overrides it with an exact test."""
         return True
+
+    def strong_unit(self, u: Any) -> bool:
+        """Whether every element lies below some n·u.  Here 0 < u, which
+        decides it on an archimedean linearly ordered group; every other
+        group overrides it."""
+        return self.lt(self.zero(), u)
 
     @abstractmethod
     def random_element(self, rng: random.Random) -> Any:
@@ -606,6 +613,10 @@ class HeisenbergGroup(LGroup):
     def center_has(self, a):
         return a[0][0] == 0 and a[1][0] == 0
 
+    def strong_unit(self, u):
+        """n·u has first coordinate n·u₀, which decides the order."""
+        return u[0][0] > 0
+
     def random_element(self, rng):
         d = 1 << rng.randrange(0, 5)
         lo, hi = -2 * d, 2 * d + 1
@@ -712,6 +723,10 @@ class LexProduct(_PairGroup):
     def cmp(self, a, b):
         return self.first.cmp(a[0], b[0]) or self.second.cmp(a[1], b[1])
 
+    def strong_unit(self, u):
+        """The head of n·u decides the order, and is n times u's head."""
+        return self.first.strong_unit(u[0])
+
     def leq(self, a, b):
         c = self.first.cmp(a[0], b[0])
         if c:
@@ -755,6 +770,9 @@ class DirectProductGroup(_PairGroup):
 
     def leq(self, a, b):
         return self.first.leq(a[0], b[0]) and self.second.leq(a[1], b[1])
+
+    def strong_unit(self, u):
+        return self.first.strong_unit(u[0]) and self.second.strong_unit(u[1])
 
     def join(self, a, b):
         return (self.first.join(a[0], b[0]), self.second.join(a[1], b[1]))
@@ -853,16 +871,14 @@ class _FloatPairGroup(LGroup):
     def center_has(self, a):
         return self.eq(a, self.zero())
 
+    def strong_unit(self, u):
+        """The first coordinate decides the order and grows with n·u."""
+        return u[0] - self.zero()[0] > self.tolerance
+
     def sample_interval(self, rng, unit):
         zero = self.zero()
         x = (rng.uniform(zero[0], unit[0]), rng.uniform(-1.0, 1.0))
         return self.meet(self.join(x, zero), unit)
-
-    # Γ(G, u) one call deep: each subclass's ``gamma_kernels`` builds, once
-    # per unit, closures that make the float expressions of the generic
-    # composition in the same order, with the tolerance test of join and
-    # meet inline, so they return the same floats bit for bit
-    # (``test_fused_gamma_kernels_match_generic``).
 
     def _interval_sampler(self, unit):
         """``sample_interval(·, unit)`` in one call: ``rng.uniform(a, b)`` is
@@ -1128,5 +1144,5 @@ class GammaPMV(PseudoMV):
 
 
 def gamma(group: LGroup, unit: Any, sampler: SamplerConfig | None = None) -> GammaPMV:
-    """Build Γ(G, u) for a strong unit u > 0."""
+    """Build Γ(G, u) for a unit u > 0, strong (``LGroup.strong_unit``) or not."""
     return GammaPMV(group, unit, sampler)

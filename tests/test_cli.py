@@ -190,12 +190,20 @@ def test_analyze_gamma_dyadic_strict(tmp_path):
 @pytest.mark.parametrize("spec, symmetric", [
     ({"gamma": {"group": "heis", "unit": "(1/3,2/3,-1/8)"}}, False),
     ({"gamma": {"group": "heis", "unit": "(0,0,3/2)"}}, True),
+    ({"gamma": {"group": "heis", "unit": "(1,0,3/2)"}}, False),
+    ({"gamma": {"group": "lex(Z,heis)", "unit": "(1,0,1,0)"}}, False),
+    # noncentral units that are not strong: every x in [0, u] has x₀ = 0
+    # in the heis coordinate and so commutes with u; these are sampled
+    ({"gamma": {"group": "heis", "unit": "(0,1,0)"}}, True),
+    ({"gamma": {"group": "prod(Z,heis)", "unit": "(1,0,1,0)"}}, True),
+    ({"gamma": {"group": "lex(Z,heis)", "unit": "(0,0,1,0)"}}, True),
     ({"catalogue": {"kind": "product", "params": [{"kind": "chain", "params": [2]},
                                                    {"kind": "boolean", "params": [1]}]}}, True),
 ])
 def test_analyze_symmetry_is_a_fact_on_exact_carriers(tmp_path, spec, symmetric):
     # two samples reach only 0 and 1, where x⁻ = x∼ always holds; the unit's
-    # centrality (or the table's negations) decides the whole carrier
+    # centrality, or a noncentral unit's strength, decides the whole carrier
+    # (on a table, its negations)
     proc = run_cli("analyze", write(tmp_path, "s.json", spec), "--samples", "2")
     assert json.loads(proc.stdout)["algebra"]["symmetric"] is symmetric
 

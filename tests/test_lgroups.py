@@ -480,6 +480,33 @@ def test_center_has_is_exact(name):
     assert verdicts[0]
 
 
+STRONG_UNIT_CASES = [
+    ("Z", "2", True), ("Z", "0", False), ("Q", "1/3", True), ("H(6)", "-1/6", False),
+    ("heis", "(1/3,2/3,-1/8)", True), ("heis", "(0,1,0)", False), ("heis", "(0,0,3/2)", False),
+    ("lex(Z,heis)", "(1,0,1,0)", True), ("lex(Z,heis)", "(0,0,1,0)", False),
+    ("lex(heis,Q)", "(1,0,0,-5)", True), ("prod(Z,heis)", "(1,1,0,0)", True),
+    ("prod(Z,heis)", "(1,0,1,0)", False), ("prod(D,Q)", "(1,0)", False),
+    ("semi_numeric", "(2,0)", True), ("semi_numeric", "(1,1)", False),
+    ("exp_numeric", "(1,0)", True), ("exp_numeric", "(0,1)", False),
+]
+
+
+@pytest.mark.parametrize("group, unit, strong", STRONG_UNIT_CASES)
+def test_strong_unit_bounds_every_element(group, unit, strong):
+    # the sampled reference: each of 64 small elements lies below some n·u
+    # with n ≤ 64 exactly when u is strong
+    g = pmv.ExpSemidirect() if group == "exp_numeric" else parse_group(group)
+    u = parse_element_literal(g, unit)
+    assert g.strong_unit(u) is strong
+    multiples = [u]
+    for _ in range(63):
+        multiples.append(g.add(multiples[-1], u))
+    rng = make_rng(2, "strong-unit", group)
+    bounded = [any(g.leq(x, m) for m in multiples)
+               for x in (g.random_element(rng) for _ in range(64))]
+    assert all(bounded) is strong
+
+
 # The first five points of the stream ``analyze --seed 0`` draws A1–A8
 # from.  A sampler that draws differently changes these on purpose.
 STREAM_PINS = [

@@ -133,6 +133,10 @@ MUTANTS = {
     "fused-odot-zero-clamp-dropped": (LG, "            d = s0 - 1.0\n", "            return (s0, s1)\n"),
     "fused-sampler-meet-tie-flipped": (LG, "return (x0, x1) if d < -t or x1 - u1 < -t else unit",
                                        "return (x0, x1) if d < -t or u1 - x1 < -t else unit"),
+    # the symmetry fact, which a noncentral unit decides only when strong
+    "symmetric-ignores-strong-unit": ("src/pseudomv/cli.py", "        if group.strong_unit(unit):\n",
+                                      "        if True:\n"),
+    "heis-strong-unit-nonnegative": (LG, "return u[0][0] > 0", "return u[0][0] >= 0"),
     "negation-compat-drops-tilde": ("src/pseudomv/roots.py",
                                     "and algebra.eq(root(algebra.tilde(x)), algebra.snake(rx, r0)))",
                                     "and True)"),
