@@ -126,6 +126,9 @@ FLOAT_UNIT_MARGIN = 4
 #: 0.01, and ``counterexamples`` calls both roots no square root at 0.1.
 FLOAT_TOLERANCE_CEILING = 1e-6
 
+#: An ideal member as ``quotient --ideal`` reads it: ASCII digits only, as
+#: ``int()`` would also take underscores and other scripts' digits.
+_INDEX = re.compile(r"-?[0-9]+")
 #: The numeric literals ``Fraction`` reads: ``p/q`` or a decimal with an
 #: optional exponent, digits grouped by underscores.
 _DIGITS = r"\d+(?:_\d+)*"
@@ -561,9 +564,13 @@ def cmd_quotient(args: argparse.Namespace) -> int:
     if not ax.all_pass:
         print(f"axioms fail: {', '.join(ax.failing)}", file=sys.stderr)
         return EXIT_AXIOMS
+    tokens = [tok for tok in map(str.strip, args.ideal.split(",")) if tok]
+    for tok in tokens:
+        if not _INDEX.fullmatch(tok):
+            raise SpecFileError(f"bad ideal element list: {_prefix(tok)} is not an index")
     try:
-        members = [int(tok) for tok in args.ideal.split(",") if tok.strip()]
-    except ValueError as exc:
+        members = [int(tok) for tok in tokens]
+    except ValueError as exc:       # more digits than int() reads
         raise SpecFileError(f"bad ideal element list: {exc}") from exc
     try:
         handle = classify_ideal(algebra, members)

@@ -1,9 +1,10 @@
 """Table-backed finite pseudo MV-algebras.
 
 Construction of Cayley-style tables and their exhaustive A1–A8 check by
-plain lookups into the table tuples, native ⊙ ∧ ∨ ≤ read off an x ⊙ y and
-an x ∧ y table built once per algebra, the Boolean skeleton and the
-commutativity test computed once per algebra, the structured catalogue
+plain lookups into the table tuples (once per table, A1 row by row),
+operations that test their indices inline, native ⊙ ∧ ∨ ≤ read off an
+x ⊙ y and an x ∧ y table built once per algebra, the Boolean skeleton and
+the commutativity test computed once per algebra, the structured catalogue
 (chains Γ(ℤ,n), Boolean algebras 2ᵏ, direct products, intervals [0, a]
 below an idempotent), and brute-force search for weak square roots.
 
@@ -22,6 +23,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 from typing import Any, Callable, Iterator, NamedTuple
 
 from .core import (
@@ -30,7 +32,6 @@ from .core import (
     AxiomReport,
     CheckResult,
     IntervalPMV,
-    ProductPMV,
     PseudoMV,
     SamplerConfig,
 )
@@ -117,12 +118,15 @@ class FinitePMV(PseudoMV):
     pairs); they are carried through products and intervals for reporting.
 
     ⊙ ∧ ∨ ≤ are read off two tables, x ⊙ y and x ∧ y, each built on first
-    use from the lookup chain of :class:`PseudoMV`'s definition; every call
-    still validates its arguments as indices.
+    use from the lookup chain of :class:`PseudoMV`'s definition.  Every
+    operation, primitives included, tests its arguments inline as indices
+    and is one Python call; ``_idx`` runs only to raise, and names the
+    argument the definition in ``core`` would reach first.
     ``tests/test_core.py::test_table_native_ops_match_derived_definitions``
     checks them against the definitions in ``core``, on tables that pass
     A1–A8 and on one that does not.  ``boolean_skeleton`` runs the
-    definition in ``core`` once per algebra.
+    definition in ``core`` once per algebra, and :meth:`check_axioms` its
+    exhaustive check once per table.
     """
 
     backend = "finite-table"
@@ -138,6 +142,7 @@ class FinitePMV(PseudoMV):
         self._op = table.oplus
         self._neg = table.neg
         self._til = table.tilde
+        self._n = table.n
 
     # -- primitives ----------------------------------------------------
 
@@ -150,20 +155,30 @@ class FinitePMV(PseudoMV):
         return self.table.one
 
     def _idx(self, x):
-        if type(x) is not int or not 0 <= x < self.table.n:
-            raise BackendMismatch(f"{x!r} is not an index into a {self.table.n}-element table")
+        if type(x) is not int or not 0 <= x < self._n:
+            raise BackendMismatch(f"{x!r} is not an index into a {self._n}-element table")
         return x
 
     def oplus(self, x, y):
+        n = self._n
+        if type(x) is int and 0 <= x < n and type(y) is int and 0 <= y < n:
+            return self._op[x][y]
         return self._op[self._idx(x)][self._idx(y)]
 
     def neg(self, x):
+        if type(x) is int and 0 <= x < self._n:
+            return self._neg[x]
         return self._neg[self._idx(x)]
 
     def tilde(self, x):
+        if type(x) is int and 0 <= x < self._n:
+            return self._til[x]
         return self._til[self._idx(x)]
 
     def eq(self, x, y):
+        n = self._n
+        if type(x) is int and 0 <= x < n and type(y) is int and 0 <= y < n:
+            return x == y
         return self._idx(x) == self._idx(y)
 
     # -- derived operations read off tables ------------------------------
@@ -171,29 +186,47 @@ class FinitePMV(PseudoMV):
     @cached_property
     def _odot_table(self) -> tuple:
         """x ⊙ y = (y⁻ ⊕ x⁻)∼ for every pair, by lookups."""
-        op, ng, tl, xs = self._op, self._neg, self._til, range(self.table.n)
+        op, ng, tl, xs = self._op, self._neg, self._til, range(self._n)
         return tuple(tuple(tl[op[ng[y]][ng[x]]] for y in xs) for x in xs)
 
     @cached_property
     def _meet_table(self) -> tuple:
         """x ∧ y = x ⊙ (x⁻ ⊕ y) for every pair, by lookups."""
-        od, op, ng, xs = self._odot_table, self._op, self._neg, range(self.table.n)
+        od, op, ng, xs = self._odot_table, self._op, self._neg, range(self._n)
         return tuple(tuple(od[x][op[ng[x]][y]] for y in xs) for x in xs)
 
     def odot(self, x, y):
+        n = self._n
+        if type(y) is int and 0 <= y < n and type(x) is int and 0 <= x < n:
+            return self._odot_table[x][y]
         y = self._idx(y)         # y first, as (y⁻ ⊕ x⁻)∼ validates them
         return self._odot_table[self._idx(x)][y]
 
     def meet(self, x, y):
+        n = self._n
+        if type(x) is int and 0 <= x < n and type(y) is int and 0 <= y < n:
+            return self._meet_table[x][y]
         return self._meet_table[self._idx(x)][self._idx(y)]
 
     def join(self, x, y):
         """x ∨ y = x ⊕ (x∼ ⊙ y)."""
+        n = self._n
+        if type(x) is int and 0 <= x < n and type(y) is int and 0 <= y < n:
+            return self._op[x][self._odot_table[self._til[x]][y]]
         x = self._idx(x)
         return self._op[x][self._odot_table[self._til[x]][self._idx(y)]]
 
     def leq(self, x, y):
+        n = self._n
+        if type(x) is int and 0 <= x < n and type(y) is int and 0 <= y < n:
+            return self._meet_table[x][y] == x
         return self._meet_table[self._idx(x)][self._idx(y)] == x
+
+    def is_boolean_element(self, x):
+        """x ⊕ x = x."""
+        if type(x) is int and 0 <= x < self._n:
+            return self._op[x][x] == x
+        return self._op[self._idx(x)][x] == x
 
     @cached_property
     def commutative(self) -> bool:
@@ -240,16 +273,25 @@ class FinitePMV(PseudoMV):
     # -- exhaustive axiom check by table lookups -------------------------
 
     def check_axioms(self, budget=None, seed=None) -> AxiomReport:
-        """Exhaustive A1–A8 by plain lookups in the table tuples.
+        """Exhaustive A1–A8 by plain lookups in the table tuples, computed
+        once per table: every call returns the same report, which callers
+        read and must not change.
 
         Same formulas, counts and witnesses (the first failures in row-major
         order) as :meth:`PseudoMV.check_axioms`, which stays the reference
         and is compared with this method in the test suite.  Lookups skip
         the per-call index validation of the primitives, and failures are
         drawn lazily up to ``CheckResult.MAX_WITNESSES``, so the check
-        allocates nothing larger than the table.
+        allocates nothing larger than the table.  A1 compares whole rows:
+        (x ⊕ y) ⊕ z for every z is row x ⊕ y, and x ⊕ (y ⊕ z) is row x read
+        at the entries of row y, one ``itemgetter`` call; witnesses are
+        looked for only inside a row that differs.
         """
-        n, op, ng, tl, od = self.table.n, self._op, self._neg, self._til, self._odot_table
+        return self._axioms
+
+    @cached_property
+    def _axioms(self) -> AxiomReport:
+        n, op, ng, tl, od = self._n, self._op, self._neg, self._til, self._odot_table
         zero, one = self.table.zero, self.table.one
         xs = range(n)
 
@@ -263,10 +305,21 @@ class FinitePMV(PseudoMV):
             witnesses = list(itertools.islice(failures, CheckResult.MAX_WITNESSES))
             return CheckResult(name, not witnesses, n ** arity, witnesses)
 
+        def associativity_failures():
+            # an itemgetter of one index returns no tuple; on one element
+            # every entry is 0, so A1 holds
+            if n < 2:
+                return
+            cols = [itemgetter(*col) for col in op]
+            for x, row in enumerate(op):
+                for y in xs:
+                    left, right = op[row[y]], cols[y](row)
+                    if left != right:
+                        yield from ((x, y, z) for z in xs if left[z] != right[z])
+
         a4 = ng[one] == zero and tl[one] == zero
         res = {
-            "A1": result("A1", 3, ((x, y, z) for x in xs for y in xs for z in xs
-                                   if op[op[x][y]][z] != op[x][op[y][z]])),
+            "A1": result("A1", 3, associativity_failures()),
             "A2": result("A2", 1, singles(lambda x: op[x][zero] == x == op[zero][x])),
             "A3": result("A3", 1, singles(lambda x: op[x][one] == one == op[one][x])),
             "A4": CheckResult("A4", a4, 1, [] if a4 else [(one,)]),
@@ -359,9 +412,21 @@ def boolean(k: int) -> FinitePMV:
 
 
 def product(a: FinitePMV, b: FinitePMV) -> FinitePMV:
-    """Direct product, materialized as a table with pair labels."""
-    return tabulate(ProductPMV(a, b), name=f"product({a.name},{b.name})",
-                    label=lambda e: (a.labels[e[0]], b.labels[e[1]])).validated()
+    """Direct product, materialized as a table with pair labels: the pair
+    (i, j) is index i·|b| + j, the order ``tabulate(ProductPMV(a, b))``
+    gives, and each entry is built by that arithmetic from the factors'."""
+    ta, tb, nb = a.table, b.table, b.size
+    cells = [(i, j) for i in range(a.size) for j in range(nb)]
+    table = FiniteTable(
+        n=len(cells),
+        oplus=tuple(tuple(p * nb + q for p in ta.oplus[i] for q in tb.oplus[j]) for i, j in cells),
+        neg=tuple(ta.neg[i] * nb + tb.neg[j] for i, j in cells),
+        tilde=tuple(ta.tilde[i] * nb + tb.tilde[j] for i, j in cells),
+        zero=ta.zero * nb + tb.zero,
+        one=ta.one * nb + tb.one,
+    )
+    return FinitePMV(table, labels=tuple((a.labels[i], b.labels[j]) for i, j in cells),
+                     sampler=a.sampler, name=f"product({a.name},{b.name})").validated()
 
 
 def interval(a: FinitePMV, top: int) -> FinitePMV:
@@ -489,16 +554,18 @@ class WeakSqrtSearch:
 
 def brute_force_weak_sqrt(algebra: FinitePMV) -> WeakSqrtSearch:
     """For each x collect S(x) = {z : z ⊙ z ≤ x}; a weak square root must
-    send x to the maximum of S(x) and square back to x."""
+    send x to the maximum of S(x) and square back to x.  z ⊙ z and z ≤ x
+    are read off the algebra's x ⊙ y and x ∧ y tables."""
     elems = list(algebra.elements())
-    squares = [(z, algebra.odot(z, z)) for z in elems]
+    od, mt = algebra._odot_table, algebra._meet_table
+    squares = [(z, od[z][z]) for z in elems]
     mapping: dict = {}
     for x in elems:
-        below = [z for z, zz in squares if algebra.leq(zz, x)]
+        below = [z for z, zz in squares if mt[zz][x] == zz]
         m = maximum_of(algebra, below)
         if m is None:
             return WeakSqrtSearch("no-maximum", failing=x)
-        if not algebra.eq(algebra.odot(m, m), x):
+        if od[m][m] != x:
             return WeakSqrtSearch("square-mismatch", failing=x)
         mapping[x] = m
     return WeakSqrtSearch("found", mapping=mapping)

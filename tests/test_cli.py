@@ -557,6 +557,23 @@ def test_quotient_non_element_echoes_a_prefix(tmp_path):
     assert len(proc.stderr.encode()) < 200
 
 
+@pytest.mark.parametrize("members, code", [
+    ("0,1_1", 3),          # int() reads 11
+    ("٠", 3),         # an Arabic-Indic zero, which int() reads as 0
+    ("0,１", 3),       # a fullwidth one
+    ("+1", 3),
+    ("0,x", 3),
+    ("-1", 1),             # an integer, but not an element
+    ("0,\t0 ,", 0),
+])
+def test_quotient_reads_ascii_indices_only(tmp_path, members, code):
+    path = write(tmp_path, "c11.json", {"catalogue": {"kind": "chain", "params": [11]}})
+    proc = run_cli("quotient", path, "--ideal", members)
+    assert proc.returncode == code, proc.stderr
+    if code == 3:
+        assert proc.stderr.startswith("error: bad ideal element list:") and proc.stdout == ""
+
+
 def test_usage_error_exit_code():
     proc = run_cli("analyze")  # missing path
     assert proc.returncode == 3

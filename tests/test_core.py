@@ -20,6 +20,7 @@ from pseudomv import UNDEFINED, BackendMismatch, UnsupportedBackend
 from pseudomv.core import derive_seed, make_rng
 from pseudomv.counterexamples import exp_action_algebra, scaling_action_algebra
 from pseudomv.finite import FinitePMV, FiniteTable, catalogue_closure
+from points import shuffled
 
 
 def gamma_z(n):
@@ -356,20 +357,6 @@ def test_gamma_native_ops_match_derived_definitions(case):
             assert m.leq(x, y) == spec.leq(x, y), (x, y)
 
 
-def _shuffled(m):
-    """``m`` with its carrier indices permuted by a seeded shuffle."""
-    p = list(m.elements())
-    make_rng(1, "shuffle").shuffle(p)
-    xs = range(m.size)
-    inv = sorted(xs, key=p.__getitem__)
-    t = FiniteTable(n=m.size,
-                    oplus=tuple(tuple(p[m.oplus(inv[i], inv[j])] for j in xs) for i in xs),
-                    neg=tuple(p[m.neg(inv[i])] for i in xs),
-                    tilde=tuple(p[m.tilde(inv[i])] for i in xs),
-                    zero=p[m.zero], one=p[m.one])
-    return FinitePMV(t, name=f"shuffled({m.name})").validated()
-
-
 def _raw_failing_table():
     """A seeded random table that fails A1–A8, never validated."""
     rng, n = make_rng(4, "raw-table"), 5
@@ -387,7 +374,7 @@ def test_table_native_ops_match_derived_definitions():
     lookups."""
     raw = _raw_failing_table()
     assert not raw.check_axioms().all_pass
-    algebras = catalogue_closure(12) + [_shuffled(pmv.product(pmv.chain(2), pmv.boolean(2))),
+    algebras = catalogue_closure(12) + [shuffled(pmv.product(pmv.chain(2), pmv.boolean(2))),
                                         raw]
     for m in algebras:
         spec = PrimitivesOnly(m)

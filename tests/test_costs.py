@@ -1,7 +1,8 @@
 """Cost gates that do not depend on the machine: group operations per Γ
 operation, root evaluations per check, Fractions built on a Γ operation's
-path (none), ⊙ evaluations per finite ideal fact, and skeleton checks per
-finite ``analyze``."""
+path (none), ⊙ evaluations per finite ideal fact, skeleton checks per
+finite ``analyze``, and exhaustive axiom checks per finite ``analyze`` or
+``quotient``."""
 
 from __future__ import annotations
 
@@ -14,6 +15,7 @@ import pytest
 
 import pseudomv as pmv
 import pseudomv.cli as cli
+import pseudomv.finite as finite
 import pseudomv.ideals as ideals
 from pseudomv.core import PseudoMV, make_rng
 from pseudomv.finite import FinitePMV, catalogue_closure
@@ -171,3 +173,29 @@ def test_analyze_checks_representability_once(monkeypatch, tmp_path):
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["analyze", str(path), "--samples", "40"]) == 0
     assert len(calls) == 1
+
+
+CHAIN2 = {"n": 3, "oplus": [[0, 1, 2], [1, 2, 2], [2, 2, 2]], "neg": [2, 1, 0], "tilde": [2, 1, 0],
+          "zero": 0, "one": 2}
+BOOLEAN1_CHAIN2 = {"kind": "product", "params": [
+    {"kind": "boolean", "params": [1]}, {"kind": "chain", "params": [2]}]}
+
+
+@pytest.mark.parametrize("spec, argv, runs", [
+    ({"catalogue": BOOLEAN1_CHAIN2}, ["analyze", "--samples", "40"], 3),
+    ({"catalogue": BOOLEAN1_CHAIN2}, ["quotient", "--ideal", "0,1,2"], 4),
+    ({"finite": CHAIN2}, ["analyze", "--samples", "40"], 1),
+    ({"finite": CHAIN2}, ["quotient", "--ideal", "0"], 2),
+], ids=["analyze-catalogue", "quotient-catalogue", "analyze-finite", "quotient-finite"])
+def test_analyze_checks_each_table_once(monkeypatch, tmp_path, spec, argv, runs):
+    # one exhaustive A1–A8 run per table built: boolean(1), chain(2), their
+    # product and a quotient; analyze and quotient read the product's
+    # report that validated() computed, and check a raw table once
+    calls = []
+    report = finite.AxiomReport
+    monkeypatch.setattr(finite, "AxiomReport", lambda *a, **k: calls.append(1) or report(*a, **k))
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(spec))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main([argv[0], str(path), *argv[1:]]) == 0
+    assert len(calls) == runs

@@ -9,6 +9,7 @@ import pytest
 import pseudomv as pmv
 from pseudomv.finite import (
     TABLE_CEILING,
+    AxiomValidationError,
     CatalogueSpec,
     CatalogueSpecError,
     build_catalogue,
@@ -18,6 +19,7 @@ from pseudomv.finite import (
     parse_catalogue,
     search_square_rootable,
 )
+from points import shuffled
 
 
 # ----------------------------------------------------------------------
@@ -59,6 +61,26 @@ def test_interval_algebra_from_idempotent():
     assert sizes == [2, 3]
     with pytest.raises(pmv.AlgebraError):
         pmv.interval(pmv.chain(3), 1)
+
+
+def test_inline_guards_refuse_what_idx_refuses():
+    # each table operation tests its indices inline and raises through
+    # _idx, which names the bad argument; with both bad, ⊕ and = name x
+    c = pmv.chain(2)
+
+    def refused(op, *args):
+        with pytest.raises(pmv.BackendMismatch) as exc:
+            getattr(c, op)(*args)
+        return str(exc.value)
+
+    for bad in (True, -1, c.size, "0", 1.0):
+        named = f"{bad!r} is not an index into a 3-element table"
+        for op in ("neg", "tilde", "is_boolean_element"):
+            assert refused(op, bad) == named, op
+        for op in ("oplus", "eq", "odot", "meet", "join", "leq"):
+            assert refused(op, bad, 1) == refused(op, 1, bad) == named, op
+        for op in ("oplus", "eq"):
+            assert refused(op, bad, -2) == named, op
 
 
 def test_build_catalogue_specs():
@@ -237,6 +259,38 @@ def test_tabulate_round_trip_labels():
     t = pmv.tabulate(g)
     assert t.labels == (0, 1, 2, 3)
     assert t.odot(2, 2) == 1
+
+
+def _generic_product(a, b):
+    return pmv.tabulate(pmv.ProductPMV(a, b), name=f"product({a.name},{b.name})",
+                        label=lambda e: (a.labels[e[0]], b.labels[e[1]])).validated()
+
+
+def _verdicts(report):
+    return {name: (r.passed, r.checked, r.witnesses) for name, r in report.axioms.items()}
+
+
+def test_product_table_matches_tabulate():
+    # product builds its table by index arithmetic; tabulating the generic
+    # ProductPMV stays the specification, in table, labels and name
+    base = [a for a in catalogue_closure(12) if a.name.startswith(("chain(", "boolean("))]
+    odd = shuffled(pmv.product(pmv.chain(2), pmv.boolean(1)))
+    pairs = [(a, b) for a in base for b in base if a.size * b.size <= 12]
+    pairs += [(odd, pmv.chain(1)), (pmv.boolean(1), odd)]
+    assert len(pairs) > 30
+    for a, b in pairs:
+        fast, slow = pmv.product(a, b), _generic_product(a, b)
+        assert ((fast.table, fast.labels, fast.name, fast.sampler)
+                == (slow.table, slow.labels, slow.name, slow.sampler))
+    # a factor failing the axioms, with x⁻ ≠ x∼: both paths refuse the
+    # same table, so their reports agree
+    c = pmv.chain(2)
+    raw = pmv.FinitePMV(pmv.FiniteTable(3, c.table.oplus, (2, 1, 0), (2, 0, 0), 0, 2), name="raw")
+    with pytest.raises(AxiomValidationError) as fast:
+        pmv.product(raw, pmv.chain(1))
+    with pytest.raises(AxiomValidationError) as slow:
+        _generic_product(raw, pmv.chain(1))
+    assert _verdicts(fast.value.report) == _verdicts(slow.value.report)
 
 
 def test_tabulate_refuses_an_operation_leaving_the_carrier():

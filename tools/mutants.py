@@ -137,6 +137,19 @@ MUTANTS = {
     "symmetric-ignores-strong-unit": ("src/pseudomv/cli.py", "        if group.strong_unit(unit):\n",
                                       "        if True:\n"),
     "heis-strong-unit-nonnegative": (LG, "return u[0][0] > 0", "return u[0][0] >= 0"),
+    # the finite tables' inline index tests, shared axiom report, row-wise
+    # A1, product by index arithmetic and brute force read off the tables
+    "inline-guard-drops-lower-bound": (FN, "        if type(x) is int and 0 <= x < n and type(y) is int and 0 <= y < n:\n"
+                                           "            return self._op[x][y]",
+                                       "        if type(x) is int and x < n and type(y) is int and 0 <= y < n:\n"
+                                       "            return self._op[x][y]"),
+    "axiom-report-recomputed": (FN, "        return self._axioms\n", "        return FinitePMV._axioms.func(self)\n"),
+    "a1-against-wrong-row": (FN, "left, right = op[row[y]], cols[y](row)", "left, right = op[row[y]], cols[x](row)"),
+    "product-index-transposed": (FN, "for p in ta.oplus[i] for q in tb.oplus[j]",
+                                 "for q in tb.oplus[j] for p in ta.oplus[i]"),
+    "product-neg-from-tilde": (FN, "neg=tuple(ta.neg[i] * nb + tb.neg[j] for i, j in cells)",
+                               "neg=tuple(ta.tilde[i] * nb + tb.tilde[j] for i, j in cells)"),
+    "brute-force-leq-reversed": (FN, "if mt[zz][x] == zz]", "if mt[zz][x] == x]"),
     "negation-compat-drops-tilde": ("src/pseudomv/roots.py",
                                     "and algebra.eq(root(algebra.tilde(x)), algebra.snake(rx, r0)))",
                                     "and True)"),
