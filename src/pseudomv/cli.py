@@ -129,9 +129,11 @@ FLOAT_TOLERANCE_CEILING = 1e-6
 #: An ideal member as ``quotient --ideal`` reads it: ASCII digits only, as
 #: ``int()`` would also take underscores and other scripts' digits.
 _INDEX = re.compile(r"-?[0-9]+")
-#: The numeric literals ``Fraction`` reads: ``p/q`` or a decimal with an
-#: optional exponent, digits grouped by underscores.
-_DIGITS = r"\d+(?:_\d+)*"
+#: The base of ``H(p)``: ASCII digits only, with no sign.
+_BASE = re.compile(r"[0-9]+")
+#: The numeric literals read, all of which ``Fraction`` reads: ``p/q`` or a
+#: decimal with an optional exponent, in ASCII digits grouped by underscores.
+_DIGITS = r"[0-9]+(?:_[0-9]+)*"
 _LITERAL = re.compile(rf"[-+]?(?:(?P<p>{_DIGITS})/(?P<q>{_DIGITS})|(?P<int>{_DIGITS})?"
                       rf"(?:\.(?P<frac>{_DIGITS})?)?(?:e(?P<exp>[-+]?{_DIGITS}))?)", re.IGNORECASE)
 
@@ -164,11 +166,10 @@ def parse_group(text: str, tolerance: float = 1e-9) -> LGroup:
                 return ctor(left, right), rest[1:]
         if s.startswith("H("):
             close = s.index(")")
-            try:
-                base = int(s[2:close])
-            except ValueError:
-                raise SpecFileError(f"bad H(p) base {_prefix(s[2:close])}") from None
-            return PowerDenominatorGroup(base), s[close + 1:]
+            base = s[2:close].strip()
+            if not _BASE.fullmatch(base):
+                raise SpecFileError(f"bad H(p) base {_prefix(s[2:close])}")
+            return PowerDenominatorGroup(int(base)), s[close + 1:]
         for name, make in (
             ("heis", HeisenbergGroup),
             ("semi_numeric", lambda: ScalingSemidirect(tolerance)),
@@ -189,14 +190,11 @@ def parse_group(text: str, tolerance: float = 1e-9) -> LGroup:
     return group
 
 
-def _literal_digits(tok: str) -> float:
-    """The digits of the numerator or the denominator that ``tok`` writes,
-    whichever has more, read from the text alone: ``Fraction`` would first
-    expand the exponent, which takes minutes for ``1e10000000``.  0 when
-    ``tok`` is no literal, which ``Fraction`` then rejects."""
-    m = _LITERAL.fullmatch(tok)
-    if m is None:
-        return 0
+def _literal_digits(m: re.Match) -> float:
+    """The digits of the numerator or the denominator that the literal ``m``
+    matched writes, whichever has more, read from the text alone:
+    ``Fraction`` would first expand the exponent, which takes minutes for
+    ``1e10000000``."""
     digits = lambda group: len((m[group] or "").replace("_", ""))
     if m["q"] is not None:
         return max(digits("p"), digits("q"))
@@ -210,7 +208,10 @@ def _literal_digits(tok: str) -> float:
 
 def _parse_scalar(tok: str) -> Any:
     tok = tok.strip()
-    if _literal_digits(tok) > LITERAL_DIGITS_CEILING:
+    m = _LITERAL.fullmatch(tok)
+    if m is None:
+        raise SpecFileError(f"bad numeric literal {_prefix(tok)}")
+    if _literal_digits(m) > LITERAL_DIGITS_CEILING:
         raise SpecFileError(f"numeric literal {_prefix(tok)} has more than "
                             f"{LITERAL_DIGITS_CEILING} digits, the ceiling for literals")
     try:

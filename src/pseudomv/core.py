@@ -31,7 +31,7 @@ import random
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Any, ClassVar, Iterable, Iterator
+from typing import Any, Callable, ClassVar, Iterable, Iterator
 
 try:    # as random.py does: a built-in digest, since hashlib loads OpenSSL (about 3.6 MB)
     from _sha256 import sha256          # Python 3.10 and 3.11
@@ -385,7 +385,7 @@ class PseudoMV(ABC):
         if not self.enumerable:
             raise UnsupportedBackend("idempotent enumeration needs an enumerable carrier")
         skel = [x for x in self.elements() if self.is_boolean_element(x)]
-        members = lambda v: any(self.eq(v, s) for s in skel)
+        members = self._membership(skel)
         if not (members(self.zero) and members(self.one)):
             raise AlgebraError("idempotents do not contain the bounds")
         for x in skel:
@@ -395,6 +395,10 @@ class PseudoMV(ABC):
                 if not members(self.oplus(x, y)):
                     raise AlgebraError(f"idempotents not closed under ⊕ at {(x, y)!r}")
         return skel
+
+    def _membership(self, points: list) -> Callable[[Any], bool]:
+        """Whether an element equals one of ``points`` under ``eq``."""
+        return lambda v: any(self.eq(v, p) for p in points)
 
     def symmetry_check(self, budget: int | None = None, seed: int | None = None) -> CheckResult:
         """Check x⁻ = x∼ pointwise (exhaustive or sampled)."""

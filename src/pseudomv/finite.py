@@ -125,8 +125,8 @@ class FinitePMV(PseudoMV):
     ``tests/test_core.py::test_table_native_ops_match_derived_definitions``
     checks them against the definitions in ``core``, on tables that pass
     A1–A8 and on one that does not.  ``boolean_skeleton`` runs the
-    definition in ``core`` once per algebra, and :meth:`check_axioms` its
-    exhaustive check once per table.
+    definition in ``core`` once per algebra, testing membership in a set of
+    indices, and :meth:`check_axioms` its exhaustive check once per table.
     """
 
     backend = "finite-table"
@@ -238,6 +238,10 @@ class FinitePMV(PseudoMV):
     @cached_property
     def _skeleton(self) -> tuple:
         return tuple(super().boolean_skeleton())
+
+    def _membership(self, points):
+        """Equal indices are the same int: membership is one set lookup."""
+        return frozenset(points).__contains__
 
     def boolean_skeleton(self) -> list:
         """:meth:`PseudoMV.boolean_skeleton`, computed and checked once per

@@ -54,17 +54,22 @@ d > t or d < −t, and their ``sub`` repeats the float expressions of
 ``add(a, neg(b))``; each returns exactly what LGroup's derived definition
 returns, bit for bit.
 
-On the two float groups Γ(G, u) is one call deep.  ``gamma_kernels``
-builds, once per unit, a closure for each of x ⊕ y = (x+y) ∧ u,
-x⁻ = u − x, x∼ = −x + u and x ⊙ y = (x − u + y) ∨ 0, with the tolerance
-test inline and the unit's constants (1/u₀ and −u₁/u₀, or e^{±u₀})
-computed once, and an interval sampler that draws as ``random.uniform``
-does and joins and meets inline.  ``GammaPMV`` binds these, and binds
-``eq``, ``leq``, ``meet`` and ``join`` straight to the group's.  Each
-closure makes the float expressions of the composition in the same order,
-so it returns the same floats, bit for bit.  Every other group's
-``gamma_kernels`` returns None, and Γ keeps its methods, which compose the
-group operations and stay the specification.
+Γ(G, u) is one call deep on every exact group and on the two float
+groups, though not on a product with a float factor, nor on exp_numeric
+at a unit past the float range.  ``gamma_kernels`` builds, once per unit,
+a closure for each of x ⊕ y = (x+y) ∧ u, x⁻ = u − x, x∼ = −x + u and
+x ⊙ y = (x − u + y) ∨ 0, and an interval sampler, and ``GammaPMV`` binds
+them.  Γ's own methods, which compose the group operations, stay the
+specification, and a group without kernels keeps them.  The exact
+groups' kernels live in :mod:`pseudomv.fused`; there ``eq``, ``leq``,
+``meet`` and ``join`` stay Γ's methods.
+
+On the two float groups the kernels make the tolerance test inline and
+compute the unit's constants (1/u₀ and −u₁/u₀, or e^{±u₀}) once, the
+sampler draws as ``random.uniform`` does and joins and meets inline, and
+``eq``, ``leq``, ``meet`` and ``join`` are bound straight to the group's.
+Each closure makes the float expressions of the composition in the same
+order, so it returns the same floats, bit for bit.
 
 Γ(G, u) samples its points with denominators at most the module constant
 :data:`SAMPLE_DENOMINATOR_BOUND`.  Every group decides centre membership
@@ -323,8 +328,12 @@ class LGroup(ABC):
     def gamma_kernels(self, unit: Any) -> dict[str, Any] | None:
         """Fused ``oplus``, ``neg``, ``tilde``, ``odot`` and ``sample`` for
         Γ(G, unit), each returning what :class:`GammaPMV`'s own method
-        returns, bit for bit; or None, and Γ composes the group operations."""
-        return None
+        returns; or None, and Γ composes the group operations.
+        :class:`GammaPMV` binds every function in the dict.  Here, those of
+        :mod:`pseudomv.fused` for the exact groups of this module, and None
+        for any other group."""
+        from .fused import exact_kernels    # compiled on the first exact Γ built
+        return exact_kernels(self, unit)
 
     def interval_size(self, hi: Any) -> int | None:
         """The size of [0, hi] if ``enumerate_interval`` lists it, else None."""
@@ -880,6 +889,12 @@ class _FloatPairGroup(LGroup):
         x = (rng.uniform(zero[0], unit[0]), rng.uniform(-1.0, 1.0))
         return self.meet(self.join(x, zero), unit)
 
+    def _fused(self, unit, **kernels):
+        """The Γ kernels with the interval sampler, and ``eq``, ``leq``,
+        ``meet`` and ``join`` bound straight to the group's."""
+        return dict(kernels, sample=self._interval_sampler(unit), eq=self.eq, leq=self.leq,
+                    meet=self.meet, join=self.join)
+
     def _interval_sampler(self, unit):
         """``sample_interval(·, unit)`` in one call: ``rng.uniform(a, b)`` is
         ``a + (b − a) * rng.random()``, and the join with 0 and the meet
@@ -969,8 +984,7 @@ class ScalingSemidirect(_FloatPairGroup):
                 return (s0, s1)
             return zero if d < -t or s1 - 0.0 < -t else (s0, s1)
 
-        return {"oplus": oplus, "neg": neg, "tilde": tilde, "odot": odot,
-                "sample": self._interval_sampler(unit)}
+        return self._fused(unit, oplus=oplus, neg=neg, tilde=tilde, odot=odot)
 
     def random_element(self, rng):
         return (math.exp(rng.uniform(-0.7, 0.7)), rng.uniform(-2.0, 2.0))
@@ -1038,8 +1052,7 @@ class ExpSemidirect(_FloatPairGroup):
                 return (s0, s1)
             return zero if d < -t or s1 - 0.0 < -t else (s0, s1)
 
-        return {"oplus": oplus, "neg": neg, "tilde": tilde, "odot": odot,
-                "sample": self._interval_sampler(unit)}
+        return self._fused(unit, oplus=oplus, neg=neg, tilde=tilde, odot=odot)
 
     def random_element(self, rng):
         return (rng.uniform(-0.7, 0.7), rng.uniform(-2.0, 2.0))
@@ -1067,7 +1080,7 @@ class GammaPMV(PseudoMV):
         self._interval = None if size is None else group.enumerate_interval(unit)
         fused = group.gamma_kernels(unit)
         if fused is not None:   # the methods below stay the specification
-            vars(self).update(fused, eq=group.eq, leq=group.leq, meet=group.meet, join=group.join)
+            vars(self).update(fused)
 
     @property
     def zero(self):

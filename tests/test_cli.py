@@ -314,6 +314,11 @@ def test_analyze_malformed_unit_exits_3(tmp_path, unit):
     {"finite": {"n": 2, "oplus": [[0, 1], [1, 1]], "neg": [1, 0], "tilde": [1, 0],
                 "zero": 0, "one": 1, "labels": ["0", "1"]}},
     {**GAMMA_DYADIC, "k" * 5000: 1},
+    {"gamma": {"group": "Q", "unit": "\u0663"}},
+    {"gamma": {"group": "Q", "unit": "\uff11/2"}},
+    {"gamma": {"group": "H(1_0)", "unit": "1"}},
+    {"gamma": {"group": "H(\u0661\u0660)", "unit": "1"}},
+    {"gamma": {"group": "H(+6)", "unit": "1"}},
 ], ids=["group-number", "chain-negative", "chain-params-string",
         "interval-top-not-idempotent", "product-one-param", "product-600-deep",
         "finite-1500-brackets", "catalogue-above-depth-ceiling", "group-1200-deep",
@@ -322,7 +327,9 @@ def test_analyze_malformed_unit_exits_3(tmp_path, unit):
         "interval-params-object", "chain-params-digits", "interval-top-4000-digits",
         "chain-two-params", "product-three-params", "catalogue-and-gamma", "catalogue-and-finite",
         "catalogue-unknown-key", "nested-catalogue-unknown-key", "gamma-unknown-key",
-        "top-unknown-key", "finite-unknown-key", "top-5000-char-key"])
+        "top-unknown-key", "finite-unknown-key", "top-5000-char-key", "unit-arabic-indic-digit",
+        "unit-fullwidth-digit", "h-base-underscore", "h-base-arabic-indic",
+        "h-base-signed"])
 def test_analyze_malformed_spec_exits_3(tmp_path, payload):
     path = write(tmp_path, "bad.json", payload)
     proc = (run_process if payload in DEEP_SPECS else run_cli)("analyze", path)

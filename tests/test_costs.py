@@ -1,8 +1,8 @@
 """Cost gates that do not depend on the machine: group operations per Γ
 operation, root evaluations per check, Fractions built on a Γ operation's
 path (none), ⊙ evaluations per finite ideal fact, skeleton checks per
-finite ``analyze``, and exhaustive axiom checks per finite ``analyze`` or
-``quotient``."""
+finite ``analyze`` and ``eq`` calls per table skeleton (none), and
+exhaustive axiom checks per finite ``analyze`` or ``quotient``."""
 
 from __future__ import annotations
 
@@ -159,6 +159,18 @@ def test_analyze_checks_the_skeleton_once(monkeypatch, tmp_path):
     first.reverse()
     assert algebra.boolean_skeleton() == skeleton(algebra) == [0, 2, 3, 5]
     assert len(calls) == 1
+
+
+def test_table_skeleton_asks_eq_nothing(monkeypatch):
+    # on a table, membership in the skeleton is one set lookup: checking
+    # its closure asks eq nothing, where a scan per member made O(s³) calls
+    algebras = catalogue_closure(12)
+    calls = []
+    eq = FinitePMV.eq
+    monkeypatch.setattr(FinitePMV, "eq", lambda self, x, y: calls.append(1) or eq(self, x, y))
+    for algebra in algebras:
+        assert PseudoMV.boolean_skeleton(algebra) == algebra.boolean_skeleton(), algebra.name
+    assert not calls
 
 
 def test_analyze_checks_representability_once(monkeypatch, tmp_path):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -52,6 +53,32 @@ def test_product_sizes_and_skeleton():
     assert m.size == 6
     assert len(m.boolean_skeleton()) == 4
     assert m.label(m.one) == (1, 2)
+
+
+def _table(oplus, neg, one):
+    return pmv.FinitePMV(pmv.FiniteTable(len(neg), tuple(map(tuple, oplus)), tuple(neg),
+                                         tuple(neg), 0, one))
+
+
+NO_SUBALGEBRA = {   # tables whose idempotents are no subalgebra
+    "bounds": (_table([[0, 1], [1, 0]], [1, 0], 1), "idempotents do not contain the bounds"),
+    "negation": (_table([[0, 1, 2], [1, 2, 2], [2, 2, 2]], [1, 1, 0], 2),
+                 "idempotents not closed under negation at 0"),
+    "oplus": (_table([[0, 1, 2, 3, 4], [1, 1, 3, 4, 4], [2, 3, 2, 4, 4], [3, 4, 4, 4, 4],
+                      [4, 4, 4, 4, 4]], [4, 2, 1, 3, 0], 4),
+              "idempotents not closed under ⊕ at (1, 2)"),
+}
+
+
+@pytest.mark.parametrize("name", list(NO_SUBALGEBRA))
+def test_skeleton_refuses_idempotents_that_are_no_subalgebra(monkeypatch, name):
+    # membership by a set of indices refuses what membership by eq refuses
+    algebra, message = NO_SUBALGEBRA[name]
+    with pytest.raises(pmv.AlgebraError, match=re.escape(message)):
+        algebra.boolean_skeleton()
+    monkeypatch.setattr(pmv.FinitePMV, "_membership", pmv.PseudoMV._membership)
+    with pytest.raises(pmv.AlgebraError, match=re.escape(message)):
+        pmv.PseudoMV.boolean_skeleton(algebra)
 
 
 def test_interval_algebra_from_idempotent():

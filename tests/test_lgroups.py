@@ -8,6 +8,7 @@ import json
 import math
 import random
 from fractions import Fraction as F
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -344,6 +345,182 @@ def test_fused_gamma_kernels_change_no_report(tmp_path, monkeypatch, command):
         monkeypatch.setattr(cls, "gamma_kernels", LGroup.gamma_kernels)
     assert "odot" not in vars(pmv.gamma(pmv.ScalingSemidirect(), (2.0, 0.0)))
     assert _cli_stdout(argv) == fused
+
+
+def _scalar(base=None):
+    """(group, coordinate strategy): Q for None, D for 2, else H(base)."""
+    if base is None:
+        return pmv.RationalGroup(), st.builds(F, st.integers(-12, 12), st.sampled_from([1, 2, 3, 6]))
+    g = pmv.DyadicGroup() if base == 2 else pmv.PowerDenominatorGroup(base)
+    return g, st.builds(F, st.integers(-12, 12), st.sampled_from([1, base, base * base]))
+
+
+def _carrier(shape):
+    """(group, strategies of its flat coordinates) for a shape written as
+    nested tuples: ("lex", a, b), ("prod", a, b), "Z", "heis", or a scalar
+    base as for :func:`_scalar`."""
+    if isinstance(shape, tuple):
+        kind, a, b = shape
+        (g, cs), (h, ds) = _carrier(a), _carrier(b)
+        return (pmv.LexProduct if kind == "lex" else pmv.DirectProductGroup)(g, h), cs + ds
+    if shape == "Z":
+        return pmv.IntegerGroup(), [st.integers(-4, 4)]
+    if shape == "heis":
+        return pmv.HeisenbergGroup(), [_scalar()[1]] * 3
+    g, c = _scalar(shape)
+    return g, [c]
+
+
+pos_q = st.builds(F, st.integers(1, 12), st.sampled_from([1, 2, 3, 6]))
+any_q = _scalar()[1]
+
+#: One carrier per gamma-exact template, with a strategy for its unit's flat
+#: coordinates; the nested shapes put heis on either side of a lex and in a
+#: product, and a lex head may be 0 with a positive tail.
+EXACT_GAMMA_CASES = {
+    "Z": ("Z", st.tuples(st.integers(1, 6))),
+    "lex(Z,Z)": (("lex", "Z", "Z"), st.one_of(st.tuples(st.integers(1, 7), st.integers(-4, 4)),
+                                             st.tuples(st.just(0), st.integers(1, 4)))),
+    "Q": (None, st.tuples(pos_q)),
+    "D": (2, st.tuples(st.builds(F, st.integers(1, 15), st.sampled_from([1, 2, 4, 8])))),
+    "H(6)": (6, st.tuples(st.builds(F, st.integers(1, 12), st.sampled_from([6, 36])))),
+    "H(3)": (3, st.tuples(st.builds(F, st.integers(1, 6), st.sampled_from([3, 9])))),
+    "heis-central": ("heis", st.tuples(st.just(0), st.just(0), pos_q)),
+    "heis-noncentral": ("heis", st.tuples(st.integers(1, 3), any_q, any_q)),
+    "heis-thin": ("heis", st.tuples(st.sampled_from([F(1, 5), F(1, 2), F(4, 5)]), any_q, any_q)),
+    "lex(Q,heis)": (("lex", None, "heis"), st.one_of(
+        st.tuples(pos_q, any_q, any_q, any_q),
+        st.tuples(st.just(0), st.just(0), st.just(0), pos_q))),
+    "prod(Q,D)": (("prod", None, 2), st.tuples(pos_q, st.sampled_from([F(1), F(3, 4), F(5, 2)]))),
+    "prod(lex(D,Q),H(6))": (("prod", ("lex", 2, None), 6),
+                            st.tuples(st.sampled_from([F(1), F(3, 2)]), any_q,
+                                      st.sampled_from([F(1, 6), F(1)]))),
+    "lex(H(4),prod(Q,Q))": (("lex", 4, ("prod", None, None)),
+                            st.tuples(st.sampled_from([F(1, 4), F(3, 16), F(2)]), any_q, any_q)),
+    "prod(lex(Q,Q),heis)": (("prod", ("lex", None, None), "heis"),
+                            st.tuples(pos_q, any_q, st.integers(1, 2), any_q, any_q)),
+    "lex(heis,prod(D,Q))": (("lex", "heis", ("prod", 2, None)),
+                            st.tuples(st.integers(1, 2), any_q, any_q, st.just(F(1, 2)), any_q)),
+    "lex(lex(Q,heis),H(2))": (("lex", ("lex", None, "heis"), 2),
+                              st.tuples(pos_q, st.integers(1, 2), any_q, any_q, st.just(F(3, 4)))),
+}
+
+
+def _shape(v):
+    """``v`` with each leaf replaced by its type: equal shapes mean equal
+    types all the way down."""
+    return tuple(map(_shape, v)) if type(v) is tuple else type(v)
+
+
+def _exact_case(shape, units):
+    """(group, strategy of its Γ units, strategies of its flat coordinates,
+    strategy of its points), built once so that examples draw from them."""
+    g, coordinates = _carrier(shape)
+    point = lambda flat: g.from_flat(list(flat))
+    return g, units.map(point), coordinates, st.tuples(*coordinates).map(point)
+
+
+EXACT_GAMMA = {name: _exact_case(*case) for name, case in EXACT_GAMMA_CASES.items()}
+seeds, picks = st.integers(0, 2**32), st.integers(0, 4)
+
+
+def _exact_gamma(name, data):
+    g, units, coordinates, points = EXACT_GAMMA[name]
+    return pmv.gamma(g, data.draw(units)), g, coordinates, points
+
+
+@pytest.mark.parametrize("name", list(EXACT_GAMMA_CASES))
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_fused_exact_gamma_kernels_match_generic(name, data):
+    # Γ on an exact group binds one kernel per primitive and a sampler; the
+    # order operations stay GammaPMV's, whose methods compose the group
+    # operations and are the specification
+    m, g, coordinates, points = _exact_gamma(name, data)
+    assert set(vars(m)) >= {"oplus", "neg", "tilde", "odot", "sample"}
+    assert not {"eq", "leq", "meet", "join"} & set(vars(m))
+    seed = data.draw(seeds)
+    pick = data.draw(picks)
+    x = (m.zero, m.unit, m.sample(random.Random(seed)))[pick] if pick < 3 else data.draw(points)
+    # y = x∼ puts x + y at u and y = x⁻ puts x − u + y at 0; y may keep
+    # only the leading coordinates of such a point, tying in the head
+    y = (m.tilde(x), m.neg(x), m.zero, m.unit, x)[data.draw(picks)]
+    keep = data.draw(picks)
+    if keep == 0:
+        y = data.draw(points)
+    elif keep < g.flat_arity:
+        y = g.from_flat(g.flatten(y)[:keep] + [data.draw(c) for c in coordinates[keep:]])
+    for a, b in ((x, y), (y, x)):
+        for op in ("oplus", "odot"):
+            got, want = getattr(m, op)(a, b), getattr(GammaPMV, op)(m, a, b)
+            assert got == want and _shape(got) == _shape(want), (op, a, b)
+        for op in ("neg", "tilde"):
+            got, want = getattr(m, op)(a), getattr(GammaPMV, op)(m, a)
+            assert got == want and _shape(got) == _shape(want), (op, a)
+    # the sampler draws the same points from the same stream, and leaves it
+    # where the composition leaves it
+    fused, composed = random.Random(seed), random.Random(seed)
+    for _ in range(4):
+        got, want = m.sample(fused), GammaPMV.sample(m, composed)
+        assert got == want and _shape(got) == _shape(want)
+    assert fused.getstate() == composed.getstate()
+
+
+#: Arguments of the wrong kind or shape, and for Q, D and H(p) the bare
+#: numbers their operations read.  A payload of the right shape with a
+#: malformed coordinate is left out: a kernel may decide its clamp before
+#: it reads that coordinate, where the composition raises.
+ODD_ARGUMENTS = [None, "ab", (1, 2, 3), True, 1.5, ((1, 2),), F(1, 2), 2]
+
+
+def _outcome(f, *args):
+    try:
+        return "value", f(*args)
+    except Exception as exc:   # noqa: BLE001 - the exception is the outcome
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("name", list(EXACT_GAMMA_CASES))
+@settings(max_examples=3, deadline=None)
+@given(data=st.data())
+def test_fused_exact_kernels_read_and_refuse_as_the_methods_do(name, data):
+    # a kernel returns what the method returns on every argument the method
+    # reads, bare numbers included, and raises what it raises on the rest
+    m = _exact_gamma(name, data)[0]
+    inside = m.sample(random.Random(0))
+    for bad in ODD_ARGUMENTS:
+        for op in ("oplus", "odot"):
+            for args in ((bad, inside), (m.unit, bad), (bad, bad)):
+                assert _outcome(getattr(m, op), *args) == _outcome(getattr(GammaPMV, op), m, *args)
+        for op in ("neg", "tilde"):
+            assert _outcome(getattr(m, op), bad) == _outcome(getattr(GammaPMV, op), m, bad)
+    # an object with randrange and random but no _randbelow draws as the
+    # composition does
+    duck, twin = (SimpleNamespace(randrange=random.Random(3).randrange,
+                                  random=random.Random(4).random) for _ in range(2))
+    assert m.sample(duck) == GammaPMV.sample(m, twin)
+
+
+@pytest.mark.parametrize("spec", [
+    {"group": "lex(Q,heis)", "unit": "(1,5/2,1/3,-1/2)"},
+    {"group": "lex(Q,heis)", "unit": "(2/3,0,0,5/7)"},
+    {"group": "heis", "unit": "(1/5,1,-2)"},
+    {"group": "prod(lex(D,Q),H(6))", "unit": "(3/2,-1/3,1/6)"},
+    {"group": "lex(lex(Q,heis),H(2))", "unit": "(1,2,1/3,0,3/4)"},
+    {"group": "lex(Z,Z)", "unit": "(1,-2)"},
+    {"group": "H(3)", "unit": "2/9"},
+], ids=["lex(Q,heis)", "lex(Q,heis)-central", "heis-thin", "prod(lex(D,Q),H(6))",
+        "lex(lex(Q,heis),H(2))", "lex(Z,Z)", "H(3)"])
+def test_fused_exact_gamma_kernels_change_no_report(tmp_path, monkeypatch, spec):
+    path = tmp_path / "gamma.json"
+    path.write_text(json.dumps({"gamma": spec}))
+    runs = [["analyze", str(path), "--samples", "60", "--seed", "5"],
+            ["ladder", str(path), "--depth", "4", "--seed", "5"]]
+    fused = [_cli_stdout(argv) for argv in runs]
+    assert fused[0][1].startswith("{")
+    monkeypatch.setattr(LGroup, "gamma_kernels", lambda self, unit: None)
+    assert "odot" not in vars(pmv.gamma(pmv.RationalGroup(), (1, 1)))
+    assert [_cli_stdout(argv) for argv in runs] == fused
 
 
 @pytest.mark.parametrize("cls, unit, inside", [(pmv.ScalingSemidirect, (2.0, 0.0), 1.5),

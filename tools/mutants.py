@@ -47,6 +47,7 @@ TIMEOUT = 600
 
 LG = "src/pseudomv/lgroups.py"
 FN = "src/pseudomv/finite.py"
+FU = "src/pseudomv/fused.py"
 
 #: name -> (file, old, new).  Each mutant changes one line; ``old`` may
 #: carry the neighbouring lines that make it unique.
@@ -150,6 +151,16 @@ MUTANTS = {
     "product-neg-from-tilde": (FN, "neg=tuple(ta.neg[i] * nb + tb.neg[j] for i, j in cells)",
                                "neg=tuple(ta.tilde[i] * nb + tb.tilde[j] for i, j in cells)"),
     "brute-force-leq-reversed": (FN, "if mt[zz][x] == zz]", "if mt[zz][x] == x]"),
+    # the fused Γ kernels of the exact groups: a ℚ ⊕ that clamps only past
+    # u (a tie then reads as below u to a lex head), a Heisenberg ⊙ that
+    # exits on the wrong sign, and a lex ⊕ whose head tie skips the tail's
+    # clamp
+    "fused-rational-oplus-tie-below": (FU, "                c = n * ud - un * d\n                if c < 0:\n",
+                                       "                c = n * ud - un * d\n                if c <= 0:\n"),
+    "fused-heis-odot-exit-sign": (FU, "                if s0 < 0 and clamp:\n",
+                                  "                if s0 > 0 and clamp:\n"),
+    "fused-lex-tie-skips-tail-clamp": (FU, "                s = t_cap(xt, yt)\n                if s is None:\n                    return over\n",
+                                       "                s = t_add(xt, yt)\n                if s is None:\n                    return over\n"),
     "negation-compat-drops-tilde": ("src/pseudomv/roots.py",
                                     "and algebra.eq(root(algebra.tilde(x)), algebra.snake(rx, r0)))",
                                     "and True)"),
