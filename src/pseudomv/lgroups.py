@@ -26,13 +26,13 @@ the Heisenberg third coordinate is summed over one denominator and
 reduced once, inline in ``add`` and by ``_sum3`` in ``neg`` and ``sub``.
 ``Fraction`` appears only at the boundary: ``from_flat`` takes ints and
 ``Fraction``s in, and ``flatten`` and ``format_element`` hand
-``Fraction``s and text out.  The operations of Q,
-D and H(p), and ``gamma`` for its unit, also read a bare int or
-``Fraction`` argument as its pair, the kernels in their unpacking;
-``validate`` accepts pairs only, so ``contains`` refuses a bare number.
-Only whole arguments of Q, D and H(p) are read so: a coordinate of a
-Heisenberg or product point must be a canonical pair, as ``validate``
-requires, and a bare number there equals no point under ``eq``.
+``Fraction``s and text out.  The group operations of Q, D and H(p), and
+``gamma`` for its unit, read a bare int or ``Fraction`` as its pair, in
+the kernels' unpacking, as long as ``bench/test_bench.py`` builds Γ(Q, 1)
+from one; Γ's fused operations take its points only.  ``validate``
+accepts pairs only, so ``contains`` refuses a bare number, and a
+coordinate of a Heisenberg or product point must be a canonical pair: a
+bare number there equals no point under ``eq``.
 ℤ keeps plain ints and refuses bools, and so do the float carriers.
 
 As ``validate`` admits canonical payloads only, equal elements of an exact
@@ -59,7 +59,8 @@ groups, though not on a product with a float factor, nor on exp_numeric
 at a unit past the float range.  ``gamma_kernels`` builds, once per unit,
 a closure for each of x ⊕ y = (x+y) ∧ u, x⁻ = u − x, x∼ = −x + u and
 x ⊙ y = (x − u + y) ∨ 0, and an interval sampler, and ``GammaPMV`` binds
-them.  Γ's own methods, which compose the group operations, stay the
+them; they take Γ's points only, and the samplers a ``random.Random``.
+Γ's own methods, which compose the group operations, stay the
 specification, and a group without kernels keeps them.  The exact
 groups' kernels live in :mod:`pseudomv.fused`; there ``eq``, ``leq``,
 ``meet`` and ``join`` stay Γ's methods.
@@ -327,8 +328,8 @@ class LGroup(ABC):
 
     def gamma_kernels(self, unit: Any) -> dict[str, Any] | None:
         """Fused ``oplus``, ``neg``, ``tilde``, ``odot`` and ``sample`` for
-        Γ(G, unit), each returning what :class:`GammaPMV`'s own method
-        returns; or None, and Γ composes the group operations.
+        Γ(G, unit), each returning on Γ's points what :class:`GammaPMV`'s
+        own method returns; or None, and Γ composes the group operations.
         :class:`GammaPMV` binds every function in the dict.  Here, those of
         :mod:`pseudomv.fused` for the exact groups of this module, and None
         for any other group."""

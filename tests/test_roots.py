@@ -11,6 +11,8 @@ from __future__ import annotations
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pseudomv as pmv
 from pseudomv.core import make_rng
@@ -476,6 +478,34 @@ def test_residuation_bound_fails_on_noncommutative_carriers():
     for name in PROPERTY_ITEMS:
         if name not in ("residuation_bounds", "product_upper_bound", "sum_lower_bound"):
             assert props[name] == SKIPPED or props[name].passed, name
+
+
+@pytest.mark.parametrize("u0", [1, 2])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_residuation_gap_on_lex_heis_is_a_commutator(u0, data):
+    """On Γ(lex(ℚ, heis), (u₀, 0, 0, 0)) with the sym root, wherever
+    x → y < 1 the sides of r(x) → r(y) ≤ r(x → y) agree in flat
+    coordinates 0–2, and the last differ by (x₁y₂ − x₂y₁)/8, a multiple of
+    the heis commutator of x and y.  So the bound fails exactly where that
+    number is positive; where x → y = 1 it holds."""
+    g = pmv.LexProduct(pmv.RationalGroup(), pmv.HeisenbergGroup())
+    m = pmv.gamma(g, g.from_flat([u0, 0, 0, 0]))
+    root = pmv.closed_form(m, "sym")
+    c = st.fractions(-2, 2, max_denominator=16)
+    point = st.builds(lambda *flat: m.meet(m.join(g.from_flat(list(flat)), m.zero), m.unit),
+                      st.fractions(0, u0, max_denominator=16), c, c, c)
+    x, y = data.draw(point), data.draw(point)
+    xy = m.arrow(x, y)
+    lhs, rhs = m.arrow(root(x), root(y)), root(xy)
+    if m.eq(xy, m.one):
+        assert m.leq(lhs, rhs)
+        return
+    (_, x1, x2, _), (_, y1, y2, _) = g.flatten(x), g.flatten(y)
+    gap = (x1 * y2 - x2 * y1) / 8
+    a, b = g.flatten(lhs), g.flatten(rhs)
+    assert a[:3] == b[:3] and a[3] - b[3] == gap
+    assert m.leq(lhs, rhs) == (gap <= 0)
 
 
 def test_residuum_cross_check_is_coherent():

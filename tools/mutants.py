@@ -155,12 +155,12 @@ MUTANTS = {
     # u (a tie then reads as below u to a lex head), a Heisenberg ⊙ that
     # exits on the wrong sign, and a lex ⊕ whose head tie skips the tail's
     # clamp
-    "fused-rational-oplus-tie-below": (FU, "                c = n * ud - un * d\n                if c < 0:\n",
-                                       "                c = n * ud - un * d\n                if c <= 0:\n"),
-    "fused-heis-odot-exit-sign": (FU, "                if s0 < 0 and clamp:\n",
-                                  "                if s0 > 0 and clamp:\n"),
-    "fused-lex-tie-skips-tail-clamp": (FU, "                s = t_cap(xt, yt)\n                if s is None:\n                    return over\n",
-                                       "                s = t_add(xt, yt)\n                if s is None:\n                    return over\n"),
+    "fused-rational-oplus-tie-below": (FU, "            c = n * ud - un * d\n            if c < 0:\n",
+                                       "            c = n * ud - un * d\n            if c <= 0:\n"),
+    "fused-heis-odot-exit-sign": (FU, "            if s0 < 0 and clamp:\n",
+                                  "            if s0 > 0 and clamp:\n"),
+    "fused-lex-tie-skips-tail-clamp": (FU, "            s = t_cap(xt, yt)\n            if s is None:\n                return over\n",
+                                       "            s = t_add(xt, yt)\n            if s is None:\n                return over\n"),
     "negation-compat-drops-tilde": ("src/pseudomv/roots.py",
                                     "and algebra.eq(root(algebra.tilde(x)), algebra.snake(rx, r0)))",
                                     "and True)"),
