@@ -25,12 +25,12 @@ a point each Γ closure returns what ``GammaPMV``'s method returns, equal in
 value and in type
 (``tests/test_lgroups.py::test_fused_exact_gamma_kernels_match_generic``).
 An argument it cannot read raises TypeError or ValueError where it is
-read; so does a bare int or Fraction on Q, D and H(p), which the group's
-own operations, and ``gamma`` for its unit, still read as a pair while a
-benchmark test builds Γ(Q, 1) from one (see :mod:`pseudomv.lgroups`).  A
-payload of the right shape with a malformed coordinate may instead return,
-as it lies outside ``validate``: a closure may decide its clamp before it
-reads that coordinate.  Only the exact types above are fused: a subclass
+read, a bare int or Fraction on Q, D and H(p) included, as in the group's
+own operations: of those only ``cmp`` and ``gamma``'s unit read one as a
+pair (see :mod:`pseudomv.lgroups`).  A payload of the right shape with a
+malformed coordinate may instead return, as it lies outside
+``validate``: a closure may decide its clamp before it reads that
+coordinate.  Only the exact types above are fused: a subclass
 may change the operations, so Γ composes them.
 """
 

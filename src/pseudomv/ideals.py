@@ -9,10 +9,10 @@ x ⊙ y⁻ ∈ I or y ⊙ x⁻ ∈ I; a Boolean ideal contains every x ∧ x∼.
 A square root descends along a normal ideal to the quotient, and a normal
 ideal is invariant under the root exactly when it is Boolean.  An algebra
 is representable when every polar a⊥ = {x : x ∧ a = 0} is a normal ideal.
-Strong atomlessness is probed through the pointwise criterion: every
-nonzero x admits 0 < y < x with y ∧ (x ⊙ y⁻) ≠ 0; on group intervals with
-a strict root the canonical witness y = r(x⁻)∼ realizes the value x/2.
-The criterion holds only on representable algebras; finite ones all are.
+Strong atomlessness is the pointwise criterion on representable algebras:
+every nonzero x admits 0 < y < x with y ∧ (x ⊙ y⁻) ≠ 0; on group intervals
+with a strict root the canonical witness y = r(x⁻)∼ realizes the value
+x/2.  Every finite algebra is representable and meets it iff it has no atom.
 
 A finite algebra satisfying A1–A8 is an MV-algebra, which settles
 normality and representability.  It is Archimedean, so the ℓ-group G of

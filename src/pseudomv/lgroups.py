@@ -26,22 +26,23 @@ the Heisenberg third coordinate is summed over one denominator and
 reduced once, inline in ``add`` and by ``_sum3`` in ``neg`` and ``sub``.
 ``Fraction`` appears only at the boundary: ``from_flat`` takes ints and
 ``Fraction``s in, and ``flatten`` and ``format_element`` hand
-``Fraction``s and text out.  The group operations of Q, D and H(p), and
-``gamma`` for its unit, read a bare int or ``Fraction`` as its pair, in
-the kernels' unpacking, as long as ``bench/test_bench.py`` builds Γ(Q, 1)
-from one; Γ's fused operations take its points only.  ``validate``
-accepts pairs only, so ``contains`` refuses a bare number, and a
-coordinate of a Heisenberg or product point must be a canonical pair: a
-bare number there equals no point under ``eq``.
+``Fraction``s and text out.  Every operation takes canonical payloads
+only, as ``validate`` admits, and a bare int or ``Fraction`` raises
+TypeError where it is read, except in two places on Q, D and H(p):
+``cmp`` and ``gamma``'s unit read it as its pair, because the benchmark's
+own test of a traced ≤ (``bench/test_bench.py``) builds Γ(Q, 1) from a
+bare ``Fraction`` and orders bare ``Fraction``s through ``cmp``.  ``eq``
+compares payloads, so a bare number equals no point, and ``contains``
+refuses it.
 ℤ keeps plain ints and refuses bools, and so do the float carriers.
 
 As ``validate`` admits canonical payloads only, equal elements of an exact
-group are equal payloads, so ℤ, the Heisenberg group and exact products
-compare by structure (``a == b``).  Composite order operations make one
-comparison: the Heisenberg ``leq``, ``join`` and ``meet`` read one
-lexicographic ``_cmp`` chain, lex ones one ``cmp`` of the head factor
-(and the tail's own operation on a tie), and product ``leq`` one ``leq``
-per factor.
+group are equal payloads, so ℤ, Q, D, H(p), the Heisenberg group and
+exact products compare by structure (``a == b``).  Composite order
+operations make one comparison: the Heisenberg ``leq``, ``join`` and
+``meet`` read one lexicographic ``_cmp`` chain, lex ones one ``cmp`` of
+the head factor (and the tail's own operation on a tie), and product
+``leq`` one ``leq`` per factor.
 
 The Γ-construction turns the interval [0, u] of a unital group into a
 pseudo MV-algebra via x ⊕ y = (x+y) ∧ u, x⁻ = u−x, x∼ = −x+u.
@@ -150,18 +151,15 @@ def _reduced(p: tuple[int, int]) -> tuple[int, int]:
 # Exact kernels, and the add, sub, neg and cmp of Q, D and H(p).  Arguments
 # and results are reduced pairs (n, d), and each result is the reduced pair
 # of what the Fraction operators give on the arguments as Fractions.  A bare
-# int or Fraction argument has no items, so unpacking it raises TypeError
-# and the kernel reads both arguments through ``_pair``; pairs never take
-# that branch.  ``_add`` and ``_sub`` follow Knuth, TAOCP vol. 2 §4.5.1:
-# with g = gcd(da, db), the sum t/(da·db/g) can only share a factor with g.
+# int or Fraction has no items, so unpacking it raises TypeError; only
+# ``_cmp`` then reads both arguments through ``_pair`` (see the module
+# docstring), and pairs never take that branch.  ``_add`` and ``_sub``
+# follow Knuth, TAOCP vol. 2 §4.5.1: with g = gcd(da, db), the sum
+# t/(da·db/g) can only share a factor with g.
 
 def _add(a, b):
-    try:
-        na, da = a
-        nb, db = b
-    except TypeError:
-        na, da = _pair(a)
-        nb, db = _pair(b)
+    na, da = a
+    nb, db = b
     g = math.gcd(da, db)
     if g == 1:
         return na * db + nb * da, da * db
@@ -174,12 +172,8 @@ def _add(a, b):
 
 
 def _sub(a, b):
-    try:
-        na, da = a
-        nb, db = b
-    except TypeError:
-        na, da = _pair(a)
-        nb, db = _pair(b)
+    na, da = a
+    nb, db = b
     g = math.gcd(da, db)
     if g == 1:
         return na * db - nb * da, da * db
@@ -192,10 +186,7 @@ def _sub(a, b):
 
 
 def _neg(a):
-    try:
-        n, d = a
-    except TypeError:
-        n, d = _pair(a)
+    n, d = a
     return -n, d
 
 
@@ -270,8 +261,8 @@ class LGroup(ABC):
         """Raise BackendMismatch when the payload has the wrong shape."""
 
     def _read(self, a: Any) -> Any:
-        """``a`` as a payload; Q, D and H(p) read a bare int or Fraction as
-        its pair."""
+        """``a`` as a payload: ``gamma``'s unit.  Q, D and H(p) read a bare
+        int or Fraction as its pair."""
         return a
 
     def sub(self, a: Any, b: Any) -> Any:
@@ -419,10 +410,10 @@ class _FractionGroup(LGroup):
     reduced pairs (n, d).
 
     ``add``, ``sub``, ``neg`` and ``cmp`` are the pair kernels themselves.
-    Every operation also takes a bare int or Fraction for an argument and
-    reads it as its pair: the kernels in their unpacking, the rest when a
-    number raises TypeError.  Pairs never take that branch, and no result
-    is a Fraction.  ``validate`` still accepts pairs only.
+    Only ``cmp`` (and so LGroup's ``lt``) and ``_read``, for ``gamma``'s
+    unit, also read a bare int or Fraction as its pair (see the module
+    docstring); the other operations raise TypeError on one, and under
+    ``eq`` it equals no point.
     """
 
     def zero(self):
@@ -439,29 +430,16 @@ class _FractionGroup(LGroup):
     # are equal pairs.
 
     def eq(self, a, b):
-        if type(a) is tuple is type(b):
-            return a == b
-        return _pair(a) == _pair(b)
+        return a == b
 
     def leq(self, a, b):
-        try:
-            return a[0] * b[1] <= b[0] * a[1]
-        except TypeError:
-            return _cmp(_pair(a), _pair(b)) <= 0
+        return a[0] * b[1] <= b[0] * a[1]
 
     def join(self, a, b):
-        try:
-            return b if a[0] * b[1] < b[0] * a[1] else a
-        except TypeError:
-            a, b = _pair(a), _pair(b)
-            return b if _cmp(a, b) < 0 else a
+        return b if a[0] * b[1] < b[0] * a[1] else a
 
     def meet(self, a, b):
-        try:
-            return a if a[0] * b[1] < b[0] * a[1] else b
-        except TypeError:
-            a, b = _pair(a), _pair(b)
-            return a if _cmp(a, b) < 0 else b
+        return a if a[0] * b[1] < b[0] * a[1] else b
 
     def validate(self, a):
         if not _is_pair(a):
@@ -478,10 +456,7 @@ class _FractionGroup(LGroup):
     _coerce_scalar = staticmethod(_as_pair)
 
     def halve(self, a):
-        try:
-            h = _half(a)
-        except TypeError:
-            h = _half(_pair(a))
+        h = _half(a)
         return h if self.member(h) else None
 
     def _denominator(self, rng: random.Random) -> int:

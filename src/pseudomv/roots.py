@@ -252,7 +252,6 @@ class SquareRootReport:
     r0: Any
     witness_idempotent: Any | None
     classification: str
-    residuum_cross: CheckResult | None = None
 
     @property
     def is_weak_square_root(self) -> bool:
@@ -352,12 +351,6 @@ _NEGATION_ROW = ("negation_compat", "elements",
 _VERIFY_ROWS = (
     _SQUARE_ROW,
     _NEGATION_ROW,
-    # sound direction only: the arrow equation forces the residuum bound
-    # (r(x) ⊙ r(x⁻) = r(x) ∧ r(0) ≤ r(0)); the converse rests on the
-    # residuation bound, which noncommutative carriers violate
-    ("residuum_cross", "elements", lambda s, x: (
-        s.M.leq(s.M.odot(rx := s.r(x), rnx := s.r(s.M.neg(x))), s.r0)
-        or not s.M.eq(rnx, s.M.arrow(rx, s.r0)))),
     ("standard", "elements",
      lambda s, x: s.M.eq(s.M.odot(rx := s.r(x), s.r0), s.M.odot(s.r0, rx))),
     ("maximality", "squares_below", lambda s, y, x: s.M.leq(y, s.r(x))),
@@ -367,10 +360,9 @@ _VERIFY_ROWS = (
 def verify(algebra: PseudoMV, root: SquareRootMap, budget: int | None = None,
            seed: int | None = None) -> SquareRootReport:
     """Check the square law pointwise, maximality on (conditioned) pairs,
-    negation compatibility through both defining equations plus the
-    residuum cross-check r(x) ⊙ r(x⁻) ≤ r(0), and the standardness law.
-    The laws on elements share one walk that evaluates r(x), r(x⁻) and r(x∼)
-    once per point and keeps nothing across points."""
+    negation compatibility through both defining equations, and the
+    standardness law.  The laws on elements share one walk that evaluates
+    r(x), r(x⁻) and r(x∼) once per point and keeps nothing across points."""
     s = _Suite(algebra, root, budget, seed, per_point=True, elements="verify-elems")
     res = run_rows(_VERIFY_ROWS, s)
     square, maximality, negation = res["square"], res["maximality"], res["negation_compat"]
@@ -405,7 +397,6 @@ def verify(algebra: PseudoMV, root: SquareRootMap, budget: int | None = None,
         r0=r0,
         witness_idempotent=witness,
         classification=classification,
-        residuum_cross=res["residuum_cross"] if square.passed and maximality.passed else None,
     )
 
 

@@ -16,6 +16,7 @@ from pseudomv import cli
 from pseudomv.core import make_rng
 from pseudomv.finite import catalogue_closure
 from pseudomv.ideals import (
+    IDEAL_CEILING,
     IdealHandle,
     NotAnIdeal,
     atoms,
@@ -381,6 +382,25 @@ def test_scan_statuses():
     scan = strongly_atomless_scan(pmv.chain(2))
     assert scan["status"] == "counterexample"
     assert 1 in scan["missing"]
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_analyze_reads_strong_atomlessness_off_atoms_as_the_scan_decides(seed, tmp_path):
+    # analyze reports strong atomlessness on a table from its atoms; the
+    # witness scan over every nonzero element gives the same status
+    tables = ([t for t in catalogue_closure(12) if t.size <= IDEAL_CEILING]
+              + [pmv.chain(0), pmv.boolean(0)])
+    path = tmp_path / "t.json"
+    for algebra in tables:
+        table = algebra.table
+        path.write_text(json.dumps({"finite": {
+            "n": table.n, "oplus": table.oplus, "neg": table.neg, "tilde": table.tilde,
+            "zero": table.zero, "one": table.one}}))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(["analyze", str(path), "--seed", str(seed)]) == 0
+        got = json.loads(out.getvalue())["ideals"]["strongly_atomless"]
+        assert got == strongly_atomless_scan(algebra, seed=seed)["status"], algebra.name
 
 
 def test_strongly_atomless_algebras_have_no_atoms_on_probes():

@@ -465,10 +465,10 @@ def test_fused_exact_gamma_kernels_match_generic(name, data):
     assert fused.getstate() == composed.getstate()
 
 
-#: Arguments of the wrong kind or shape, and the bare numbers that Q, D and
-#: H(p) read as pairs.  A payload of the right shape with a malformed
-#: coordinate is left out: a kernel may decide its clamp before it reads
-#: that coordinate, where the composition raises.
+#: Arguments of the wrong kind or shape, bare numbers among them.  A
+#: payload of the right shape with a malformed coordinate is left out: a
+#: kernel may decide its clamp before it reads that coordinate, where the
+#: composition raises.
 ODD_ARGUMENTS = [None, "ab", (1, 2, 3), True, 1.5, ((1, 2),), F(1, 2), 2]
 RATIONAL_TYPES = (pmv.RationalGroup, pmv.DyadicGroup, pmv.PowerDenominatorGroup)
 
@@ -486,8 +486,7 @@ def _outcome(f, *args):
 def test_fused_exact_kernels_read_and_refuse_as_the_methods_do(name, data):
     # the kernels take Γ's points only: where the method refuses an argument
     # the kernel raises TypeError or ValueError, where both return they
-    # agree, and a bare number, which the group operations of Q, D and H(p)
-    # read as a pair, is refused by Γ's ⊕ ⁻ ∼ ⊙ on them
+    # agree, and Γ's ⊕ ⁻ ∼ ⊙ on Q, D and H(p) refuse a bare number
     m, g = _exact_gamma(name, data)[:2]
     inside = m.sample(random.Random(0))
     for bad in ODD_ARGUMENTS:
@@ -1050,9 +1049,9 @@ def test_only_canonical_payloads_validate(name):
 
 @pytest.mark.parametrize("name", ["heis", "lex(Q,heis)", "prod(Q,D)"])
 def test_composite_points_refuse_bare_coordinates(name):
-    # only whole arguments of Q, D and H(p) read as pairs: a bare number in
-    # a coordinate of a Heisenberg or product point is refused loudly where
-    # points come in, and eq, which compares payloads, does not read it
+    # a bare number in a coordinate of a Heisenberg or product point is
+    # refused loudly where points come in, and eq, which compares payloads,
+    # does not read it
     g = CANONICAL_CASES[name][0]()
     point = g.from_flat([F(1, 2)] * g.flat_arity)
     for i in range(g.flat_arity):
@@ -1073,34 +1072,42 @@ RATIONAL_GROUPS = {
 
 @pytest.mark.parametrize("name", list(RATIONAL_GROUPS))
 def test_rational_groups_read_bare_numbers(name):
-    # an argument written as an int or a Fraction reads as its pair, so each
-    # operation gives what it gives on pairs, and its results are pairs
+    # only cmp, in every mix of arguments, and gamma's unit read an int or a
+    # Fraction as its pair; the other operations take pairs only, and under
+    # eq a bare number equals no pair
     g = RATIONAL_GROUPS[name]()
     numbers = [F(3, 4), F(-1, 2), 2, 0]
     for x in numbers:
         px = g.from_flat([x])
-        assert g.neg(x) == g.neg(px) and g.halve(x) == g.halve(px)
+        for op in ("neg", "halve"):
+            with pytest.raises(TypeError):
+                getattr(g, op)(x)
         for y in numbers:
             py = g.from_flat([y])
-            for op in ("add", "sub", "cmp", "eq", "leq", "lt", "join", "meet"):
-                want = getattr(g, op)(px, py)
-                for args in ((x, y), (x, py), (px, y)):
-                    got = getattr(g, op)(*args)
-                    assert got == want and type(got) is type(want), (op, args)
+            for args in ((x, y), (x, py), (px, y)):
+                assert g.cmp(*args) == g.cmp(px, py), args
+                for op in ("add", "sub", "leq", "join", "meet"):
+                    with pytest.raises(TypeError):
+                        getattr(g, op)(*args)
+            assert not g.eq(x, py) and not g.eq(px, y)
     m = pmv.gamma(g, F(1))
     assert m.unit == g.from_flat([1]) and pmv.gamma(g, 1).unit == m.unit
-    assert m.leq(F(1, 4), F(1, 2))
-    with pytest.raises(TypeError):      # Γ's fused operations take its points only
-        m.oplus(F(3, 4), F(1, 2))
+    for op, args in (("leq", (F(1, 4), F(1, 2))), ("oplus", (F(3, 4), F(1, 2)))):
+        with pytest.raises(TypeError):      # Γ's operations take its points only
+            getattr(m, op)(*args)
     # validate and contains still take pairs only, and a non-number is refused
     assert not m.contains(F(1, 2)) and m.contains(g.from_flat([F(1, 2)]))
     for bad in (0.5, True, "1"):
         with pytest.raises(pmv.BackendMismatch):
             pmv.gamma(g, bad)
+    one = g.from_flat([1])
     for bad in (0.5, True):
-        for op in ("add", "cmp", "eq", "leq", "join"):
-            with pytest.raises(pmv.BackendMismatch):
-                getattr(g, op)(g.from_flat([1]), bad)
+        with pytest.raises(pmv.BackendMismatch):
+            g.cmp(one, bad)
+        for op in ("add", "leq", "join"):
+            with pytest.raises(TypeError):
+                getattr(g, op)(one, bad)
+        assert not g.eq(one, bad)
     # a malformed pair is read once, not again and again
     for op in ("add", "sub", "cmp", "leq", "lt", "join", "meet"):
         with pytest.raises(TypeError):

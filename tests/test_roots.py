@@ -508,16 +508,6 @@ def test_residuation_gap_on_lex_heis_is_a_commutator(u0, data):
     assert m.leq(lhs, rhs) == (gap <= 0)
 
 
-def test_residuum_cross_check_is_coherent():
-    # wherever r(x⁻) = r(x) → r(0) holds, r(x) ⊙ r(x⁻) ≤ r(0) must follow
-    d = dyadic_unit()
-    rep = pmv.verify(d, pmv.closed_form(d, "sym"), budget=300)
-    assert rep.residuum_cross is not None and rep.residuum_cross.passed
-    scaling, root = scaling_action_algebra()
-    rep = pmv.verify(scaling, root, budget=300)
-    assert rep.residuum_cross.passed
-
-
 def test_residuum_bound_and_arrow_equation_diverge_pointwise():
     # on the scaling action the two halves of the negation-compat criterion
     # come apart: at (1, −1) the product bound holds while the arrow

@@ -79,10 +79,9 @@ MUTANTS = {
     "heis-sub-cross-term-sign": (LG, "-d0[0] * b1[0], d0[1] * b1[1])", "d0[0] * b1[0], d0[1] * b1[1])"),
     "sum3-unreduced": (LG, "    return (n, d) if g == 1 else (n // g, d // g)\n", "    return n, d\n"),
     "heis-halve-quarter": (LG, "(n * q << 2) - p * d", "(n * q << 1) - p * d"),
-    # bare numbers read in the kernels' unpacking
+    # bare numbers read in cmp's unpacking
     "cmp-bare-reads-b-as-a": (LG, "        nb, db = _pair(b)\n    x = na * db",
                               "        nb, db = _pair(a)\n    x = na * db"),
-    "neg-bare-reads-zero": (LG, "        n, d = _pair(a)\n    return -n, d", "        n, d = 0, 1\n    return -n, d"),
     # sampler bounds
     "heis-sample-upper-bound": (LG, "lo, hi = -2 * d, 2 * d + 1", "lo, hi = -2 * d, 2 * d"),
     "rational-denominator-bound": (LG, "rng.randrange(1, SAMPLE_DENOMINATOR_BOUND + 1)",
