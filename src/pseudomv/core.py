@@ -119,7 +119,8 @@ class CheckResult:
 
     ``name`` is the key of the checked item.  ``witnesses`` holds up to
     :data:`MAX_WITNESSES` offending inputs in the (deterministic) order they
-    were found.
+    were found.  ``checked`` counts the points walked; once the result is
+    :attr:`settled`, later points of the walk are counted but not evaluated.
     """
 
     name: str
@@ -134,6 +135,11 @@ class CheckResult:
         self.passed = False
         if len(self.witnesses) < self.MAX_WITNESSES:
             self.witnesses.append(witness)
+
+    @property
+    def settled(self) -> bool:
+        """Failed with every witness slot full: no later point can change it."""
+        return not self.passed and len(self.witnesses) >= self.MAX_WITNESSES
 
     def __bool__(self) -> bool:
         return self.passed
@@ -221,23 +227,29 @@ def run_rows(rows: Iterable[tuple], domains: Domains) -> dict[str, CheckResult]:
     A row is (item, domain, predicate): predicate(domains, *point) is counted
     at every point of the ``domains`` attribute named by domain, in row order.
     Consecutive rows walked on one domain share a single walk of it, and
-    ``domains.point_cache`` is cleared at each point of a walk.
+    ``domains.point_cache`` is cleared at each point of a walk.  Once an
+    item's result is settled (:attr:`CheckResult.settled`) its rows are not
+    evaluated again, in this walk or a later one; ``checked`` still counts
+    every point walked.
     """
     out: dict[str, CheckResult] = {}
     for walk, group in itertools.groupby(rows, key=lambda row: domains.walk(row[1])):
         counted = [(out.setdefault(item, CheckResult(item)), _ARITY.get(domain), holds)
                    for item, domain, holds in group]
+        live = [row for row in counted if not row[0].settled]
         clear, points = domains.point_cache.clear, 0
         for point in getattr(domains, walk):
             points += 1
             clear()
-            for res, arity, holds in counted:
+            for res, arity, holds in live:
                 # coordinates passed one by one: on float carriers a call
                 # with *point costs about as much as the predicate
                 if not (holds(domains, point[0]) if arity == 1
                         else holds(domains, point[0], point[1]) if arity == 2
                         else holds(domains, *point)):
                     res.fail(point[:arity])
+                    if res.settled:     # rebinding leaves this point's loop as it is
+                        live = [row for row in live if row[0] is not res]
         for res, _, _ in counted:
             res.checked += points
     return out

@@ -9,6 +9,7 @@ and group-interval operations against the direct group formulas
 from __future__ import annotations
 
 import hashlib
+import itertools
 from fractions import Fraction as F
 
 import pytest
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 
 import pseudomv as pmv
 from pseudomv import UNDEFINED, BackendMismatch, UnsupportedBackend
-from pseudomv.core import derive_seed, make_rng
+from pseudomv.core import derive_seed, make_rng, run_rows
 from pseudomv.counterexamples import exp_action_algebra, scaling_action_algebra
 from pseudomv.finite import FinitePMV, FiniteTable, catalogue_closure
 from points import shuffled
@@ -220,6 +221,111 @@ def test_symmetry():
     assert res.witnesses
     x = (1.0, 1.0)
     assert scaling.neg(x) != scaling.tilde(x)
+
+
+# ----------------------------------------------------------------------
+# the row runner, against the loop that evaluates every row at every point
+# ----------------------------------------------------------------------
+
+class Boom(Exception):
+    pass
+
+
+class Walks:
+    """Points numbered 0, 1, ... on each domain: point i has coordinates
+    i, i + 100, i + 200 up to its arity, and ``one`` is the single point
+    (1,).  With ``shared`` set, elements and pairs are walked as the leading
+    coordinates of the triples, as sampled :class:`core.Domains` do."""
+
+    def __init__(self, sizes, shared=False):
+        self.point_cache = {}
+        self.shared = shared
+        for (domain, arity), size in zip((("elements", 1), ("pairs", 2), ("triples", 3)), sizes):
+            setattr(self, domain, [(i, i + 100, i + 200)[:arity] for i in range(size)])
+        self.one = [(1,)]
+
+    def walk(self, domain):
+        return "triples" if self.shared and domain in ("elements", "pairs") else domain
+
+
+def run_rows_everywhere(rows, domains):
+    """The reference for ``run_rows``: every row is evaluated at every point
+    of its walk, with no early stop."""
+    out = {}
+    for walk, group in itertools.groupby(rows, key=lambda row: domains.walk(row[1])):
+        counted = [(out.setdefault(item, pmv.CheckResult(item)),
+                    {"elements": 1, "pairs": 2}.get(domain), holds)
+                   for item, domain, holds in group]
+        points = 0
+        for point in getattr(domains, walk):
+            points += 1
+            domains.point_cache.clear()
+            for res, arity, holds in counted:
+                if not holds(domains, *point[:arity]):
+                    res.fail(point[:arity])
+        for res, _, _ in counted:
+            res.checked += points
+    return out
+
+
+def failing_at(fails, raises_at=None):
+    """A predicate that fails where its first coordinate is in ``fails`` and
+    raises :class:`Boom` where it is ``raises_at``."""
+    def holds(domains, first, *rest):
+        if first == raises_at:
+            raise Boom
+        return first not in fails
+    return holds
+
+
+DOMAINS = ("elements", "pairs", "triples", "one")
+
+
+@st.composite
+def row_tables(draw):
+    """Rows of items a–d on the four domains, each failing on a drawn point
+    set (0, 1–2, 3 or more points), and maybe one row of its own item
+    ``boom`` that fails at most twice and raises at a drawn point."""
+    fails = st.sets(st.integers(0, 11), max_size=7)
+    rows = draw(st.lists(st.builds(lambda item, domain, f: (item, domain, failing_at(f)),
+                                   st.sampled_from("abcd"), st.sampled_from(DOMAINS), fails),
+                         min_size=1, max_size=10))
+    if draw(st.booleans()):
+        boom = ("boom", draw(st.sampled_from(DOMAINS)),
+                failing_at(draw(st.sets(st.integers(0, 11), max_size=2)), draw(st.integers(0, 11))))
+        rows.insert(draw(st.integers(0, len(rows))), boom)
+    return rows
+
+
+def run_or_raise(runner, rows, domains):
+    try:
+        return [(item, r.passed, r.checked, r.witnesses) for item, r in runner(rows, domains).items()]
+    except Boom:
+        return Boom
+
+
+@settings(max_examples=400, deadline=None)
+@given(rows=row_tables(), sizes=st.tuples(*[st.integers(0, 12)] * 3), shared=st.booleans())
+def test_run_rows_matches_the_loop_that_evaluates_every_row(rows, sizes, shared):
+    # same items in the same order, each with the same verdict, count and
+    # first witnesses; a row that is live where it raises still raises
+    domains = Walks(sizes, shared)
+    assert run_or_raise(run_rows, rows, domains) == run_or_raise(run_rows_everywhere, rows, domains)
+
+
+def test_run_rows_stops_evaluating_a_settled_item():
+    # item a settles at point 2 of the elements: its raising rows, in that
+    # walk and the next, are not evaluated again, and ``checked`` still
+    # counts every point walked.  b fails twice, so its row is still live
+    # where it raises, and the error propagates
+    domains = Walks((12, 12, 0))
+    rows = [("a", "elements", failing_at({0, 1, 2})), ("a", "elements", failing_at((), 5)),
+            ("a", "pairs", failing_at((), 0))]
+    res = run_rows(rows, domains)["a"]
+    assert (res.passed, res.checked, res.witnesses) == (False, 36, [(0,), (1,), (2,)])
+    assert res.settled
+    with pytest.raises(Boom):
+        run_rows(rows + [("b", "pairs", failing_at({0, 1}, 7))], domains)
 
 
 # ----------------------------------------------------------------------

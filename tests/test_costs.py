@@ -18,6 +18,7 @@ import pseudomv.cli as cli
 import pseudomv.finite as finite
 import pseudomv.ideals as ideals
 from pseudomv.core import PseudoMV, make_rng
+from pseudomv.counterexamples import scaling_action_algebra
 from pseudomv.finite import FinitePMV, catalogue_closure
 from pseudomv.lgroups import LGroup
 from pseudomv.roots import custom_map
@@ -86,6 +87,21 @@ def test_verify_root_evaluations_on_lex_heis():
     # laws that each evaluate r by themselves cost 6 per element, 1 per
     # maximality pair and 1 for r(0)
     assert len(points) <= 7 * 40 + 1
+
+
+def test_verify_stops_evaluating_settled_laws_on_the_scaling_root():
+    # the scaling weak root fails negation compatibility and standardness
+    # within a few points; once each holds three witnesses r(x⁻) and r(x∼)
+    # are not evaluated again, leaving r(x) on the elements, r on the
+    # maximality pairs, and r(0)
+    m, root = scaling_action_algebra()
+    calls = []
+    counted = custom_map(m, lambda x: calls.append(x) or root(x))
+    budget = 1000
+    rep = pmv.verify(m, counted, budget=budget, seed=1)
+    assert rep.classification == "weak-only"
+    assert rep.negation_compat.checked == rep.standard.checked == budget
+    assert len(calls) <= 2 * budget + 8
 
 
 def int_payload(x):

@@ -15,15 +15,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pseudomv as pmv
-from pseudomv.core import make_rng
+from pseudomv.core import make_rng, run_rows
 from pseudomv.roots import (
     GATED_EXTRAS,
     PROPERTY_ITEMS,
     SKIPPED,
     WEAK_SAFE_ITEMS,
+    _PROPERTY_ROWS,
     HalvingUnavailable,
     LadderError,
     NotCentral,
+    _Suite,
     custom_map,
     odot_power,
     relative_map,
@@ -506,6 +508,33 @@ def test_residuation_gap_on_lex_heis_is_a_commutator(u0, data):
     a, b = g.flatten(lhs), g.flatten(rhs)
     assert a[:3] == b[:3] and a[3] - b[3] == gap
     assert m.leq(lhs, rhs) == (gap <= 0)
+
+
+BOUND_ITEMS = ("residuation_bounds", "product_upper_bound", "sum_lower_bound")
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_bounds_on_lex_heis_hold_on_commuting_pairs(data):
+    """The positive half of the commutator reading: on Γ(lex(ℚ, heis),
+    (1, 0, 0, 0)) with the sym root, the property suite's rows for the three
+    bounds that fail there hold at every pair whose heis parts commute,
+    here made so by taking y's heis coordinates 1–2 as k times x's."""
+    g = pmv.LexProduct(pmv.RationalGroup(), pmv.HeisenbergGroup())
+    m = pmv.gamma(g, g.from_flat([1, 0, 0, 0]))
+    c = st.fractions(-2, 2, max_denominator=16)
+    clamp = lambda flat: m.meet(m.join(g.from_flat(flat), m.zero), m.unit)
+    x = clamp([data.draw(st.fractions(0, 1, max_denominator=16)), data.draw(c), data.draw(c),
+               data.draw(c)])
+    k = data.draw(c)
+    _, x1, x2, _ = g.flatten(x)
+    y = clamp([data.draw(st.fractions(0, 1, max_denominator=16)), k * x1, k * x2, data.draw(c)])
+    s = _Suite(m, pmv.closed_form(m, "sym"), None, None)
+    s.pairs = [(x, y)]
+    res = run_rows([(item, domain, holds) for item, _, domain, holds in _PROPERTY_ROWS
+                    if item in BOUND_ITEMS and domain == "pairs"], s)
+    assert list(res) == list(BOUND_ITEMS)
+    assert all(r.passed and r.checked == 1 for r in res.values())
 
 
 def test_residuum_bound_and_arrow_equation_diverge_pointwise():

@@ -160,6 +160,13 @@ MUTANTS = {
                                   "            if s0 > 0 and clamp:\n"),
     "fused-lex-tie-skips-tail-clamp": (FU, "            s = t_cap(xt, yt)\n            if s is None:\n                return over\n",
                                        "            s = t_add(xt, yt)\n            if s is None:\n                return over\n"),
+    # the row runner's early stop: retiring a result before its witnesses
+    # are all held changes them, and never retiring one costs evaluations
+    "run-rows-retires-at-first-witness": ("src/pseudomv/core.py",
+                                          "len(self.witnesses) >= self.MAX_WITNESSES",
+                                          "len(self.witnesses) >= 1"),
+    "run-rows-never-retires": ("src/pseudomv/core.py", "                    if res.settled:",
+                               "                    if False:"),
     "negation-compat-drops-tilde": ("src/pseudomv/roots.py",
                                     "and algebra.eq(root(algebra.tilde(x)), algebra.snake(rx, r0)))",
                                     "and True)"),
