@@ -228,13 +228,10 @@ def parse_element_literal(group: LGroup, text: str) -> Any:
     else:
         toks = [text]
     values = [_parse_scalar(t) for t in toks if t.strip()]
-    if not group.exact:
-        try:
-            values = [float(v) for v in values]
-        except OverflowError as exc:
-            raise SpecFileError(f"literal {_prefix(text)} does not fit a float") from exc
     try:
-        return group.from_flat(values)
+        return group.from_flat(values)     # a float factor converts its own coordinates
+    except OverflowError as exc:
+        raise SpecFileError(f"literal {_prefix(text)} does not fit a float") from exc
     except AlgebraError as exc:
         raise SpecFileError(str(exc)) from exc
 

@@ -4,8 +4,8 @@
 exact group, so a command that builds none does not compile it.  For ℤ, Q, D, H(p), the Heisenberg group, and lex and direct
 products of them, :func:`gamma_parts` builds, once per unit, one closure
 for each of x ⊕ y = (x+y) ∧ u, x⁻ = u − x, x∼ = −x + u and
-x ⊙ y = (x − u + y) ∨ 0, and an interval sampler.  Each decides its clamp
-before it reduces anything:
+x ⊙ y = (x − u + y) ∨ 0.  Each decides its clamp before it reduces
+anything:
 
 * on Q, D and H(p), one unreduced sum over one denominator, one sign test
   and at most one gcd;
@@ -18,11 +18,9 @@ before it reduces anything:
   Γ(G₁ × G₂, (u₁, u₂)) = Γ(G₁, u₁) × Γ(G₂, u₂);
 * on ℤ, the int expressions.
 
-The closures take Γ's points only, canonical payloads of [0, u], and the
-samplers a ``random.Random``: they draw the integers ``rng.randrange``
-would, as ``a + rng._randbelow(b − a)``, without its argument checks.  On
-a point each Γ closure returns what ``GammaPMV``'s method returns, equal in
-value and in type
+The closures take Γ's points only, canonical payloads of [0, u].  On a
+point each returns what ``GammaPMV``'s method returns, equal in value and
+in type
 (``tests/test_lgroups.py::test_fused_exact_gamma_kernels_match_generic``).
 An argument it cannot read raises TypeError or ValueError where it is
 read, a bare int or Fraction on Q, D and H(p) included, as in the group's
@@ -31,7 +29,8 @@ pair (see :mod:`pseudomv.lgroups`).  A payload of the right shape with a
 malformed coordinate may instead return, as it lies outside
 ``validate``: a closure may decide its clamp before it reads that
 coordinate.  Only the exact types above are fused: a subclass
-may change the operations, so Γ composes them.
+may change the operations, so Γ composes them.  Nothing here draws a
+random point: each group draws Γ's own, in :mod:`pseudomv.lgroups`.
 """
 
 from __future__ import annotations
@@ -41,7 +40,6 @@ from typing import Any
 
 from .lgroups import (
     _ZERO,
-    SAMPLE_DENOMINATOR_BOUND,
     DirectProductGroup,
     DyadicGroup,
     HeisenbergGroup,
@@ -54,7 +52,7 @@ from .lgroups import (
 )
 
 #: The Γ primitives fused here, which GammaPMV binds.
-GAMMA_OPS = ("oplus", "neg", "tilde", "odot", "sample")
+GAMMA_OPS = ("oplus", "neg", "tilde", "odot")
 
 
 def exact_kernels(group: LGroup, unit: Any) -> dict[str, Any] | None:
@@ -68,27 +66,15 @@ def gamma_parts(group: LGroup, unit: Any) -> dict[str, Any] | None:
     """The fused Γ(group, unit) operations, and what a lexicographic or
     direct product builds its own from; None where the group has none.
 
-    ``oplus``, ``neg``, ``tilde``, ``odot`` and ``sample`` are Γ's.
-    ``sample`` needs unit ≥ 0, as every Γ unit, the head of a lex unit and
-    each factor of a product unit is.  ``rest`` is x − u + y unclamped, and
-    ``zero`` the zero payload.  A linearly ordered group adds ``below``,
-    x + y if it lies below u, ``unit`` itself if it is u and None above,
-    and ``above``, x − u + y if it lies above 0, ``zero`` itself if it is 0
-    and None below: the head of a lexicographic product reads its clamps
-    off them.  None of the parts reads a bare number."""
+    ``oplus``, ``neg``, ``tilde`` and ``odot`` are Γ's.  ``rest`` is
+    x − u + y unclamped, and ``zero`` the zero payload.  A linearly ordered
+    group adds ``below``, x + y if it lies below u, ``unit`` itself if it
+    is u and None above, and ``above``, x − u + y if it lies above 0,
+    ``zero`` itself if it is 0 and None below: the head of a lexicographic
+    product reads its clamps off them.  None of the parts reads a bare
+    number."""
     build = _PARTS.get(type(group))
     return None if build is None else build(group, unit)
-
-
-def _denominator_draw(group):
-    """``group._denominator(rng)`` as a function of (rng, below), drawing
-    ``randrange(a, b)`` as ``a + below(b − a)``."""
-    if type(group) is RationalGroup:
-        return lambda rng, below: 1 + below(SAMPLE_DENOMINATOR_BOUND)
-    if type(group) is DyadicGroup:
-        exponents = SAMPLE_DENOMINATOR_BOUND.bit_length()
-        return lambda rng, below: 1 << below(exponents)
-    return lambda rng, below: group._denominator(rng)     # H(p) draws with random()
 
 
 def _integer_parts(group, u):
@@ -113,12 +99,9 @@ def _integer_parts(group, u):
             return u - x if left else -x + u
         return neg
 
-    def sample(rng):                    # randrange(0, u + 1)
-        return rng._randbelow(u + 1)
-
     return {"oplus": capped(u), "below": capped(None), "odot": shifted(0, True),
             "above": shifted(None, True), "rest": shifted(None, False), "neg": negation(True),
-            "tilde": negation(False), "sample": sample, "zero": 0}
+            "tilde": negation(False), "zero": 0}
 
 
 def _fraction_parts(group, unit):
@@ -170,18 +153,9 @@ def _fraction_parts(group, unit):
         g = gcd(n, d)
         return (n, d) if g == 1 else (n // g, d // g)
 
-    denominator = _denominator_draw(group)
-
-    def sample(rng):                    # k/d for k ≤ u·d, which needs no meet with u
-        below = rng._randbelow
-        d = denominator(rng, below)
-        n = below(un * d // ud + 1)
-        g = gcd(n, d)
-        return (n, d) if g == 1 else (n // g, d // g)
-
     return {"oplus": capped(unit), "below": capped(None), "odot": shifted(_ZERO, True),
             "above": shifted(None, True), "rest": shifted(None, False), "neg": neg,
-            "tilde": neg, "sample": sample, "zero": _ZERO}
+            "tilde": neg, "zero": _ZERO}
 
 
 def _heisenberg_parts(group, unit):
@@ -305,22 +279,9 @@ def _heisenberg_parts(group, unit):
             return (_reduced((s0, t0)), _reduced((s1, t1)), _reduced((n2, d2)))
         return neg
 
-    def sample(rng):
-        # random_element's three draws k/d, joined with 0 and met with u
-        below = rng._randbelow
-        d = 1 << below(5)
-        w, lo = 4 * d + 1, -2 * d
-        k0, k1, k2 = lo + below(w), lo + below(w), lo + below(w)
-        if k0 < 0 or not k0 and (k1 < 0 or not k1 and k2 < 0):
-            return zero
-        c = k0 * b0 - a0 * d or k1 * b1 - a1 * d or k2 * b2 - a2 * d
-        if c >= 0:
-            return unit
-        return (_reduced((k0, d)), _reduced((k1, d)), _reduced((k2, d)))
-
     return {"oplus": capped(unit), "below": capped(None), "odot": shifted(zero, True),
             "above": shifted(None, True), "rest": shifted(None, False), "neg": negation(True),
-            "tilde": negation(False), "sample": sample, "zero": zero}
+            "tilde": negation(False), "zero": zero}
 
 
 def _lex_parts(group, unit):
@@ -333,9 +294,8 @@ def _lex_parts(group, unit):
         return None
     zh, zt = head["zero"], tail["zero"]
     zero = (zh, zt)
-    h_below, h_above, h_rest, h_sample = head["below"], head["above"], head["rest"], head["sample"]
+    h_below, h_above, h_rest = head["below"], head["above"], head["rest"]
     t_add, t_rest = group.second.add, tail["rest"]
-    t_random, t_join, t_meet = group.second.random_element, group.second.join, group.second.meet
 
     def capped(over, t_cap):            # (x + y) ∧ u
         def oplus(x, y):
@@ -370,18 +330,9 @@ def _lex_parts(group, unit):
     def rest(x, y):
         return (h_rest(x[0], y[0]), t_rest(x[1], y[1]))
 
-    def sample(rng):                    # a head in [0, u₀] is joined and met on a tie only
-        h = h_sample(rng)
-        t = t_random(rng)
-        if h == zh:
-            t = t_join(t, zt)
-        if h == uh:
-            t = t_meet(t, ut)
-        return (h, t)
-
     parts = {"oplus": capped(unit, tail["oplus"]), "odot": shifted(zero, tail["odot"]),
              "rest": rest, "neg": _pairwise(head["neg"], tail["neg"], 1),
-             "tilde": _pairwise(head["tilde"], tail["tilde"], 1), "sample": sample, "zero": zero}
+             "tilde": _pairwise(head["tilde"], tail["tilde"], 1), "zero": zero}
     if "below" in tail:
         parts.update(below=capped(None, tail["below"]), above=shifted(None, tail["above"]))
     return parts
@@ -393,14 +344,9 @@ def _product_parts(group, unit):
     first, second = gamma_parts(group.first, unit[0]), gamma_parts(group.second, unit[1])
     if first is None or second is None:
         return None
-    f_sample, s_sample = first["sample"], second["sample"]
-
-    def sample(rng):
-        return (f_sample(rng), s_sample(rng))
-
     parts = {op: _pairwise(first[op], second[op]) for op in ("oplus", "odot", "rest")}
     parts.update({op: _pairwise(first[op], second[op], 1) for op in ("neg", "tilde")},
-                 sample=sample, zero=(first["zero"], second["zero"]))
+                 zero=(first["zero"], second["zero"]))
     return parts
 
 

@@ -59,21 +59,23 @@ returns, bit for bit.
 groups, though not on a product with a float factor, nor on exp_numeric
 at a unit past the float range.  ``gamma_kernels`` builds, once per unit,
 a closure for each of x ⊕ y = (x+y) ∧ u, x⁻ = u − x, x∼ = −x + u and
-x ⊙ y = (x − u + y) ∨ 0, and an interval sampler, and ``GammaPMV`` binds
-them; they take Γ's points only, and the samplers a ``random.Random``.
-Γ's own methods, which compose the group operations, stay the
-specification, and a group without kernels keeps them.  The exact
+x ⊙ y = (x − u + y) ∨ 0, and ``GammaPMV`` binds them; they take Γ's
+points only.  Γ's own methods, which compose the group operations, stay
+the specification, and a group without kernels keeps them.  The exact
 groups' kernels live in :mod:`pseudomv.fused`; there ``eq``, ``leq``,
 ``meet`` and ``join`` stay Γ's methods.
 
 On the two float groups the kernels make the tolerance test inline and
-compute the unit's constants (1/u₀ and −u₁/u₀, or e^{±u₀}) once, the
-sampler draws as ``random.uniform`` does and joins and meets inline, and
+compute the unit's constants (1/u₀ and −u₁/u₀, or e^{±u₀}) once, and
 ``eq``, ``leq``, ``meet`` and ``join`` are bound straight to the group's.
 Each closure makes the float expressions of the composition in the same
 order, so it returns the same floats, bit for bit.
 
-Γ(G, u) samples its points with denominators at most the module constant
+Every group draws the points of Γ(G, u) through one sampler,
+``interval_sampler(unit)``, a closure built once per unit that ``GammaPMV``
+binds as its ``sample``.  The samplers draw the integers ``rng.randrange``
+would, as ``a + rng._randbelow(b − a)``, without its argument checks, and
+exact points with denominators at most the module constant
 :data:`SAMPLE_DENOMINATOR_BOUND`.  Every group decides centre membership
 exactly through ``center_has``, and whether a unit is strong through
 ``strong_unit``.
@@ -86,7 +88,7 @@ import random
 from abc import ABC, abstractmethod
 from fractions import Fraction
 from numbers import Rational
-from typing import Any
+from typing import Any, Callable
 
 from .core import (
     AlgebraError,
@@ -111,7 +113,7 @@ __all__ = [
     "gamma",
 ]
 
-#: The denominator bound of the points Γ(G, u) samples (``LGroup.sample_interval``).
+#: The denominator bound of the points Γ(G, u) samples (``LGroup.interval_sampler``).
 SAMPLE_DENOMINATOR_BOUND = 1024
 
 
@@ -311,14 +313,20 @@ class LGroup(ABC):
     def random_element(self, rng: random.Random) -> Any:
         """An arbitrary small element (used by commutation/order probes)."""
 
+    @abstractmethod
+    def interval_sampler(self, unit: Any) -> Callable[[random.Random], Any]:
+        """The draw of a seeded point of [0, unit], for a unit ≥ 0: a
+        function of a ``random.Random``, built once per unit, whose points
+        have coordinates of bounded denominator and lie in the interval."""
+
     def sample_interval(self, rng: random.Random, unit: Any) -> Any:
-        """A seeded point of [0, unit]: coordinates of bounded denominator,
-        clamped into the interval."""
-        x = self.random_element(rng)
-        return self.meet(self.join(x, self.zero()), unit)
+        """One draw of ``interval_sampler(unit)``.  Γ binds the sampler
+        itself; the benchmark's tracer (``bench/tracing.py``) reads this
+        method on every Γ group."""
+        return self.interval_sampler(unit)(rng)
 
     def gamma_kernels(self, unit: Any) -> dict[str, Any] | None:
-        """Fused ``oplus``, ``neg``, ``tilde``, ``odot`` and ``sample`` for
+        """Fused ``oplus``, ``neg``, ``tilde`` and ``odot`` for
         Γ(G, unit), each returning on Γ's points what :class:`GammaPMV`'s
         own method returns; or None, and Γ composes the group operations.
         :class:`GammaPMV` binds every function in the dict.  Here, those of
@@ -395,8 +403,10 @@ class IntegerGroup(LGroup):
     def random_element(self, rng):
         return rng.randrange(-8, 9)
 
-    def sample_interval(self, rng, unit):
-        return rng.randrange(0, unit + 1)
+    def interval_sampler(self, unit):
+        def sample(rng):                    # randrange(0, u + 1)
+            return rng._randbelow(unit + 1)
+        return sample
 
     def interval_size(self, hi):
         return max(hi + 1, 0)
@@ -460,17 +470,23 @@ class _FractionGroup(LGroup):
         return h if self.member(h) else None
 
     def _denominator(self, rng: random.Random) -> int:
-        return rng.randrange(1, SAMPLE_DENOMINATOR_BOUND + 1)
+        return 1 + rng._randbelow(SAMPLE_DENOMINATOR_BOUND)     # randrange(1, N + 1)
 
     def random_element(self, rng):
         d = self._denominator(rng)
         return _reduced((rng.randrange(-2 * d, 2 * d + 1), d))
 
-    def sample_interval(self, rng, unit):
-        d = self._denominator(rng)
-        hi = unit[0] * d // unit[1]
-        q = _reduced((rng.randrange(0, max(hi, 0) + 1), d))
-        return self.meet(q, unit)
+    def interval_sampler(self, unit):
+        un, ud = unit
+        denominator, gcd = self._denominator, math.gcd
+
+        def sample(rng):                    # k/d for k ≤ u·d, which needs no meet with u
+            d = denominator(rng)
+            n = rng._randbelow(un * d // ud + 1)
+            g = gcd(n, d)
+            return (n, d) if g == 1 else (n // g, d // g)
+
+        return sample
 
 
 class RationalGroup(_FractionGroup):
@@ -487,7 +503,7 @@ class DyadicGroup(_FractionGroup):
         return d & (d - 1) == 0
 
     def _denominator(self, rng):
-        return 1 << rng.randrange(0, SAMPLE_DENOMINATOR_BOUND.bit_length())
+        return 1 << rng._randbelow(SAMPLE_DENOMINATOR_BOUND.bit_length())   # randrange(0, k)
 
 
 class PowerDenominatorGroup(_FractionGroup):
@@ -607,6 +623,25 @@ class HeisenbergGroup(LGroup):
         lo, hi = -2 * d, 2 * d + 1
         return (_reduced((rng.randrange(lo, hi), d)), _reduced((rng.randrange(lo, hi), d)),
                 _reduced((rng.randrange(lo, hi), d)))
+
+    def interval_sampler(self, unit):
+        (a0, b0), (a1, b1), (a2, b2) = unit
+        zero = self.zero()
+
+        def sample(rng):
+            # random_element's three draws k/d, joined with 0 and met with u
+            below = rng._randbelow
+            d = 1 << below(5)
+            w, lo = 4 * d + 1, -2 * d
+            k0, k1, k2 = lo + below(w), lo + below(w), lo + below(w)
+            if k0 < 0 or not k0 and (k1 < 0 or not k1 and k2 < 0):
+                return zero
+            c = k0 * b0 - a0 * d or k1 * b1 - a1 * d or k2 * b2 - a2 * d
+            if c >= 0:
+                return unit
+            return (_reduced((k0, d)), _reduced((k1, d)), _reduced((k2, d)))
+
+        return sample
 
     def flatten(self, a):
         return [Fraction(*v) for v in a]
@@ -730,11 +765,24 @@ class LexProduct(_PairGroup):
             return a if c < 0 else b
         return (a[0], self.second.meet(a[1], b[1]))
 
-    def sample_interval(self, rng, unit):
-        h = self.first.sample_interval(rng, unit[0])
-        t = self.second.random_element(rng)
-        x = (h, t)
-        return self.meet(self.join(x, self.zero()), unit)
+    def interval_sampler(self, unit):
+        # the head, drawn in [0, u₀], decides the join with 0 and the meet
+        # with u unless it ties them; only on a tie is the tail joined or met
+        uh, ut = unit
+        head, tail = self.first, self.second
+        h_sample, h_eq, zh, zt = head.interval_sampler(uh), head.eq, head.zero(), tail.zero()
+        t_random, t_join, t_meet = tail.random_element, tail.join, tail.meet
+
+        def sample(rng):
+            h = h_sample(rng)
+            t = t_random(rng)
+            if h_eq(h, zh):
+                t = t_join(t, zt)
+            if h_eq(h, uh):
+                t = t_meet(t, ut)
+            return (h, t)
+
+        return sample
 
 
 class DirectProductGroup(_PairGroup):
@@ -765,9 +813,13 @@ class DirectProductGroup(_PairGroup):
     def meet(self, a, b):
         return (self.first.meet(a[0], b[0]), self.second.meet(a[1], b[1]))
 
-    def sample_interval(self, rng, unit):
-        return (self.first.sample_interval(rng, unit[0]),
-                self.second.sample_interval(rng, unit[1]))
+    def interval_sampler(self, unit):
+        first, second = self.first.interval_sampler(unit[0]), self.second.interval_sampler(unit[1])
+
+        def sample(rng):
+            return (first(rng), second(rng))
+
+        return sample
 
     def interval_size(self, hi):
         sizes = (self.first.interval_size(hi[0]), self.second.interval_size(hi[1]))
@@ -860,21 +912,16 @@ class _FloatPairGroup(LGroup):
         """The first coordinate decides the order and grows with n·u."""
         return u[0] - self.zero()[0] > self.tolerance
 
-    def sample_interval(self, rng, unit):
-        zero = self.zero()
-        x = (rng.uniform(zero[0], unit[0]), rng.uniform(-1.0, 1.0))
-        return self.meet(self.join(x, zero), unit)
-
     def _fused(self, unit, **kernels):
-        """The Γ kernels with the interval sampler, and ``eq``, ``leq``,
-        ``meet`` and ``join`` bound straight to the group's."""
-        return dict(kernels, sample=self._interval_sampler(unit), eq=self.eq, leq=self.leq,
-                    meet=self.meet, join=self.join)
+        """The Γ kernels, and ``eq``, ``leq``, ``meet`` and ``join`` bound
+        straight to the group's."""
+        return dict(kernels, eq=self.eq, leq=self.leq, meet=self.meet, join=self.join)
 
-    def _interval_sampler(self, unit):
-        """``sample_interval(·, unit)`` in one call: ``rng.uniform(a, b)`` is
-        ``a + (b − a) * rng.random()``, and the join with 0 and the meet
-        with u are inline."""
+    def interval_sampler(self, unit):
+        """(uniform(z₀, u₀), uniform(−1, 1)) joined with 0 = (z₀, z₁) and met
+        with u, in one call: ``rng.uniform(a, b)`` is
+        ``a + (b − a) * rng.random()``, and the join and the meet are
+        inline."""
         t = self.tolerance
         u0, u1 = unit
         z0, z1 = self.zero()
@@ -1054,6 +1101,7 @@ class GammaPMV(PseudoMV):
         self._zero = group.zero()
         size = group.interval_size(unit)
         self._interval = None if size is None else group.enumerate_interval(unit)
+        self.sample = group.interval_sampler(unit)
         fused = group.gamma_kernels(unit)
         if fused is not None:   # the methods below stay the specification
             vars(self).update(fused)
@@ -1103,7 +1151,7 @@ class GammaPMV(PseudoMV):
             return False
         return self.group.leq(self._zero, x) and self.group.leq(x, self.unit)
 
-    def sample(self, rng):
+    def sample(self, rng):      # each instance binds group.interval_sampler(unit) over this
         return self.group.sample_interval(rng, self.unit)
 
     @property

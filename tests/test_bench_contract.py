@@ -12,12 +12,14 @@ import importlib
 import importlib.util
 import io
 import json
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import pseudomv as pmv
 import pseudomv.cli as cli
 from pseudomv.cli import load_algebra
 from pseudomv.core import SamplerConfig
@@ -66,6 +68,25 @@ def test_traced_owners_resolve():
             assert meth in vars(getattr(module, cls_name)), owner
         else:
             assert callable(getattr(module, attr)), owner
+
+
+#: One group expression per group class the CLI's DSL builds, with a unit;
+#: the last two put an exact factor beside a float one.
+DSL_GROUPS = {"Z": "2", "Q": "1", "D": "1", "H(6)": "1", "heis": "(1,0,0)",
+              "semi_numeric": "(2,0)", "lex(Q,semi_numeric)": "(1,2,0)",
+              "prod(semi_numeric,Q)": "(2,0,1)"}
+
+
+def test_every_dsl_group_keeps_sample_interval():
+    # the tracer's CountingGroup wraps group.sample_interval on every Γ it counts
+    groups = {text: cli.parse_group(text) for text in DSL_GROUPS}
+    assert {type(g) for g in groups.values()} == {
+        pmv.IntegerGroup, pmv.RationalGroup, pmv.DyadicGroup, pmv.PowerDenominatorGroup,
+        pmv.HeisenbergGroup, pmv.ScalingSemidirect, pmv.LexProduct, pmv.DirectProductGroup}
+    for text, g in groups.items():
+        m = pmv.gamma(g, cli.parse_element_literal(g, DSL_GROUPS[text]))
+        assert callable(g.sample_interval), text
+        assert m.contains(g.sample_interval(random.Random(0), m.unit)), text
 
 
 def _load_bench(monkeypatch, name):

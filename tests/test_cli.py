@@ -118,6 +118,13 @@ def test_parse_element_literals():
         parse_element_literal(z, "1/2")
     s = parse_group("semi_numeric")
     assert parse_element_literal(s, "(2, 0)") == (2.0, 0.0)
+    # a float factor converts its own coordinates and an exact one keeps
+    # its literal exact
+    mixed = parse_group("lex(Q,semi_numeric)")
+    x = parse_element_literal(mixed, "(1/3, 2, 0)")
+    assert x == ((1, 3), (2.0, 0.0)) and type(x[1][0]) is float
+    with pytest.raises(SpecFileError, match="does not fit a float"):
+        parse_element_literal(mixed, "(1, 1e400, 0)")
 
 
 def test_load_algebra_shapes(tmp_path):
@@ -269,6 +276,22 @@ def test_analyze_finds_the_mixed_root(tmp_path, group, r0, witness):
     assert dec["classification"] == "product" and dec["witness"] == witness
     assert dec["boolean_part"]["top"] == witness
     assert all(check["passed"] for check in dec["checks"].values())
+
+
+@pytest.mark.parametrize("group, unit", [("lex(Q,semi_numeric)", "(1,2,0)"),
+                                         ("prod(semi_numeric,Q)", "(2,0,1)"),
+                                         ("lex(semi_numeric,Q)", "(2,0,1)"),
+                                         ("lex(semi_numeric,Q)", "(1,0,1)"),
+                                         ("prod(Q,semi_numeric)", "(1,2,0)")])
+def test_analyze_mixed_exact_float_groups(tmp_path, group, unit):
+    # lex and prod take an exact factor beside a float one; each factor
+    # reads its own coordinates of the unit
+    path = write(tmp_path, "mixed.json", {"gamma": {"group": group, "unit": unit}})
+    proc = run_cli("analyze", path, "--samples", "60")
+    assert proc.returncode == 0, proc.stderr
+    payload = json.loads(proc.stdout)
+    assert payload["axioms"]["all_pass"] is True
+    assert payload["algebra"]["exact"] is False
 
 
 @pytest.mark.parametrize("unit", ["()", 1])

@@ -42,8 +42,8 @@ class CountingGroup(LGroup):
     are not counted."""
 
     add, neg, cmp, meet, join, halve = map(_counted, ("add", "neg", "cmp", "meet", "join", "halve"))
-    zero, validate, center_has, random_element, sample_interval = map(
-        _forwarded, ("zero", "validate", "center_has", "random_element", "sample_interval"))
+    zero, validate, center_has, random_element, interval_sampler = map(
+        _forwarded, ("zero", "validate", "center_has", "random_element", "interval_sampler"))
 
     def __init__(self, group: LGroup):
         self.group, self.ops = group, 0

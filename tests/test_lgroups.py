@@ -267,6 +267,35 @@ FUSED_UNITS = {
 }
 
 
+def composed_sampler(g, unit):
+    """The draw of ``g.interval_sampler(unit)`` by its definition: a direct
+    product draws each factor by this definition, ℤ ``randrange(0, u + 1)``,
+    and Q, D and H(p) by their own sampler, whose draws the membership
+    checks cover; every other group joins a draw x with 0 and meets it with
+    u, where x is ``random_element``'s draw on the Heisenberg group, this
+    head's draw beside the tail's ``random_element`` on a lex product, and
+    (uniform(z₀, u₀), uniform(−1, 1)) on a float group with zero z."""
+    if isinstance(g, pmv.DirectProductGroup):
+        first, second = composed_sampler(g.first, unit[0]), composed_sampler(g.second, unit[1])
+        return lambda rng: (first(rng), second(rng))
+    if isinstance(g, pmv.IntegerGroup):
+        return lambda rng: rng.randrange(0, unit + 1)
+    zero = g.zero()
+    if isinstance(g, pmv.LexProduct):
+        head, tail = composed_sampler(g.first, unit[0]), g.second
+
+        def draw(rng):
+            return (head(rng), tail.random_element(rng))
+    elif isinstance(g, pmv.HeisenbergGroup):
+        draw = g.random_element
+    elif not g.exact:
+        def draw(rng):
+            return (rng.uniform(zero[0], unit[0]), rng.uniform(-1.0, 1.0))
+    else:
+        return g.interval_sampler(unit)
+    return lambda rng: g.meet(g.join(draw(rng), zero), unit)
+
+
 class ScriptedRandom(random.Random):
     """A Random whose ``random()`` returns the given values in turn."""
 
@@ -307,15 +336,17 @@ def test_fused_gamma_kernels_match_generic(cls, tolerance, data):
     for op in ("eq", "leq"):
         assert getattr(m, op)(x, y) == getattr(GammaPMV, op)(m, x, y), op
 
-    # the sampler draws x0 = z0 + (u0 − z0)·r and x1 = −1 + 2·r′, then
-    # joins with 0 and meets with u: r near 0 or 1 and r′ near the
-    # zero's or the unit's second coordinate reach both sides of each
+    # the sampler draws x0 = z0 + (u0 − z0)·r and x1 = −1 + 2·r′, as
+    # random.uniform does, then joins with 0 and meets with u: r near 0 or
+    # 1 and r′ near the zero's or the unit's second coordinate reach both
+    # sides of each
     w = unit[0] - zero[0] or 1.0    # on a level unit x0 is z0 whatever r
     firsts = [0.0, t / w, t / (2 * w), 2 * t / w, 1 - t / (2 * w), 1 - 2 * t / w, 1 - 2 ** -53]
     seconds = [(1 + v + s) / 2 for v in (zero[1], unit[1]) for s in (0.0, t, -t, t / 2, -t / 2, 2 * t)]
     r = [data.draw(st.one_of(st.sampled_from(firsts), st.floats(0, 1, exclude_max=True))),
          data.draw(st.one_of(st.sampled_from(seconds), st.floats(0, 1, exclude_max=True)))]
-    assert all(map(same_float, m.sample(ScriptedRandom(r)), GammaPMV.sample(m, ScriptedRandom(r))))
+    want = composed_sampler(m.group, unit)(ScriptedRandom(r))
+    assert all(map(same_float, m.sample(ScriptedRandom(r)), want))
 
 
 def test_exp_unit_past_the_float_range_keeps_the_composition():
@@ -432,9 +463,9 @@ def _exact_gamma(name, data):
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_fused_exact_gamma_kernels_match_generic(name, data):
-    # Γ on an exact group binds one kernel per primitive and a sampler; the
-    # order operations stay GammaPMV's, whose methods compose the group
-    # operations and are the specification
+    # Γ on an exact group binds one kernel per primitive and its group's
+    # sampler; the order operations stay GammaPMV's, whose methods compose
+    # the group operations and are the specification
     m, g, coordinates, points = _exact_gamma(name, data)
     assert set(vars(m)) >= {"oplus", "neg", "tilde", "odot", "sample"}
     assert not {"eq", "leq", "meet", "join"} & set(vars(m))
@@ -456,13 +487,49 @@ def test_fused_exact_gamma_kernels_match_generic(name, data):
         for op in ("neg", "tilde"):
             got, want = getattr(m, op)(a), getattr(GammaPMV, op)(m, a)
             assert got == want and _shape(got) == _shape(want), (op, a)
-    # the sampler draws the same points from the same stream, and leaves it
-    # where the composition leaves it
-    fused, composed = random.Random(seed), random.Random(seed)
+    # the sampler draws points of Γ, the same points from the same stream
+    # as its definition, and leaves the stream where the definition does
+    drawn, defined = random.Random(seed), random.Random(seed)
+    reference = composed_sampler(g, m.unit)
     for _ in range(4):
-        got, want = m.sample(fused), GammaPMV.sample(m, composed)
+        got, want = m.sample(drawn), reference(defined)
+        assert m.contains(got)
         assert got == want and _shape(got) == _shape(want)
-    assert fused.getstate() == composed.getstate()
+    assert drawn.getstate() == defined.getstate()
+
+
+#: Products of an exact and a float factor, which Γ composes, with a unit;
+#: two lex units have the head's zero as their head.
+MIXED_GAMMA_CASES = {
+    "lex(Q,semi_numeric)": (lambda: pmv.LexProduct(pmv.RationalGroup(), pmv.ScalingSemidirect()),
+                            (q(1), (2.0, 0.0))),
+    "lex(Q,semi_numeric)-zero-head": (
+        lambda: pmv.LexProduct(pmv.RationalGroup(), pmv.ScalingSemidirect()), (q(0), (1.5, 1.0))),
+    "lex(semi_numeric,Q)": (lambda: pmv.LexProduct(pmv.ScalingSemidirect(), pmv.RationalGroup()),
+                            ((2.0, 0.0), q(1))),
+    "lex(semi_numeric,Q)-zero-head": (
+        lambda: pmv.LexProduct(pmv.ScalingSemidirect(), pmv.RationalGroup()), ((1.0, 0.0), q(1))),
+    "prod(Q,exp_numeric)": (
+        lambda: pmv.DirectProductGroup(pmv.RationalGroup(), pmv.ExpSemidirect()), (q(1), (1.0, 0.0))),
+    "lex(heis,exp_numeric)": (lambda: pmv.LexProduct(pmv.HeisenbergGroup(), pmv.ExpSemidirect()),
+                              (heis3(1, 0, 0), (1.0, 0.0))),
+}
+
+
+@pytest.mark.parametrize("name", list(MIXED_GAMMA_CASES))
+def test_mixed_gamma_sampler_draws_its_definition(name):
+    # an exact factor beside a float one: every draw is a point of Γ, and
+    # the sampler draws what its definition draws from the same stream
+    make, unit = MIXED_GAMMA_CASES[name]
+    m = pmv.gamma(make(), unit)
+    reference = composed_sampler(m.group, m.unit)
+    for seed in range(3):
+        drawn, defined = random.Random(seed), random.Random(seed)
+        for _ in range(300):
+            got = m.sample(drawn)
+            assert m.contains(got)
+            assert got == reference(defined)
+        assert drawn.getstate() == defined.getstate()
 
 
 #: Arguments of the wrong kind or shape, bare numbers among them.  A
@@ -732,6 +799,29 @@ def test_samplers_reach_the_denominator_bound(make):
     g = make()
     rng = make_rng(0, "denominators")
     assert max(g.random_element(rng)[1] for _ in range(4000)) == SAMPLE_DENOMINATOR_BOUND
+
+
+# Of 2,000 points drawn from random.Random(1): how many are distinct, and
+# how many land exactly on 0 or u.  A sampler that draws differently
+# changes these on purpose.
+DISTRIBUTION_PINS = [
+    ("Q", pmv.RationalGroup, q(1), 1904, 28),
+    ("D", pmv.DyadicGroup, q(1), 421, 455),
+    ("H(6)", lambda: pmv.PowerDenominatorGroup(6), q(1), 213, 622),
+    ("heis", pmv.HeisenbergGroup, heis3(1, 0, 0), 351, 1551),
+    ("heis-thin", pmv.HeisenbergGroup, heis3(F(1, 3), F(2, 3), F(-1, 8)), 115, 1851),
+    ("lex(Q,heis)", lex_q_heis, (q(1), heis3(0, 0, 0)), 1988, 13),
+]
+
+
+@pytest.mark.parametrize("name, make, unit, distinct, at_bounds", DISTRIBUTION_PINS,
+                         ids=[pin[0] for pin in DISTRIBUTION_PINS])
+def test_gamma_sample_distribution_is_pinned(name, make, unit, distinct, at_bounds):
+    m = pmv.gamma(make(), unit)
+    rng = random.Random(1)
+    points = [m.sample(rng) for _ in range(2000)]
+    assert len(set(points)) == distinct
+    assert sum(x == m.zero or x == m.unit for x in points) == at_bounds
 
 
 def test_element_formatting_and_flat_parsing():

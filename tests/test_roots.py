@@ -9,6 +9,7 @@ frozen value is re-checked against an in-test doubling oracle.
 from __future__ import annotations
 
 from collections import Counter
+from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
@@ -535,6 +536,41 @@ def test_bounds_on_lex_heis_hold_on_commuting_pairs(data):
                     if item in BOUND_ITEMS and domain == "pairs"], s)
     assert list(res) == list(BOUND_ITEMS)
     assert all(r.passed and r.checked == 1 for r in res.values())
+
+
+# Noncommuting pairs of Γ(lex(ℚ, heis), (1, 0, 0, 0)), in flat coordinates,
+# with the halves of residuation_bounds, r(x) → r(y) ≤ r(x → y) and
+# r(x) ⇝ r(y) ≤ r(x ⇝ y), and each bound's row verdict there.
+BOUND_WITNESSES = [
+    ((F(1, 2), F(1, 2), 0, 0), (F(1, 2), 0, F(1, 2), 0), (False, True),
+     {"residuation_bounds": False, "product_upper_bound": False, "sum_lower_bound": True}),
+    ((F(1, 2), F(1, 2), 0, 0), (F(1, 2), 0, F(-1, 2), 0), (True, False),
+     {"residuation_bounds": False, "product_upper_bound": True, "sum_lower_bound": True}),
+    ((F(1, 2), F(-1, 2), 0, 0), (F(1, 2), 0, F(1, 2), 0), (True, True),
+     {"residuation_bounds": True, "product_upper_bound": True, "sum_lower_bound": False}),
+]
+
+
+@pytest.mark.parametrize("x, y, halves, verdicts", BOUND_WITNESSES,
+                         ids=["arrow-product", "snake", "sum"])
+def test_bounds_on_lex_heis_fail_at_pinned_witnesses(x, y, halves, verdicts):
+    """Structural witnesses for the three bounds that fail on lex-heis with
+    the sym root: the → half and the product bound fail at one pair, the ⇝
+    half at another, and the sum bound, which holds at the first, at a
+    third."""
+    g = pmv.LexProduct(pmv.RationalGroup(), pmv.HeisenbergGroup())
+    m = pmv.gamma(g, g.from_flat([1, 0, 0, 0]))
+    r = pmv.closed_form(m, "sym")
+    x, y = g.from_flat(list(x)), g.from_flat(list(y))
+    assert m.contains(x) and m.contains(y)
+    rx, ry = r(x), r(y)
+    assert (m.leq(m.arrow(rx, ry), r(m.arrow(x, y))),
+            m.leq(m.snake(rx, ry), r(m.snake(x, y)))) == halves
+    s = _Suite(m, r, None, None)
+    s.pairs = [(x, y)]
+    res = run_rows([(item, domain, holds) for item, _, domain, holds in _PROPERTY_ROWS
+                    if item in BOUND_ITEMS and domain == "pairs"], s)
+    assert {item: res[item].passed for item in BOUND_ITEMS} == verdicts
 
 
 def test_residuum_bound_and_arrow_equation_diverge_pointwise():

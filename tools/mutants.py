@@ -77,18 +77,25 @@ MUTANTS = {
                            "return (_add(a0, b0), _add(a1, b1), (n, d))"),
     "heis-neg-cross-term-sign": (LG, "_sum3(-n, d, 0, d, a0[0] * a1[0]", "_sum3(-n, d, 0, d, -a0[0] * a1[0]"),
     "heis-sub-cross-term-sign": (LG, "-d0[0] * b1[0], d0[1] * b1[1])", "d0[0] * b1[0], d0[1] * b1[1])"),
-    "sum3-unreduced": (LG, "    return (n, d) if g == 1 else (n // g, d // g)\n", "    return n, d\n"),
+    "sum3-unreduced": (LG, "    g = math.gcd(n, d)\n    return (n, d) if g == 1 else (n // g, d // g)\n",
+                       "    g = math.gcd(n, d)\n    return n, d\n"),
     "heis-halve-quarter": (LG, "(n * q << 2) - p * d", "(n * q << 1) - p * d"),
     # bare numbers read in cmp's unpacking
     "cmp-bare-reads-b-as-a": (LG, "        nb, db = _pair(b)\n    x = na * db",
                               "        nb, db = _pair(a)\n    x = na * db"),
     # sampler bounds
     "heis-sample-upper-bound": (LG, "lo, hi = -2 * d, 2 * d + 1", "lo, hi = -2 * d, 2 * d"),
-    "rational-denominator-bound": (LG, "rng.randrange(1, SAMPLE_DENOMINATOR_BOUND + 1)",
-                                   "rng.randrange(1, SAMPLE_DENOMINATOR_BOUND)"),
-    "rational-sample-upper-bound": (LG, "rng.randrange(0, max(hi, 0) + 1)", "rng.randrange(0, max(hi, 0))"),
-    "dyadic-exponent-bound": (LG, "SAMPLE_DENOMINATOR_BOUND.bit_length())",
-                              "SAMPLE_DENOMINATOR_BOUND.bit_length() - 1)"),
+    "rational-denominator-bound": (LG, "1 + rng._randbelow(SAMPLE_DENOMINATOR_BOUND)",
+                                   "1 + rng._randbelow(SAMPLE_DENOMINATOR_BOUND - 1)"),
+    # the top numerator u·d left out; at u = 0 it still draws 0
+    "rational-sample-upper-bound": (LG, "n = rng._randbelow(un * d // ud + 1)",
+                                    "n = rng._randbelow(max(un * d // ud, 1))"),
+    "dyadic-exponent-bound": (LG, "1 << rng._randbelow(SAMPLE_DENOMINATOR_BOUND.bit_length())",
+                              "1 << rng._randbelow(SAMPLE_DENOMINATOR_BOUND.bit_length() - 1)"),
+    # the interval samplers' clamps: (0, 0, c) with c > 0 sent to 0, and a
+    # lex tail left unjoined where the head ties 0
+    "heis-sampler-zero-tie": (LG, "not k0 and (k1 < 0", "not k0 and (k1 <= 0"),
+    "lex-sampler-skips-tie-join": (LG, "t = t_join(t, zt)", "t = t"),
     # other layers: the first measurement of the mutation gate
     "gamma-odot-unclamped": (LG, "return g.join(g.add(g.sub(x, self.unit), y), self._zero)",
                              "return g.add(g.sub(x, self.unit), y)"),
