@@ -1,11 +1,11 @@
-"""The fused Γ(G, u) operations of the exact groups.
+"""Γ(G, u)'s fast path: the fused operations ``GammaPMV`` binds.
 
-``LGroup.gamma_kernels`` loads this module the first time Γ is built on an
-exact group, so a command that builds none does not compile it.  For ℤ, Q, D, H(p), the Heisenberg group, and lex and direct
-products of them, :func:`gamma_parts` builds, once per unit, one closure
-for each of x ⊕ y = (x+y) ∧ u, x⁻ = u − x, x∼ = −x + u and
-x ⊙ y = (x − u + y) ∨ 0.  Each decides its clamp before it reduces
-anything:
+``GammaPMV`` calls :func:`gamma_kernels`, and loads this module the first
+time it builds Γ, so a command that builds none does not compile it.  For
+ℤ, Q, D, H(p), the Heisenberg group, lex and direct products of them, and
+the two float groups, it builds, once per unit, one closure for each of
+x ⊕ y = (x+y) ∧ u, x⁻ = u − x, x∼ = −x + u and x ⊙ y = (x − u + y) ∨ 0.
+Each decides its clamp before it reduces anything:
 
 * on Q, D and H(p), one unreduced sum over one denominator, one sign test
   and at most one gcd;
@@ -16,21 +16,30 @@ anything:
   operation at its own unit;
 * on a direct product, the factors' closures componentwise, as
   Γ(G₁ × G₂, (u₁, u₂)) = Γ(G₁, u₁) × Γ(G₂, u₂);
-* on ℤ, the int expressions.
+* on ℤ, the int expressions;
+* on the float groups, the tolerance test inline and the unit's constants
+  (1/u₀ and −u₁/u₀, or e^{±u₀}) computed once, making the float
+  expressions of the composition in the same order, so bit-identical.
+  There ``eq``, ``leq``, ``meet`` and ``join`` are bound to the group's;
+  on the exact groups they stay Γ's methods.
 
 The closures take Γ's points only, canonical payloads of [0, u].  On a
-point each returns what ``GammaPMV``'s method returns, equal in value and
-in type
-(``tests/test_lgroups.py::test_fused_exact_gamma_kernels_match_generic``).
-An argument it cannot read raises TypeError or ValueError where it is
-read, a bare int or Fraction on Q, D and H(p) included, as in the group's
-own operations: of those only ``cmp`` and ``gamma``'s unit read one as a
-pair (see :mod:`pseudomv.lgroups`).  A payload of the right shape with a
-malformed coordinate may instead return, as it lies outside
-``validate``: a closure may decide its clamp before it reads that
-coordinate.  Only the exact types above are fused: a subclass
-may change the operations, so Γ composes them.  Nothing here draws a
-random point: each group draws Γ's own, in :mod:`pseudomv.lgroups`.
+point each returns what ``GammaPMV``'s method, the specification, returns,
+equal in value and in type (``tests/test_lgroups.py``:
+``test_fused_exact_gamma_kernels_match_generic`` and
+``test_fused_gamma_kernels_match_generic``).  An argument it cannot read
+raises TypeError or ValueError where it is read, a bare int or Fraction on
+Q, D and H(p) included, as in the group's own operations: of those only
+``cmp`` and ``gamma``'s unit read one as a pair (see
+:mod:`pseudomv.lgroups`).  A payload of the right shape with a malformed
+coordinate may instead return, as it lies outside ``validate``: a closure
+may decide its clamp before it reads that coordinate.
+
+Only the exact types above are fused: a subclass may change the
+operations, so Γ composes them.  A float group stays a leaf, so Γ composes
+a product with a float factor, and exp_numeric where e^{u₀} overflows.
+Nothing here draws a random point: each group draws Γ's own, in
+:mod:`pseudomv.lgroups`.
 """
 
 from __future__ import annotations
@@ -42,24 +51,27 @@ from .lgroups import (
     _ZERO,
     DirectProductGroup,
     DyadicGroup,
+    ExpSemidirect,
     HeisenbergGroup,
     IntegerGroup,
     LexProduct,
     LGroup,
     PowerDenominatorGroup,
     RationalGroup,
+    ScalingSemidirect,
     _reduced,
 )
 
-#: The Γ primitives fused here, which GammaPMV binds.
-GAMMA_OPS = ("oplus", "neg", "tilde", "odot")
+#: What Γ binds over its own methods: ⊕ ⁻ ∼ ⊙, and = ≤ ∧ ∨ on a float group.
+BOUND = ("oplus", "neg", "tilde", "odot", "eq", "leq", "meet", "join")
 
 
-def exact_kernels(group: LGroup, unit: Any) -> dict[str, Any] | None:
-    """``gamma_kernels`` of an exact group: the Γ closures of
-    :func:`gamma_parts`; None for a group that has none."""
+def gamma_kernels(group: LGroup, unit: Any) -> dict[str, Any] | None:
+    """The functions ``GammaPMV`` binds for Γ(group, unit), each returning
+    on Γ's points what its own method returns; None where Γ composes the
+    group operations."""
     parts = gamma_parts(group, unit)
-    return None if parts is None else {op: parts[op] for op in GAMMA_OPS}
+    return None if parts is None else {op: parts[op] for op in BOUND if op in parts}
 
 
 def gamma_parts(group: LGroup, unit: Any) -> dict[str, Any] | None:
@@ -68,13 +80,19 @@ def gamma_parts(group: LGroup, unit: Any) -> dict[str, Any] | None:
 
     ``oplus``, ``neg``, ``tilde`` and ``odot`` are Γ's.  ``rest`` is
     x − u + y unclamped, and ``zero`` the zero payload.  A linearly ordered
-    group adds ``below``, x + y if it lies below u, ``unit`` itself if it
-    is u and None above, and ``above``, x − u + y if it lies above 0,
+    exact group adds ``below``, x + y if it lies below u, ``unit`` itself if
+    it is u and None above, and ``above``, x − u + y if it lies above 0,
     ``zero`` itself if it is 0 and None below: the head of a lexicographic
-    product reads its clamps off them.  None of the parts reads a bare
-    number."""
+    product reads its clamps off them.  A float group has none of these,
+    but ``eq``, ``leq``, ``meet`` and ``join``.  No part reads a bare number."""
     build = _PARTS.get(type(group))
     return None if build is None else build(group, unit)
+
+
+def _factor(group, unit):
+    # a product composes its factors' parts: a float group has no ``rest``
+    parts = gamma_parts(group, unit)
+    return parts if parts is not None and "rest" in parts else None
 
 
 def _integer_parts(group, u):
@@ -289,7 +307,7 @@ def _lex_parts(group, unit):
     # ``above`` of the head say which, and the tail is clamped only on a
     # tie, by its own Γ operation at its own unit.
     uh, ut = unit
-    head, tail = gamma_parts(group.first, uh), gamma_parts(group.second, ut)
+    head, tail = _factor(group.first, uh), _factor(group.second, ut)
     if head is None or tail is None:
         return None
     zh, zt = head["zero"], tail["zero"]
@@ -341,7 +359,7 @@ def _lex_parts(group, unit):
 def _product_parts(group, unit):
     # Γ(G₁ × G₂, (u₁, u₂)) = Γ(G₁, u₁) × Γ(G₂, u₂): the factors' parts
     # componentwise
-    first, second = gamma_parts(group.first, unit[0]), gamma_parts(group.second, unit[1])
+    first, second = _factor(group.first, unit[0]), _factor(group.second, unit[1])
     if first is None or second is None:
         return None
     parts = {op: _pairwise(first[op], second[op]) for op in ("oplus", "odot", "rest")}
@@ -365,6 +383,86 @@ def _pairwise(f, g, arity=2):
     return binary if arity == 2 else unary
 
 
+def _scaling_parts(group, unit):
+    t = group.tolerance
+    u0, u1 = unit
+    zero = group.zero()
+    h = 1.0 / u0            # sub(x, u) = (x0 * h, h * x1 + c)
+    c = -u1 / u0
+
+    def oplus(x, y):        # add(x, y) ∧ u
+        y0 = y[0]
+        s0 = x[0] * y0
+        s1 = y0 * x[1] + y[1]
+        d = s0 - u0
+        if d > t:
+            return unit
+        return (s0, s1) if d < -t or s1 - u1 < -t else unit
+
+    def neg(x):             # sub(u, x)
+        k = 1.0 / x[0]
+        return (u0 * k, k * u1 + -x[1] / x[0])
+
+    def tilde(x):           # add(neg(x), u)
+        x0 = x[0]
+        return (1.0 / x0 * u0, u0 * (-x[1] / x0) + u1)
+
+    def odot(x, y):         # add(sub(x, u), y) ∨ 0, where 0 = (1, 0)
+        y0 = y[0]
+        s0 = x[0] * h * y0
+        s1 = y0 * (h * x[1] + c) + y[1]
+        d = s0 - 1.0
+        if d > t:
+            return (s0, s1)
+        return zero if d < -t or s1 - 0.0 < -t else (s0, s1)
+
+    return {"oplus": oplus, "neg": neg, "tilde": tilde, "odot": odot,
+            "eq": group.eq, "leq": group.leq, "meet": group.meet, "join": group.join}
+
+
+def _exp_parts(group, unit):
+    t = group.tolerance
+    u0, u1 = unit
+    zero = group.zero()
+    exp = math.exp
+    try:
+        eu = exp(u0)        # add(n, u) scales n's second coordinate by eu
+    except OverflowError:   # no finite constant: Γ composes the operations
+        return None
+    e = exp(-u0)            # sub(x, u) = (x0 + m, e * x1 + c)
+    m, c = -u0, -e * u1
+
+    def oplus(x, y):        # add(x, y) ∧ u
+        y0 = y[0]
+        s0 = x[0] + y0
+        s1 = exp(y0) * x[1] + y[1]
+        d = s0 - u0
+        if d > t:
+            return unit
+        return (s0, s1) if d < -t or s1 - u1 < -t else unit
+
+    def neg(x):             # sub(u, x)
+        x0 = x[0]
+        k = exp(-x0)
+        return (u0 + -x0, k * u1 + -k * x[1])
+
+    def tilde(x):           # add(neg(x), u)
+        x0 = x[0]
+        return (-x0 + u0, eu * (-exp(-x0) * x[1]) + u1)
+
+    def odot(x, y):         # add(sub(x, u), y) ∨ 0, where 0 = (0, 0)
+        y0 = y[0]
+        s0 = x[0] + m + y0
+        s1 = exp(y0) * (e * x[1] + c) + y[1]
+        d = s0 - 0.0
+        if d > t:
+            return (s0, s1)
+        return zero if d < -t or s1 - 0.0 < -t else (s0, s1)
+
+    return {"oplus": oplus, "neg": neg, "tilde": tilde, "odot": odot,
+            "eq": group.eq, "leq": group.leq, "meet": group.meet, "join": group.join}
+
+
 #: The groups fused, by exact type.
 _PARTS = {
     IntegerGroup: _integer_parts,
@@ -374,4 +472,6 @@ _PARTS = {
     HeisenbergGroup: _heisenberg_parts,
     LexProduct: _lex_parts,
     DirectProductGroup: _product_parts,
+    ScalingSemidirect: _scaling_parts,
+    ExpSemidirect: _exp_parts,
 }

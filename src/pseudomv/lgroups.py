@@ -55,21 +55,9 @@ d > t or d < −t, and their ``sub`` repeats the float expressions of
 ``add(a, neg(b))``; each returns exactly what LGroup's derived definition
 returns, bit for bit.
 
-Γ(G, u) is one call deep on every exact group and on the two float
-groups, though not on a product with a float factor, nor on exp_numeric
-at a unit past the float range.  ``gamma_kernels`` builds, once per unit,
-a closure for each of x ⊕ y = (x+y) ∧ u, x⁻ = u − x, x∼ = −x + u and
-x ⊙ y = (x − u + y) ∨ 0, and ``GammaPMV`` binds them; they take Γ's
-points only.  Γ's own methods, which compose the group operations, stay
-the specification, and a group without kernels keeps them.  The exact
-groups' kernels live in :mod:`pseudomv.fused`; there ``eq``, ``leq``,
-``meet`` and ``join`` stay Γ's methods.
-
-On the two float groups the kernels make the tolerance test inline and
-compute the unit's constants (1/u₀ and −u₁/u₀, or e^{±u₀}) once, and
-``eq``, ``leq``, ``meet`` and ``join`` are bound straight to the group's.
-Each closure makes the float expressions of the composition in the same
-order, so it returns the same floats, bit for bit.
+``GammaPMV``'s methods compose the group operations and are Γ's
+specification.  Its fast path, the fused operations it binds over them,
+lives in :mod:`pseudomv.fused`, which describes it.
 
 Every group draws the points of Γ(G, u) through one sampler,
 ``interval_sampler(unit)``, a closure built once per unit that ``GammaPMV``
@@ -324,16 +312,6 @@ class LGroup(ABC):
         itself; the benchmark's tracer (``bench/tracing.py``) reads this
         method on every Γ group."""
         return self.interval_sampler(unit)(rng)
-
-    def gamma_kernels(self, unit: Any) -> dict[str, Any] | None:
-        """Fused ``oplus``, ``neg``, ``tilde`` and ``odot`` for
-        Γ(G, unit), each returning on Γ's points what :class:`GammaPMV`'s
-        own method returns; or None, and Γ composes the group operations.
-        :class:`GammaPMV` binds every function in the dict.  Here, those of
-        :mod:`pseudomv.fused` for the exact groups of this module, and None
-        for any other group."""
-        from .fused import exact_kernels    # compiled on the first exact Γ built
-        return exact_kernels(self, unit)
 
     def interval_size(self, hi: Any) -> int | None:
         """The size of [0, hi] if ``enumerate_interval`` lists it, else None."""
@@ -912,11 +890,6 @@ class _FloatPairGroup(LGroup):
         """The first coordinate decides the order and grows with n·u."""
         return u[0] - self.zero()[0] > self.tolerance
 
-    def _fused(self, unit, **kernels):
-        """The Γ kernels, and ``eq``, ``leq``, ``meet`` and ``join`` bound
-        straight to the group's."""
-        return dict(kernels, eq=self.eq, leq=self.leq, meet=self.meet, join=self.join)
-
     def interval_sampler(self, unit):
         """(uniform(z₀, u₀), uniform(−1, 1)) joined with 0 = (z₀, z₁) and met
         with u, in one call: ``rng.uniform(a, b)`` is
@@ -974,41 +947,6 @@ class ScalingSemidirect(_FloatPairGroup):
         s = math.sqrt(a[0])
         return (s, a[1] / (s + 1.0))
 
-    def gamma_kernels(self, unit):
-        t = self.tolerance
-        u0, u1 = unit
-        zero = self.zero()
-        h = 1.0 / u0            # sub(x, u) = (x0 * h, h * x1 + c)
-        c = -u1 / u0
-
-        def oplus(x, y):        # add(x, y) ∧ u
-            y0 = y[0]
-            s0 = x[0] * y0
-            s1 = y0 * x[1] + y[1]
-            d = s0 - u0
-            if d > t:
-                return unit
-            return (s0, s1) if d < -t or s1 - u1 < -t else unit
-
-        def neg(x):             # sub(u, x)
-            k = 1.0 / x[0]
-            return (u0 * k, k * u1 + -x[1] / x[0])
-
-        def tilde(x):           # add(neg(x), u)
-            x0 = x[0]
-            return (1.0 / x0 * u0, u0 * (-x[1] / x0) + u1)
-
-        def odot(x, y):         # add(sub(x, u), y) ∨ 0, where 0 = (1, 0)
-            y0 = y[0]
-            s0 = x[0] * h * y0
-            s1 = y0 * (h * x[1] + c) + y[1]
-            d = s0 - 1.0
-            if d > t:
-                return (s0, s1)
-            return zero if d < -t or s1 - 0.0 < -t else (s0, s1)
-
-        return self._fused(unit, oplus=oplus, neg=neg, tilde=tilde, odot=odot)
-
     def random_element(self, rng):
         return (math.exp(rng.uniform(-0.7, 0.7)), rng.uniform(-2.0, 2.0))
 
@@ -1036,47 +974,6 @@ class ExpSemidirect(_FloatPairGroup):
     def halve(self, a):
         return (a[0] / 2.0, a[1] / (math.exp(a[0] / 2.0) + 1.0))
 
-    def gamma_kernels(self, unit):
-        t = self.tolerance
-        u0, u1 = unit
-        zero = self.zero()
-        exp = math.exp
-        try:
-            eu = exp(u0)        # add(n, u) scales n's second coordinate by eu
-        except OverflowError:   # no finite constant: Γ composes the operations
-            return None
-        e = exp(-u0)            # sub(x, u) = (x0 + m, e * x1 + c)
-        m, c = -u0, -e * u1
-
-        def oplus(x, y):        # add(x, y) ∧ u
-            y0 = y[0]
-            s0 = x[0] + y0
-            s1 = exp(y0) * x[1] + y[1]
-            d = s0 - u0
-            if d > t:
-                return unit
-            return (s0, s1) if d < -t or s1 - u1 < -t else unit
-
-        def neg(x):             # sub(u, x)
-            x0 = x[0]
-            k = exp(-x0)
-            return (u0 + -x0, k * u1 + -k * x[1])
-
-        def tilde(x):           # add(neg(x), u)
-            x0 = x[0]
-            return (-x0 + u0, eu * (-exp(-x0) * x[1]) + u1)
-
-        def odot(x, y):         # add(sub(x, u), y) ∨ 0, where 0 = (0, 0)
-            y0 = y[0]
-            s0 = x[0] + m + y0
-            s1 = exp(y0) * (e * x[1] + c) + y[1]
-            d = s0 - 0.0
-            if d > t:
-                return (s0, s1)
-            return zero if d < -t or s1 - 0.0 < -t else (s0, s1)
-
-        return self._fused(unit, oplus=oplus, neg=neg, tilde=tilde, odot=odot)
-
     def random_element(self, rng):
         return (rng.uniform(-0.7, 0.7), rng.uniform(-2.0, 2.0))
 
@@ -1102,7 +999,8 @@ class GammaPMV(PseudoMV):
         size = group.interval_size(unit)
         self._interval = None if size is None else group.enumerate_interval(unit)
         self.sample = group.interval_sampler(unit)
-        fused = group.gamma_kernels(unit)
+        from .fused import gamma_kernels   # at call time: fused imports this module
+        fused = gamma_kernels(group, unit)
         if fused is not None:   # the methods below stay the specification
             vars(self).update(fused)
 

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pseudomv as pmv
+import pseudomv.fused
 from pseudomv.cli import main, parse_element_literal, parse_group
 from pseudomv.core import make_rng
 from pseudomv.lgroups import SAMPLE_DENOMINATOR_BOUND, GammaPMV, LGroup
@@ -371,10 +372,26 @@ def test_fused_gamma_kernels_change_no_report(tmp_path, monkeypatch, command):
         argv = ["analyze", str(path), "--samples", "200", "--seed", "7"]
     fused = _cli_stdout(argv)
     assert fused[1].startswith("{")
-    for cls in FUSED_UNITS:
-        monkeypatch.setattr(cls, "gamma_kernels", LGroup.gamma_kernels)
+    monkeypatch.setattr(pseudomv.fused, "gamma_kernels", lambda group, unit: None)
     assert "odot" not in vars(pmv.gamma(pmv.ScalingSemidirect(), (2.0, 0.0)))
     assert _cli_stdout(argv) == fused
+
+
+@pytest.mark.parametrize("group, unit, binds", [
+    ("Z", "2", True), ("Q", "1", True), ("D", "3/4", True), ("H(6)", "1/6", True),
+    ("heis", "(1,0,0)", True), ("lex(Q,heis)", "(1,0,0,0)", True), ("prod(D,Z)", "(1,2)", True),
+    ("semi_numeric", "(2,0)", True), (pmv.ExpSemidirect(), "(1,0)", True),
+    ("prod(Q,semi_numeric)", "(1,2,0)", False), ("lex(semi_numeric,Q)", "(2,0,1)", False),
+    ("lex(Q,semi_numeric)", "(1,2,0)", False), (pmv.ExpSemidirect(), "(800,0)", False),
+], ids=lambda v: getattr(v, "dsl", str(v)))
+def test_gamma_binds_kernels_exactly_on_the_fused_carriers(group, unit, binds):
+    # a fused carrier cannot fall back to Γ's composed methods unnoticed, and
+    # a float factor of a product, whose tolerance ties a fused head would
+    # break differently, stays composed; only a float group binds = ≤ ∧ ∨
+    g = parse_group(group) if isinstance(group, str) else group   # exp_numeric has no DSL name
+    m = pmv.gamma(g, parse_element_literal(g, unit))
+    want = {"oplus", "neg", "tilde", "odot"} | (set() if g.exact else {"eq", "leq", "meet", "join"})
+    assert set(vars(m)) & set(pseudomv.fused.BOUND) == (want if binds else set())
 
 
 def _scalar(base=None):
@@ -406,7 +423,9 @@ any_q = _scalar()[1]
 
 #: One carrier per gamma-exact template, with a strategy for its unit's flat
 #: coordinates; the nested shapes put heis on either side of a lex and in a
-#: product, and a lex head may be 0 with a positive tail.
+#: product, the last two nest a lex in a lex tail, whose unclamped
+#: x − u + y (``rest``) a lex ⊙ reads, and a lex head may be 0 with a
+#: positive tail.
 EXACT_GAMMA_CASES = {
     "Z": ("Z", st.tuples(st.integers(1, 6))),
     "lex(Z,Z)": (("lex", "Z", "Z"), st.one_of(st.tuples(st.integers(1, 7), st.integers(-4, 4)),
@@ -433,6 +452,14 @@ EXACT_GAMMA_CASES = {
                             st.tuples(st.integers(1, 2), any_q, any_q, st.just(F(1, 2)), any_q)),
     "lex(lex(Q,heis),H(2))": (("lex", ("lex", None, "heis"), 2),
                               st.tuples(pos_q, st.integers(1, 2), any_q, any_q, st.just(F(3, 4)))),
+    "lex(Q,lex(Q,heis))": (("lex", None, ("lex", None, "heis")), st.one_of(
+        st.tuples(pos_q, any_q, any_q, any_q, any_q),
+        st.tuples(st.just(0), pos_q, any_q, any_q, any_q),
+        st.tuples(st.just(0), st.just(0), st.just(0), st.just(0), pos_q))),
+    "lex(D,prod(lex(Q,Q),H(6)))": (("lex", 2, ("prod", ("lex", None, None), 6)), st.one_of(
+        st.tuples(st.builds(F, st.integers(1, 15), st.sampled_from([1, 2, 4])), any_q, any_q,
+                  _scalar(6)[1]),
+        st.tuples(st.just(0), pos_q, any_q, st.sampled_from([F(1, 6), F(1)])))),
 }
 
 
@@ -587,7 +614,7 @@ def test_fused_exact_gamma_kernels_change_no_report(tmp_path, monkeypatch, spec)
             ["ladder", str(path), "--depth", "4", "--seed", "5"]]
     fused = [_cli_stdout(argv) for argv in runs]
     assert fused[0][1].startswith("{")
-    monkeypatch.setattr(LGroup, "gamma_kernels", lambda self, unit: None)
+    monkeypatch.setattr(pseudomv.fused, "gamma_kernels", lambda group, unit: None)
     assert "odot" not in vars(pmv.gamma(pmv.RationalGroup(), (1, 1)))
     assert [_cli_stdout(argv) for argv in runs] == fused
 

@@ -491,7 +491,9 @@ def test_residuation_gap_on_lex_heis_is_a_commutator(u0, data):
     x → y < 1 the sides of r(x) → r(y) ≤ r(x → y) agree in flat
     coordinates 0–2, and the last differ by (x₁y₂ − x₂y₁)/8, a multiple of
     the heis commutator of x and y.  So the bound fails exactly where that
-    number is positive; where x → y = 1 it holds."""
+    number is positive; where x → y = 1 it holds.  The ⇝ half is the
+    mirror image: wherever x ⇝ y < 1 the sides of r(x) ⇝ r(y) ≤ r(x ⇝ y)
+    differ only in the last coordinate, by (x₂y₁ − x₁y₂)/8."""
     g = pmv.LexProduct(pmv.RationalGroup(), pmv.HeisenbergGroup())
     m = pmv.gamma(g, g.from_flat([u0, 0, 0, 0]))
     root = pmv.closed_form(m, "sym")
@@ -499,16 +501,16 @@ def test_residuation_gap_on_lex_heis_is_a_commutator(u0, data):
     point = st.builds(lambda *flat: m.meet(m.join(g.from_flat(list(flat)), m.zero), m.unit),
                       st.fractions(0, u0, max_denominator=16), c, c, c)
     x, y = data.draw(point), data.draw(point)
-    xy = m.arrow(x, y)
-    lhs, rhs = m.arrow(root(x), root(y)), root(xy)
-    if m.eq(xy, m.one):
-        assert m.leq(lhs, rhs)
-        return
     (_, x1, x2, _), (_, y1, y2, _) = g.flatten(x), g.flatten(y)
-    gap = (x1 * y2 - x2 * y1) / 8
-    a, b = g.flatten(lhs), g.flatten(rhs)
-    assert a[:3] == b[:3] and a[3] - b[3] == gap
-    assert m.leq(lhs, rhs) == (gap <= 0)
+    for residuum, gap in ((m.arrow, (x1 * y2 - x2 * y1) / 8), (m.snake, (x2 * y1 - x1 * y2) / 8)):
+        xy = residuum(x, y)
+        lhs, rhs = residuum(root(x), root(y)), root(xy)
+        if m.eq(xy, m.one):
+            assert m.leq(lhs, rhs)
+            continue
+        a, b = g.flatten(lhs), g.flatten(rhs)
+        assert a[:3] == b[:3] and a[3] - b[3] == gap, residuum.__name__
+        assert m.leq(lhs, rhs) == (gap <= 0), residuum.__name__
 
 
 BOUND_ITEMS = ("residuation_bounds", "product_upper_bound", "sum_lower_bound")

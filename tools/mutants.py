@@ -71,6 +71,9 @@ MUTANTS = {
     "z-validate-takes-bools": (LG, "if type(a) is not int:", "if not isinstance(a, int):"),
     # the Heisenberg third coordinate
     "heis-add-drops-cross-term": (LG, "        p = a0[0] * b1[0]\n", "        p = 0\n"),
+    # a cocycle of the other sign still makes a group, so only an identity
+    # or a kernel held to its specification can tell
+    "heis-cocycle-sign": (LG, "        p = a0[0] * b1[0]\n", "        p = -a0[0] * b1[0]\n"),
     "heis-add-cross-term-sign": (LG, "            n += p\n        g = math.gcd(n, d)\n        return (_add",
                                  "            n -= p\n        g = math.gcd(n, d)\n        return (_add"),
     "heis-add-unreduced": (LG, "return (_add(a0, b0), _add(a1, b1), (n, d) if g == 1 else (n // g, d // g))",
@@ -135,9 +138,9 @@ MUTANTS = {
     "nested-catalogue-keys-unchecked": (FN, '    _known_keys(obj, ("kind", "params")',
                                         '    depth > 1 or _known_keys(obj, ("kind", "params")'),
     # the fused Γ operations and sampler of the float groups
-    "fused-oplus-unclamped": (LG, "            s1 = y0 * x[1] + y[1]\n            d = s0 - u0\n",
-                              "            s1 = y0 * x[1] + y[1]\n            return (s0, s1)\n"),
-    "fused-odot-zero-clamp-dropped": (LG, "            d = s0 - 1.0\n", "            return (s0, s1)\n"),
+    "fused-oplus-unclamped": (FU, "        s1 = y0 * x[1] + y[1]\n        d = s0 - u0\n",
+                              "        s1 = y0 * x[1] + y[1]\n        return (s0, s1)\n"),
+    "fused-odot-zero-clamp-dropped": (FU, "        d = s0 - 1.0\n", "        return (s0, s1)\n"),
     "fused-sampler-meet-tie-flipped": (LG, "return (x0, x1) if d < -t or x1 - u1 < -t else unit",
                                        "return (x0, x1) if d < -t or u1 - x1 < -t else unit"),
     # the symmetry fact, which a noncentral unit decides only when strong
@@ -159,14 +162,17 @@ MUTANTS = {
     "brute-force-leq-reversed": (FN, "if mt[zz][x] == zz]", "if mt[zz][x] == x]"),
     # the fused Γ kernels of the exact groups: a ℚ ⊕ that clamps only past
     # u (a tie then reads as below u to a lex head), a Heisenberg ⊙ that
-    # exits on the wrong sign, and a lex ⊕ whose head tie skips the tail's
-    # clamp
+    # exits on the wrong sign, a lex ⊕ whose head tie skips the tail's
+    # clamp, and a lex x − u + y that leaves its tail unshifted, which only
+    # a lex in a lex tail reads
     "fused-rational-oplus-tie-below": (FU, "            c = n * ud - un * d\n            if c < 0:\n",
                                        "            c = n * ud - un * d\n            if c <= 0:\n"),
     "fused-heis-odot-exit-sign": (FU, "            if s0 < 0 and clamp:\n",
                                   "            if s0 > 0 and clamp:\n"),
     "fused-lex-tie-skips-tail-clamp": (FU, "            s = t_cap(xt, yt)\n            if s is None:\n                return over\n",
                                        "            s = t_add(xt, yt)\n            if s is None:\n                return over\n"),
+    "fused-lex-rest-drops-tail": (FU, "        return (h_rest(x[0], y[0]), t_rest(x[1], y[1]))\n",
+                                  "        return (h_rest(x[0], y[0]), x[1])\n"),
     # the row runner's early stop: retiring a result before its witnesses
     # are all held changes them, and never retiring one costs evaluations
     "run-rows-retires-at-first-witness": ("src/pseudomv/core.py",
