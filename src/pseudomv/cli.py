@@ -293,6 +293,7 @@ def load_algebra(path: str, sampler: SamplerConfig, tolerance: float) -> PseudoM
         try:
             group = parse_group(spec["group"], tolerance)
             unit = parse_element_literal(group, spec["unit"])
+            group.validate(unit)        # before sizing: a non-member has no interval
             if not group.exact:
                 _check_float_unit(group.flatten(unit), tolerance)
             _check_table_size(group.interval_size(unit),

@@ -7,8 +7,8 @@ the two float groups, it builds, once per unit, one closure for each of
 x ⊕ y = (x+y) ∧ u, x⁻ = u − x, x∼ = −x + u and x ⊙ y = (x − u + y) ∨ 0.
 Each decides its clamp before it reduces anything:
 
-* on Q, D and H(p), one unreduced sum over one denominator, one sign test
-  and at most one gcd;
+* on ℤ, Q, D and H(p), one unreduced sum over one denominator, one sign
+  test and at most one gcd;
 * on the Heisenberg group, each coordinate in one pass, leaving on the
   first coordinate's sign unless it ties;
 * on a lex product, the head decides unless it ties, read off the head's
@@ -16,7 +16,6 @@ Each decides its clamp before it reduces anything:
   operation at its own unit;
 * on a direct product, the factors' closures componentwise, as
   Γ(G₁ × G₂, (u₁, u₂)) = Γ(G₁, u₁) × Γ(G₂, u₂);
-* on ℤ, the int expressions;
 * on the float groups, the tolerance test inline and the unit's constants
   (1/u₀ and −u₁/u₀, or e^{±u₀}) computed once, making the float
   expressions of the composition in the same order, so bit-identical.
@@ -29,7 +28,7 @@ equal in value and in type (``tests/test_lgroups.py``:
 ``test_fused_exact_gamma_kernels_match_generic`` and
 ``test_fused_gamma_kernels_match_generic``).  An argument it cannot read
 raises TypeError or ValueError where it is read, a bare int or Fraction on
-Q, D and H(p) included, as in the group's own operations: of those only
+ℤ, Q, D and H(p) included, as in the group's own operations: of those only
 ``cmp`` and ``gamma``'s unit read one as a pair (see
 :mod:`pseudomv.lgroups`).  A payload of the right shape with a malformed
 coordinate may instead return, as it lies outside ``validate``: a closure
@@ -93,33 +92,6 @@ def _factor(group, unit):
     # a product composes its factors' parts: a float group has no ``rest``
     parts = gamma_parts(group, unit)
     return parts if parts is not None and "rest" in parts else None
-
-
-def _integer_parts(group, u):
-    def capped(over):                   # (x + y) ∧ u
-        def oplus(x, y):
-            s = x + y
-            if s < u:
-                return s
-            return u if s == u else over
-        return oplus
-
-    def shifted(under, clamp):          # (x − u + y) ∨ 0
-        def odot(x, y):
-            s = x - u + y
-            if s > 0 or not clamp:
-                return s
-            return 0 if s == 0 else under
-        return odot
-
-    def negation(left):                 # u − x, or −x + u
-        def neg(x):
-            return u - x if left else -x + u
-        return neg
-
-    return {"oplus": capped(u), "below": capped(None), "odot": shifted(0, True),
-            "above": shifted(None, True), "rest": shifted(None, False), "neg": negation(True),
-            "tilde": negation(False), "zero": 0}
 
 
 def _fraction_parts(group, unit):
@@ -465,7 +437,7 @@ def _exp_parts(group, unit):
 
 #: The groups fused, by exact type.
 _PARTS = {
-    IntegerGroup: _integer_parts,
+    IntegerGroup: _fraction_parts,
     RationalGroup: _fraction_parts,
     DyadicGroup: _fraction_parts,
     PowerDenominatorGroup: _fraction_parts,

@@ -16,25 +16,25 @@ at desk scale:
   ``exact = False`` and a comparison tolerance because their halving maps
   involve irrational square roots.
 
-Exact carriers other than ℤ store each rational coordinate as a reduced
-pair ``(n, d)`` of ints with d > 0, and never hold floats; a Heisenberg
-element is a triple of such pairs.  Their operations run through a few
-module-private kernels on pairs (``_add``, ``_sub``, ``_neg``, ``_half``,
-``_cmp``), each reducing by only the gcds its scheme needs, and the
-``add``, ``sub``, ``neg`` and ``cmp`` of Q, D and H(p) are those kernels;
+Exact carriers store each rational coordinate as a reduced pair
+``(n, d)`` of ints with d > 0, and never hold floats: an integer is
+(n, 1), and a Heisenberg element is a triple of such pairs.  Their
+operations run through a few module-private kernels on pairs (``_add``,
+``_sub``, ``_neg``, ``_half``, ``_cmp``), each reducing by only the gcds
+its scheme needs, and the ``add``, ``sub``, ``neg`` and ``cmp`` of ℤ, Q,
+D and H(p) are those kernels;
 the Heisenberg third coordinate is summed over one denominator and
 reduced once, inline in ``add`` and by ``_sum3`` in ``neg`` and ``sub``.
 ``Fraction`` appears only at the boundary: ``from_flat`` takes ints and
 ``Fraction``s in, and ``flatten`` and ``format_element`` hand
 ``Fraction``s and text out.  Every operation takes canonical payloads
 only, as ``validate`` admits, and a bare int or ``Fraction`` raises
-TypeError where it is read, except in two places on Q, D and H(p):
+TypeError where it is read, except in two places on ℤ, Q, D and H(p):
 ``cmp`` and ``gamma``'s unit read it as its pair, because the benchmark's
 own test of a traced ≤ (``bench/test_bench.py``) builds Γ(Q, 1) from a
 bare ``Fraction`` and orders bare ``Fraction``s through ``cmp``.  ``eq``
 compares payloads, so a bare number equals no point, and ``contains``
-refuses it.
-ℤ keeps plain ints and refuses bools, and so do the float carriers.
+refuses it.  The float carriers refuse bools.
 
 As ``validate`` admits canonical payloads only, equal elements of an exact
 group are equal payloads, so ℤ, Q, D, H(p), the Heisenberg group and
@@ -138,7 +138,7 @@ def _reduced(p: tuple[int, int]) -> tuple[int, int]:
     return p if g == 1 else (n // g, d // g)
 
 
-# Exact kernels, and the add, sub, neg and cmp of Q, D and H(p).  Arguments
+# Exact kernels, and the add, sub, neg and cmp of ℤ, Q, D and H(p).  Arguments
 # and results are reduced pairs (n, d), and each result is the reduced pair
 # of what the Fraction operators give on the arguments as Fractions.  A bare
 # int or Fraction has no items, so unpacking it raises TypeError; only
@@ -251,8 +251,8 @@ class LGroup(ABC):
         """Raise BackendMismatch when the payload has the wrong shape."""
 
     def _read(self, a: Any) -> Any:
-        """``a`` as a payload: ``gamma``'s unit.  Q, D and H(p) read a bare
-        int or Fraction as its pair."""
+        """``a`` as a payload: ``gamma``'s unit.  ℤ, Q, D and H(p) read a
+        bare int or Fraction as its pair."""
         return a
 
     def sub(self, a: Any, b: Any) -> Any:
@@ -348,51 +348,6 @@ class LGroup(ABC):
 # scalar groups
 # ----------------------------------------------------------------------
 
-class IntegerGroup(LGroup):
-    dsl = "Z"
-
-    def zero(self):
-        return 0
-
-    def add(self, a, b):
-        return a + b
-
-    def neg(self, a):
-        return -a
-
-    def cmp(self, a, b):
-        return (a > b) - (a < b)
-
-    def eq(self, a, b):
-        return a == b
-
-    def validate(self, a):
-        if type(a) is not int:
-            raise BackendMismatch(f"integer expected, got {a!r}")
-
-    def halve(self, a):
-        return a // 2 if a % 2 == 0 else None
-
-    def _coerce_scalar(self, v):
-        if isinstance(v, Rational) and not isinstance(v, bool) and v.denominator == 1:
-            return int(v.numerator)
-        raise BackendMismatch(f"integer expected, got {v!r}")
-
-    def random_element(self, rng):
-        return rng.randrange(-8, 9)
-
-    def interval_sampler(self, unit):
-        def sample(rng):                    # randrange(0, u + 1)
-            return rng._randbelow(unit + 1)
-        return sample
-
-    def interval_size(self, hi):
-        return max(hi + 1, 0)
-
-    def enumerate_interval(self, hi):
-        return list(range(hi + 1))
-
-
 class _FractionGroup(LGroup):
     """Shared machinery for subgroups of the rationals, whose payloads are
     reduced pairs (n, d).
@@ -465,6 +420,27 @@ class _FractionGroup(LGroup):
             return (n, d) if g == 1 else (n // g, d // g)
 
         return sample
+
+
+class IntegerGroup(_FractionGroup):
+    """The integers, as the pairs (n, 1): H(1)."""
+
+    dsl = "Z"
+
+    def member(self, a):
+        return a[1] == 1
+
+    def _denominator(self, rng):
+        return 1                            # no draw: the sampler's is randrange(0, u + 1)
+
+    def random_element(self, rng):
+        return (rng.randrange(-8, 9), 1)
+
+    def interval_size(self, hi):
+        return max(hi[0] + 1, 0)
+
+    def enumerate_interval(self, hi):
+        return [(n, 1) for n in range(hi[0] + 1)]
 
 
 class RationalGroup(_FractionGroup):

@@ -14,6 +14,11 @@ def q(n, d=1):
     return pmv.RationalGroup().from_flat([Fraction(n, d)])
 
 
+def z(n):
+    """The payload of the integer n in ℤ."""
+    return pmv.IntegerGroup().from_flat([n])
+
+
 def shuffled(m):
     """``m`` with its carrier indices permuted by a seeded shuffle."""
     p = list(m.elements())

@@ -111,11 +111,10 @@ def test_parse_element_literals():
     assert x == g.from_flat([F(1, 2), 1, 0, F(-3, 4)])
     assert g.flatten(x) == [F(1, 2), F(1), F(0), F(-3, 4)]
     z = parse_group("Z")
-    assert parse_element_literal(z, "3") == 3
-    assert type(parse_element_literal(z, "3")) is int
-    assert parse_element_literal(parse_group("lex(Z,Z)"), "(3, -1)") == (3, -1)
-    with pytest.raises(SpecFileError):
-        parse_element_literal(z, "1/2")
+    assert parse_element_literal(z, "3") == (3, 1)
+    assert parse_element_literal(parse_group("lex(Z,Z)"), "(3, -1)") == ((3, 1), (-1, 1))
+    with pytest.raises(pmv.BackendMismatch, match="1/2 lies outside Z"):
+        z.validate(parse_element_literal(z, "1/2"))
     s = parse_group("semi_numeric")
     assert parse_element_literal(s, "(2, 0)") == (2.0, 0.0)
     # a float factor converts its own coordinates and an exact one keeps
@@ -301,6 +300,19 @@ def test_analyze_malformed_unit_exits_3(tmp_path, unit):
     assert proc.returncode == 3
     assert proc.stderr.startswith("error:")
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("group, unit, carrier", [
+    ("Z", "1/2", "Z"), ("lex(Z,Z)", "(1,1/2)", "Z"), ("prod(Z,Z)", "(1000/3,1)", "Z"),
+    ("D", "1/3", "D"),
+])
+def test_analyze_unit_outside_the_group_exits_3(tmp_path, group, unit, carrier):
+    # the unit is validated before its interval is sized, so a non-member
+    # is named as one, not as a table above the ceiling
+    path = write(tmp_path, "bad.json", {"gamma": {"group": group, "unit": unit}})
+    proc = run_cli("analyze", path)
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("error:") and f"lies outside {carrier}" in proc.stderr
 
 
 @pytest.mark.parametrize("payload", [

@@ -114,13 +114,15 @@ def int_payload(x):
 @pytest.mark.parametrize("make, unit", [
     (lex_heis, [1, 0, 0, 0]),
     (pmv.RationalGroup, [1]),
-], ids=["lex(Q,heis)", "Q"])
+    (pmv.IntegerGroup, [2]),
+    (lambda: pmv.LexProduct(pmv.IntegerGroup(), pmv.IntegerGroup()), [3, 1]),
+], ids=["lex(Q,heis)", "Q", "Z", "lex(Z,Z)"])
 def test_gamma_operations_build_no_fraction_through_new(monkeypatch, make, unit):
     # exact payloads are int pairs: no Γ operation, sampling included,
-    # builds a Fraction
+    # builds a Fraction; the sym root is evaluated where it is defined
     group = make()
     m = pmv.gamma(group, group.from_flat(unit))
-    sym = pmv.closed_form(m, "sym")
+    sym = pmv.closed_form(m, "sym") if group.halve(m.unit) is not None else None
     rng = make_rng(0, "construction")
     calls = []
     new = F.__new__
@@ -128,7 +130,9 @@ def test_gamma_operations_build_no_fraction_through_new(monkeypatch, make, unit)
     points = [m.sample(rng) for _ in range(50)]
     results = []
     for x, y in zip(points, points[1:] + points[:1]):
-        results += [m.oplus(x, y), m.neg(x), m.tilde(x), m.odot(x, y), m.leq(x, y), sym(x)]
+        results += [m.oplus(x, y), m.neg(x), m.tilde(x), m.odot(x, y), m.leq(x, y)]
+        if sym is not None and group.halve(group.add(x, m.unit)) is not None:   # (x + u)/2
+            results.append(sym(x))
     assert len(calls) == 0
     assert all(int_payload(r) for r in points + results if type(r) is not bool)
 

@@ -29,7 +29,7 @@ from pseudomv.ideals import (
     strongly_atomless_witness,
 )
 from pseudomv.roots import closed_form, identity_map, table_map
-from points import q
+from points import q, z
 
 
 def dyadic_unit():
@@ -368,9 +368,9 @@ def test_sampled_witness_search():
     assert 0 < fy < 1
     assert fvalue == min(fy, max(1 - fy, F(0))) != 0     # y ∧ (x ⊙ y⁻) at x = 1
     # Γ(ℤ ×lex ℤ, (1, 0)) is not enumerable: its atom (0, 1) has no witness, (0, 2) has one
-    lex = pmv.gamma(pmv.LexProduct(pmv.IntegerGroup(), pmv.IntegerGroup()), (1, 0))
-    assert strongly_atomless_witness(lex, (0, 1)) is None
-    assert strongly_atomless_witness(lex, (0, 2)) == ((0, 1), (0, 1))
+    lex = pmv.gamma(pmv.LexProduct(pmv.IntegerGroup(), pmv.IntegerGroup()), (z(1), z(0)))
+    assert strongly_atomless_witness(lex, (z(0), z(1))) is None
+    assert strongly_atomless_witness(lex, (z(0), z(2))) == ((z(0), z(1)), (z(0), z(1)))
 
 
 def test_scan_statuses():

@@ -18,7 +18,7 @@ import pseudomv.fused
 from pseudomv.cli import main, parse_element_literal, parse_group
 from pseudomv.core import make_rng
 from pseudomv.lgroups import SAMPLE_DENOMINATOR_BOUND, GammaPMV, LGroup
-from points import q
+from points import q, z
 
 
 def heis3(a, b, c):
@@ -39,10 +39,10 @@ def test_dyadic_arithmetic_and_halving():
 
 
 def test_integer_halving_parity():
-    z = pmv.IntegerGroup()
-    assert z.halve(4) == 2
-    assert z.halve(1) is None
-    assert z.halve(6) == 3
+    g = pmv.IntegerGroup()
+    assert g.halve(z(4)) == z(2)
+    assert g.halve(z(1)) is None
+    assert g.halve(z(6)) == z(3)
 
 
 def test_power_denominator_membership():
@@ -140,17 +140,18 @@ def test_lex_order_translation_invariant():
 
 def test_direct_product_partial_order():
     g = pmv.DirectProductGroup(pmv.IntegerGroup(), pmv.IntegerGroup())
-    assert g.cmp((0, 1), (1, 0)) is None
-    assert g.join((0, 1), (1, 0)) == (1, 1)
-    assert g.meet((0, 1), (1, 0)) == (0, 0)
-    assert g.leq((0, 0), (1, 1))
+    a, b = (z(0), z(1)), (z(1), z(0))
+    assert g.cmp(a, b) is None
+    assert g.join(a, b) == (z(1), z(1))
+    assert g.meet(a, b) == (z(0), z(0))
+    assert g.leq((z(0), z(0)), (z(1), z(1)))
 
 
 @pytest.mark.parametrize("group, unit, size", [
-    (pmv.IntegerGroup(), 3, 4),
-    (pmv.IntegerGroup(), -2, 0),
-    (pmv.DirectProductGroup(pmv.IntegerGroup(), pmv.IntegerGroup()), (2, 1), 6),
-    (pmv.DirectProductGroup(pmv.IntegerGroup(), pmv.DyadicGroup()), (10**9, q(1)), None),
+    (pmv.IntegerGroup(), z(3), 4),
+    (pmv.IntegerGroup(), z(-2), 0),
+    (pmv.DirectProductGroup(pmv.IntegerGroup(), pmv.IntegerGroup()), (z(2), z(1)), 6),
+    (pmv.DirectProductGroup(pmv.IntegerGroup(), pmv.DyadicGroup()), (z(10**9), q(1)), None),
     (pmv.DyadicGroup(), q(1), None),
 ])
 def test_interval_size_counts_the_listed_interval(group, unit, size):
@@ -280,7 +281,7 @@ def composed_sampler(g, unit):
         first, second = composed_sampler(g.first, unit[0]), composed_sampler(g.second, unit[1])
         return lambda rng: (first(rng), second(rng))
     if isinstance(g, pmv.IntegerGroup):
-        return lambda rng: rng.randrange(0, unit + 1)
+        return lambda rng: (rng.randrange(0, unit[0] + 1), 1)
     zero = g.zero()
     if isinstance(g, pmv.LexProduct):
         head, tail = composed_sampler(g.first, unit[0]), g.second
@@ -425,11 +426,16 @@ any_q = _scalar()[1]
 #: coordinates; the nested shapes put heis on either side of a lex and in a
 #: product, the last two nest a lex in a lex tail, whose unclamped
 #: x − u + y (``rest``) a lex ⊙ reads, and a lex head may be 0 with a
-#: positive tail.
+#: positive tail.  lex(Z,D) and prod(Z,H(6)) put ℤ beside another scalar.
 EXACT_GAMMA_CASES = {
     "Z": ("Z", st.tuples(st.integers(1, 6))),
     "lex(Z,Z)": (("lex", "Z", "Z"), st.one_of(st.tuples(st.integers(1, 7), st.integers(-4, 4)),
                                              st.tuples(st.just(0), st.integers(1, 4)))),
+    "lex(Z,D)": (("lex", "Z", 2), st.one_of(
+        st.tuples(st.integers(1, 4), st.builds(F, st.integers(-8, 8), st.sampled_from([1, 2, 4]))),
+        st.tuples(st.just(0), st.builds(F, st.integers(1, 15), st.sampled_from([1, 2, 4]))))),
+    "prod(Z,H(6))": (("prod", "Z", 6), st.tuples(st.integers(1, 4),
+                                                 st.sampled_from([F(1, 6), F(1), F(5, 36)]))),
     "Q": (None, st.tuples(pos_q)),
     "D": (2, st.tuples(st.builds(F, st.integers(1, 15), st.sampled_from([1, 2, 4, 8])))),
     "H(6)": (6, st.tuples(st.builds(F, st.integers(1, 12), st.sampled_from([6, 36])))),
@@ -716,7 +722,7 @@ def lex_q_heis():
 
 # (group, unit) for every kind of carrier, abelian or not
 CENTRE_CASES = {
-    "Z": (pmv.IntegerGroup, 2),
+    "Z": (pmv.IntegerGroup, z(2)),
     "Q": (pmv.RationalGroup, q(1)),
     "D": (pmv.DyadicGroup, q(1)),
     "H(6)": (lambda: pmv.PowerDenominatorGroup(6), q(1)),
@@ -726,7 +732,7 @@ CENTRE_CASES = {
     "lex(Q,heis)": (lex_q_heis, (q(1), heis3(0, 0, 0))),
     "prod(D,Q)": (lambda: pmv.DirectProductGroup(pmv.DyadicGroup(), pmv.RationalGroup()),
                   (q(1), q(1))),
-    "lex(Z,Z)": (lambda: pmv.LexProduct(pmv.IntegerGroup(), pmv.IntegerGroup()), (2, 0)),
+    "lex(Z,Z)": (lambda: pmv.LexProduct(pmv.IntegerGroup(), pmv.IntegerGroup()), (z(2), z(0))),
 }
 
 
@@ -797,7 +803,7 @@ STREAM_PINS = [
      ((q(1), q(0)), q(1)),
      ["(1, 0, 103/216)", "(199/256, 1013/687, 37/216)", "(1, 0, 2/3)", "(1/16, 13/119, 0)",
       "(1, -937/504, 0)"]),
-    (lambda: pmv.LexProduct(pmv.IntegerGroup(), pmv.IntegerGroup()), (2, 0),
+    (lambda: pmv.LexProduct(pmv.IntegerGroup(), pmv.IntegerGroup()), (z(2), z(0)),
      ["(0, 1)", "(1, 5)", "(2, -5)", "(1, 3)", "(1, 4)"]),
     (pmv.ScalingSemidirect, (2.0, 0.0),
      [(1.006430728730023, -0.38371489560438254), (1.4337730148521146, 0.9635823979997507),
@@ -1118,10 +1124,6 @@ NOT_CANONICAL = {
     "int": 1,
 }
 
-#: Each stands where an integer of Z belongs and is none; ``True == 1``,
-#: so a bool would pass a test by ``==``.
-NOT_INTEGER = {"True": True, "False": False, "float": 1.0, "Fraction": F(1), "pair": (1, 1)}
-
 CANONICAL_CASES = {
     "Q": (pmv.RationalGroup, [1], NOT_CANONICAL),
     "D": (pmv.DyadicGroup, [1], NOT_CANONICAL),
@@ -1130,7 +1132,7 @@ CANONICAL_CASES = {
     "lex(Q,heis)": (lex_q_heis, [1, 0, 0, 0], NOT_CANONICAL),
     "prod(Q,D)": (lambda: pmv.DirectProductGroup(pmv.RationalGroup(), pmv.DyadicGroup()),
                   [1, 1], NOT_CANONICAL),
-    "Z": (pmv.IntegerGroup, [2], NOT_INTEGER),
+    "Z": (pmv.IntegerGroup, [2], {**NOT_CANONICAL, "non-member": (1, 2)}),
 }
 
 
@@ -1181,6 +1183,7 @@ def test_composite_points_refuse_bare_coordinates(name):
 
 
 RATIONAL_GROUPS = {
+    "Z": pmv.IntegerGroup,
     "Q": pmv.RationalGroup,
     "D": pmv.DyadicGroup,
     "H(6)": lambda: pmv.PowerDenominatorGroup(6),
@@ -1213,7 +1216,7 @@ def test_rational_groups_read_bare_numbers(name):
         with pytest.raises(TypeError):      # Γ's operations take its points only
             getattr(m, op)(*args)
     # validate and contains still take pairs only, and a non-number is refused
-    assert not m.contains(F(1, 2)) and m.contains(g.from_flat([F(1, 2)]))
+    assert not m.contains(F(1)) and not m.contains(1) and m.contains(g.from_flat([1]))
     for bad in (0.5, True, "1"):
         with pytest.raises(pmv.BackendMismatch):
             pmv.gamma(g, bad)

@@ -34,7 +34,7 @@ from pseudomv.roots import (
     variety_identities,
 )
 from pseudomv.counterexamples import scaling_action_algebra
-from points import q
+from points import q, z
 
 
 HEIS0 = (q(0), q(0), q(0))
@@ -110,9 +110,9 @@ def test_closed_form_requires_halving():
     # an even unit halves, but evaluation still dies on odd points
     g2 = pmv.gamma(pmv.IntegerGroup(), 2)
     root = pmv.closed_form(g2, "sym")
-    assert root(0) == 1
+    assert root(z(0)) == z(1)
     with pytest.raises(HalvingUnavailable):
-        root(1)
+        root(z(1))
     found, how = pmv.detect_square_root(g2)
     assert found is None and "halving" in how
 
@@ -143,11 +143,11 @@ def test_mixed_form_splits_along_an_idempotent():
 def test_mixed_form_on_an_unhalvable_unit():
     # Γ(ℤ × D, (1, 1)) is 2 × [0, 1]_D: u cannot be halved, yet the mixed form
     # along w = (1, 0) is the Boolean × strict root, r(0) = (0, 1/2)
-    m = pmv.gamma(pmv.DirectProductGroup(pmv.IntegerGroup(), pmv.DyadicGroup()), (1, q(1)))
-    root = pmv.closed_form(m, "mixed", witness=(1, q(0)))
+    m = pmv.gamma(pmv.DirectProductGroup(pmv.IntegerGroup(), pmv.DyadicGroup()), (z(1), q(1)))
+    root = pmv.closed_form(m, "mixed", witness=(z(1), q(0)))
     rep = pmv.verify(m, root, budget=200)
     assert rep.classification == "product"
-    assert rep.r0 == (0, q(1, 2)) and rep.witness_idempotent == (1, q(0))
+    assert rep.r0 == (z(0), q(1, 2)) and rep.witness_idempotent == (z(1), q(0))
     dec = pmv.decompose(m, root, budget=200)
     assert dec.classification == "product"
     assert dec.all_pass, {k: v.passed for k, v in dec.checks.items()}
@@ -593,16 +593,16 @@ def test_residuum_bound_and_arrow_equation_diverge_pointwise():
 
 
 def test_integer_headed_lex_interval_has_no_weak_root():
-    # on Γ(ℤ lex ℚ, (1,0)) the set {z : z ⊙ z ≤ 0} is the whole fiber
+    # on Γ(ℤ lex ℚ, (1,0)) the set {w : w ⊙ w ≤ 0} is the whole fiber
     # {(0, q) : q ≥ 0}, which has no greatest element, so no weak square
     # root can exist; detection correctly reports nothing
     g = pmv.LexProduct(pmv.IntegerGroup(), pmv.RationalGroup())
-    m = pmv.gamma(g, (1, q(0)))
+    m = pmv.gamma(g, (z(1), q(0)))
     for n in range(8):
-        z = (0, q(n))
-        assert m.contains(z)
-        assert m.eq(m.odot(z, z), m.zero)  # squares collapse to 0
-        assert m.lt(z, (0, q(n + 1)))     # and climb without bound
+        w = (z(0), q(n))
+        assert m.contains(w)
+        assert m.eq(m.odot(w, w), m.zero)  # squares collapse to 0
+        assert m.lt(w, (z(0), q(n + 1)))  # and climb without bound
     root, how = pmv.detect_square_root(m)
     assert root is None and "none" in how
 

@@ -68,7 +68,8 @@ MUTANTS = {
                     "return self.first.leq(a[0], b[0]) or self.second.leq(a[1], b[1])"),
     "prod-eq-ignores-exact": (LG, "        if self.exact:\n            return a == b",
                               "        if True:\n            return a == b"),
-    "z-validate-takes-bools": (LG, "if type(a) is not int:", "if not isinstance(a, int):"),
+    "pair-validate-takes-bools": (LG, "type(a[0]) is int", "isinstance(a[0], int)"),
+    "z-member-admits-halves": (LG, "return a[1] == 1", "return a[1] <= 2"),
     # the Heisenberg third coordinate
     "heis-add-drops-cross-term": (LG, "        p = a0[0] * b1[0]\n", "        p = 0\n"),
     # a cocycle of the other sign still makes a group, so only an identity
