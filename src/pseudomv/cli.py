@@ -115,6 +115,11 @@ TOLERANCE_DEFAULT = 1e-9
 #: 4,300-digit limit for converting an int to a string.
 LITERAL_DIGITS_CEILING = 1000
 
+#: The most levels a group expression may nest, a bare group being 1 deep,
+#: as ``finite.CATALOGUE_DEPTH_CEILING`` bounds a catalogue spec: every
+#: group operation recurses once per level.
+GROUP_DEPTH_CEILING = 32
+
 #: Float carriers compare within the absolute ``--tolerance``, so a unit
 #: coordinate whose rounding error comes near it fails the axioms.  A float
 #: unit is accepted while max |uᵢ| · ε · FLOAT_UNIT_MARGIN ≤ tolerance.
@@ -150,15 +155,17 @@ def parse_group(text: str, tolerance: float = 1e-9) -> LGroup:
         raise SpecFileError(f"group expression must be a string, got {type(text).__name__}")
     text = text.strip()
 
-    def parse(s: str) -> tuple[LGroup, str]:
+    def parse(s: str, depth: int) -> tuple[LGroup, str]:
+        if depth > GROUP_DEPTH_CEILING:
+            raise SpecFileError(f"group expression nests deeper than {GROUP_DEPTH_CEILING} levels")
         s = s.lstrip()
         for name, ctor in (("lex", LexProduct), ("prod", DirectProductGroup)):
             if s.startswith(name + "("):
-                left, rest = parse(s[len(name) + 1:])
+                left, rest = parse(s[len(name) + 1:], depth + 1)
                 rest = rest.lstrip()
                 if not rest.startswith(","):
                     raise SpecFileError(f"expected ',' in {name}(...)")
-                right, rest = parse(rest[1:])
+                right, rest = parse(rest[1:], depth + 1)
                 rest = rest.lstrip()
                 if not rest.startswith(")"):
                     raise SpecFileError(f"expected ')' closing {name}(...)")
@@ -181,8 +188,8 @@ def parse_group(text: str, tolerance: float = 1e-9) -> LGroup:
         raise SpecFileError(f"unknown group constructor near {_prefix(s)}")
 
     try:
-        group, rest = parse(text)
-    except (ValueError, IndexError, RecursionError) as exc:
+        group, rest = parse(text, 1)
+    except (ValueError, IndexError) as exc:
         raise SpecFileError(f"bad group expression {_prefix(text)}: {exc}") from exc
     if rest.strip():
         raise SpecFileError(f"trailing input after group expression: {_prefix(rest.strip())}")

@@ -3,9 +3,11 @@
 ``GammaPMV`` calls :func:`gamma_kernels`, and loads this module the first
 time it builds Γ, so a command that builds none does not compile it.  For
 ℤ, Q, D, H(p), the Heisenberg group, lex and direct products of them, and
-the two float groups, it builds, once per unit, one closure for each of
-x ⊕ y = (x+y) ∧ u, x⁻ = u − x, x∼ = −x + u and x ⊙ y = (x − u + y) ∨ 0.
-Each decides its clamp before it reduces anything:
+the two float groups, it fuses the two clamped operations,
+x ⊕ y = (x+y) ∧ u and x ⊙ y = (x − u + y) ∨ 0, into one closure each,
+built once per unit.  The negations have no clamp: x⁻ = u − x and
+x∼ = −x + u are bound as the group's ``sub`` and ``lsub`` at u.  Each
+fused closure decides its clamp before it reduces anything:
 
 * on ℤ, Q, D and H(p), one unreduced sum over one denominator, one sign
   test and at most one gcd;
@@ -17,7 +19,7 @@ Each decides its clamp before it reduces anything:
 * on a direct product, the factors' closures componentwise, as
   Γ(G₁ × G₂, (u₁, u₂)) = Γ(G₁, u₁) × Γ(G₂, u₂);
 * on the float groups, the tolerance test inline and the unit's constants
-  (1/u₀ and −u₁/u₀, or e^{±u₀}) computed once, making the float
+  (1/u₀ and −u₁/u₀, or e^{−u₀}) computed once, making the float
   expressions of the composition in the same order, so bit-identical.
   There ``eq``, ``leq``, ``meet`` and ``join`` are bound to the group's;
   on the exact groups they stay Γ's methods.
@@ -36,14 +38,14 @@ may decide its clamp before it reads that coordinate.
 
 Only the exact types above are fused: a subclass may change the
 operations, so Γ composes them.  A float group stays a leaf, so Γ composes
-a product with a float factor, and exp_numeric where e^{u₀} overflows.
-Nothing here draws a random point: each group draws Γ's own, in
-:mod:`pseudomv.lgroups`.
+a product with a float factor.  Nothing here draws a random point: each
+group draws Γ's own, in :mod:`pseudomv.lgroups`.
 """
 
 from __future__ import annotations
 
 import math
+from functools import partial
 from typing import Any
 
 from .lgroups import (
@@ -68,22 +70,26 @@ BOUND = ("oplus", "neg", "tilde", "odot", "eq", "leq", "meet", "join")
 def gamma_kernels(group: LGroup, unit: Any) -> dict[str, Any] | None:
     """The functions ``GammaPMV`` binds for Γ(group, unit), each returning
     on Γ's points what its own method returns; None where Γ composes the
-    group operations."""
+    group operations.  ⁻ and ∼ are the group's ``sub`` and ``lsub`` at u."""
     parts = gamma_parts(group, unit)
-    return None if parts is None else {op: parts[op] for op in BOUND if op in parts}
+    if parts is None:
+        return None
+    kernels = {op: parts[op] for op in BOUND if op in parts}
+    kernels.update(neg=partial(group.sub, unit), tilde=partial(group.lsub, unit))
+    return kernels
 
 
 def gamma_parts(group: LGroup, unit: Any) -> dict[str, Any] | None:
     """The fused Γ(group, unit) operations, and what a lexicographic or
     direct product builds its own from; None where the group has none.
 
-    ``oplus``, ``neg``, ``tilde`` and ``odot`` are Γ's.  ``rest`` is
-    x − u + y unclamped, and ``zero`` the zero payload.  A linearly ordered
-    exact group adds ``below``, x + y if it lies below u, ``unit`` itself if
-    it is u and None above, and ``above``, x − u + y if it lies above 0,
-    ``zero`` itself if it is 0 and None below: the head of a lexicographic
-    product reads its clamps off them.  A float group has none of these,
-    but ``eq``, ``leq``, ``meet`` and ``join``.  No part reads a bare number."""
+    ``oplus`` and ``odot`` are Γ's.  ``rest`` is x − u + y unclamped, and
+    ``zero`` the zero payload.  A linearly ordered exact group adds
+    ``below``, x + y if it lies below u, ``unit`` itself if it is u and None
+    above, and ``above``, x − u + y if it lies above 0, ``zero`` itself if
+    it is 0 and None below: the head of a lexicographic product reads its
+    clamps off them.  A float group has none of these, but ``eq``, ``leq``,
+    ``meet`` and ``join``.  No part reads a bare number."""
     build = _PARTS.get(type(group))
     return None if build is None else build(group, unit)
 
@@ -97,7 +103,7 @@ def _factor(group, unit):
 def _fraction_parts(group, unit):
     # Each operation sums over one denominator without reducing, decides
     # the clamp by the sign of one cross-multiplication, and reduces
-    # with one gcd only what it returns.  x⁻ and x∼ are both u − x.
+    # with one gcd only what it returns.
     un, ud = unit
     gcd = math.gcd
 
@@ -134,18 +140,8 @@ def _fraction_parts(group, unit):
             return (n, d) if g == 1 else (n // g, d // g)
         return odot
 
-    def neg(x):                         # u − x = −x + u
-        n, d = x
-        if d != ud:
-            n, d = un * d - n * ud, ud * d
-        else:
-            n = un - n
-        g = gcd(n, d)
-        return (n, d) if g == 1 else (n // g, d // g)
-
     return {"oplus": capped(unit), "below": capped(None), "odot": shifted(_ZERO, True),
-            "above": shifted(None, True), "rest": shifted(None, False), "neg": neg,
-            "tilde": neg, "zero": _ZERO}
+            "above": shifted(None, True), "rest": shifted(None, False), "zero": _ZERO}
 
 
 def _heisenberg_parts(group, unit):
@@ -240,38 +236,8 @@ def _heisenberg_parts(group, unit):
             return (_reduced((s0, t0)), _reduced((s1, t1)), _reduced((n2, d2)))
         return odot
 
-    def negation(left):
-        # u − x = (u₀ − x₀, u₁ − x₁, u₂ − x₂ − (u₀ − x₀)x₁) and
-        # −x + u = (u₀ − x₀, u₁ − x₁, u₂ − x₂ − x₀(u₁ − x₁))
-        def neg(x):
-            (n0, d0), (n1, d1), (n2, d2) = x
-            if d0 != b0:
-                s0, t0 = a0 * d0 - n0 * b0, b0 * d0
-            else:
-                s0, t0 = a0 - n0, d0
-            if d1 != b1:
-                s1, t1 = a1 * d1 - n1 * b1, b1 * d1
-            else:
-                s1, t1 = a1 - n1, d1
-            if d2 != b2:
-                n2, d2 = a2 * d2 - n2 * b2, b2 * d2
-            else:
-                n2 = a2 - n2
-            if left:
-                p, q = s0 * n1, t0 * d1
-            else:
-                p, q = n0 * s1, d0 * t1
-            if p:
-                if d2 != q:
-                    n2, d2 = n2 * q - p * d2, d2 * q
-                else:
-                    n2 -= p
-            return (_reduced((s0, t0)), _reduced((s1, t1)), _reduced((n2, d2)))
-        return neg
-
     return {"oplus": capped(unit), "below": capped(None), "odot": shifted(zero, True),
-            "above": shifted(None, True), "rest": shifted(None, False), "neg": negation(True),
-            "tilde": negation(False), "zero": zero}
+            "above": shifted(None, True), "rest": shifted(None, False), "zero": zero}
 
 
 def _lex_parts(group, unit):
@@ -321,8 +287,7 @@ def _lex_parts(group, unit):
         return (h_rest(x[0], y[0]), t_rest(x[1], y[1]))
 
     parts = {"oplus": capped(unit, tail["oplus"]), "odot": shifted(zero, tail["odot"]),
-             "rest": rest, "neg": _pairwise(head["neg"], tail["neg"], 1),
-             "tilde": _pairwise(head["tilde"], tail["tilde"], 1), "zero": zero}
+             "rest": rest, "zero": zero}
     if "below" in tail:
         parts.update(below=capped(None, tail["below"]), above=shifted(None, tail["above"]))
     return parts
@@ -335,24 +300,19 @@ def _product_parts(group, unit):
     if first is None or second is None:
         return None
     parts = {op: _pairwise(first[op], second[op]) for op in ("oplus", "odot", "rest")}
-    parts.update({op: _pairwise(first[op], second[op], 1) for op in ("neg", "tilde")},
-                 zero=(first["zero"], second["zero"]))
+    parts["zero"] = (first["zero"], second["zero"])
     return parts
 
 
-def _pairwise(f, g, arity=2):
+def _pairwise(f, g):
     """The operation on pairs that applies ``f`` to the first coordinates of
-    its ``arity`` arguments and ``g`` to the second."""
-    def unary(x):
-        a, b = x
-        return (f(a), g(b))
-
+    its two arguments and ``g`` to the second."""
     def binary(x, y):
         a, b = x
         c, d = y
         return (f(a, c), g(b, d))
 
-    return binary if arity == 2 else unary
+    return binary
 
 
 def _scaling_parts(group, unit):
@@ -371,14 +331,6 @@ def _scaling_parts(group, unit):
             return unit
         return (s0, s1) if d < -t or s1 - u1 < -t else unit
 
-    def neg(x):             # sub(u, x)
-        k = 1.0 / x[0]
-        return (u0 * k, k * u1 + -x[1] / x[0])
-
-    def tilde(x):           # add(neg(x), u)
-        x0 = x[0]
-        return (1.0 / x0 * u0, u0 * (-x[1] / x0) + u1)
-
     def odot(x, y):         # add(sub(x, u), y) ∨ 0, where 0 = (1, 0)
         y0 = y[0]
         s0 = x[0] * h * y0
@@ -388,7 +340,7 @@ def _scaling_parts(group, unit):
             return (s0, s1)
         return zero if d < -t or s1 - 0.0 < -t else (s0, s1)
 
-    return {"oplus": oplus, "neg": neg, "tilde": tilde, "odot": odot,
+    return {"oplus": oplus, "odot": odot,
             "eq": group.eq, "leq": group.leq, "meet": group.meet, "join": group.join}
 
 
@@ -397,10 +349,6 @@ def _exp_parts(group, unit):
     u0, u1 = unit
     zero = group.zero()
     exp = math.exp
-    try:
-        eu = exp(u0)        # add(n, u) scales n's second coordinate by eu
-    except OverflowError:   # no finite constant: Γ composes the operations
-        return None
     e = exp(-u0)            # sub(x, u) = (x0 + m, e * x1 + c)
     m, c = -u0, -e * u1
 
@@ -413,15 +361,6 @@ def _exp_parts(group, unit):
             return unit
         return (s0, s1) if d < -t or s1 - u1 < -t else unit
 
-    def neg(x):             # sub(u, x)
-        x0 = x[0]
-        k = exp(-x0)
-        return (u0 + -x0, k * u1 + -k * x[1])
-
-    def tilde(x):           # add(neg(x), u)
-        x0 = x[0]
-        return (-x0 + u0, eu * (-exp(-x0) * x[1]) + u1)
-
     def odot(x, y):         # add(sub(x, u), y) ∨ 0, where 0 = (0, 0)
         y0 = y[0]
         s0 = x[0] + m + y0
@@ -431,7 +370,7 @@ def _exp_parts(group, unit):
             return (s0, s1)
         return zero if d < -t or s1 - 0.0 < -t else (s0, s1)
 
-    return {"oplus": oplus, "neg": neg, "tilde": tilde, "odot": odot,
+    return {"oplus": oplus, "odot": odot,
             "eq": group.eq, "leq": group.leq, "meet": group.meet, "join": group.join}
 
 

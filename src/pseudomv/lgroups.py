@@ -21,10 +21,11 @@ Exact carriers store each rational coordinate as a reduced pair
 (n, 1), and a Heisenberg element is a triple of such pairs.  Their
 operations run through a few module-private kernels on pairs (``_add``,
 ``_sub``, ``_neg``, ``_half``, ``_cmp``), each reducing by only the gcds
-its scheme needs, and the ``add``, ``sub``, ``neg`` and ``cmp`` of ℤ, Q,
-D and H(p) are those kernels;
+its scheme needs, and the ``add``, ``sub``, ``lsub``, ``neg`` and ``cmp``
+of ℤ, Q, D and H(p) are those kernels;
 the Heisenberg third coordinate is summed over one denominator and
-reduced once, inline in ``add`` and by ``_sum3`` in ``neg`` and ``sub``.
+reduced once, inline in ``add`` and by ``_sum3`` in ``neg``, ``sub`` and
+``lsub``.
 ``Fraction`` appears only at the boundary: ``from_flat`` takes ints and
 ``Fraction``s in, and ``flatten`` and ``format_element`` hand
 ``Fraction``s and text out.  Every operation takes canonical payloads
@@ -44,16 +45,19 @@ operations make one comparison: the Heisenberg ``leq``, ``join`` and
 the head factor (and the tail's own operation on a tie), and product
 ``leq`` one ``leq`` per factor.
 
-The Γ-construction turns the interval [0, u] of a unital group into a
-pseudo MV-algebra via x ⊕ y = (x+y) ∧ u, x⁻ = u−x, x∼ = −x+u.
+Every group has both differences, ``sub(a, b)`` = a + (−b) and
+``lsub(a, b)`` = −b + a; they differ only on a noncommutative group.  The
+Γ-construction turns the interval [0, u] of a unital group into a pseudo
+MV-algebra via x ⊕ y = (x+y) ∧ u, x⁻ = u−x = ``sub(u, x)`` and
+x∼ = −x+u = ``lsub(u, x)``.
 
 The float groups order their pairs lexicographically within an absolute
 tolerance t: the first coordinate whose difference d has |d| > t decides,
 and pairs closer than t in both coordinates are equal.  Their ``cmp``,
-``eq``, ``leq``, ``lt``, ``meet`` and ``join`` make that test inline as
-d > t or d < −t, and their ``sub`` repeats the float expressions of
-``add(a, neg(b))``; each returns exactly what LGroup's derived definition
-returns, bit for bit.
+``eq``, ``leq``, ``meet`` and ``join`` make that test inline as d > t or
+d < −t, and their ``sub`` and ``lsub`` repeat the float expressions of
+``add(a, neg(b))`` and ``add(neg(b), a)``; each returns exactly what
+LGroup's derived definition returns, bit for bit.
 
 ``GammaPMV``'s methods compose the group operations and are Γ's
 specification.  Its fast path, the fused operations it binds over them,
@@ -202,8 +206,8 @@ def _cmp(a, b):
 
 def _sum3(n, d, m, e, p, q):
     """n/d + m/e + p/q in lowest terms, for d, e, q > 0, over one common
-    denominator with one gcd: the Heisenberg third coordinate of ``neg``
-    and ``sub`` (``add`` computes the same inline)."""
+    denominator with one gcd: the Heisenberg third coordinate of ``neg``,
+    ``sub`` and ``lsub`` (``add`` computes the same inline)."""
     if d != e:
         n, m, d = n * e, m * d, d * e
     n += m
@@ -258,6 +262,10 @@ class LGroup(ABC):
     def sub(self, a: Any, b: Any) -> Any:
         """a − b = a + (−b)."""
         return self.add(a, self.neg(b))
+
+    def lsub(self, a: Any, b: Any) -> Any:
+        """−b + a, the other difference: Γ's x∼ is ``lsub(u, x)``."""
+        return self.add(self.neg(b), a)
 
     def eq(self, a: Any, b: Any) -> bool:
         return self.cmp(a, b) == 0
@@ -352,7 +360,8 @@ class _FractionGroup(LGroup):
     """Shared machinery for subgroups of the rationals, whose payloads are
     reduced pairs (n, d).
 
-    ``add``, ``sub``, ``neg`` and ``cmp`` are the pair kernels themselves.
+    ``add``, ``sub``, ``lsub``, ``neg`` and ``cmp`` are the pair kernels
+    themselves.
     Only ``cmp`` (and so LGroup's ``lt``) and ``_read``, for ``gamma``'s
     unit, also read a bare int or Fraction as its pair (see the module
     docstring); the other operations raise TypeError on one, and under
@@ -364,7 +373,7 @@ class _FractionGroup(LGroup):
 
     _read = staticmethod(_pair)
     add = staticmethod(_add)
-    sub = staticmethod(_sub)
+    sub = lsub = staticmethod(_sub)     # abelian: −b + a = a − b
     neg = staticmethod(_neg)
     cmp = staticmethod(_cmp)
 
@@ -503,10 +512,11 @@ class HeisenbergGroup(LGroup):
     flat_arity = 3
 
     # Each coordinate is a reduced pair, never a bare number.  The third
-    # coordinate of add, neg, sub and halve is summed over one common
-    # denominator and reduced once (inline in add, by ``_sum3`` in neg and
-    # sub).  Payloads are reduced, so equal elements are equal triples, and
-    # each order operation reads one lexicographic ``_cmp`` chain.
+    # coordinate of add, neg, sub, lsub and halve is summed over one common
+    # denominator and reduced once (inline in add, by ``_sum3`` in neg, sub
+    # and lsub).  Payloads are reduced, so equal elements are equal
+    # triples, and each order operation reads one lexicographic ``_cmp``
+    # chain.
 
     def zero(self):
         return (_ZERO, _ZERO, _ZERO)
@@ -534,10 +544,17 @@ class HeisenbergGroup(LGroup):
 
     def sub(self, a, b):
         """a + (−b) = (a₀−b₀, a₁−b₁, a₂−b₂−(a₀−b₀)·b₁)."""
-        d0 = _sub(a[0], b[0])
-        n, d = a[2]
-        b1, (m, e) = b[1], b[2]
-        return (d0, _sub(a[1], b1), _sum3(n, d, -m, e, -d0[0] * b1[0], d0[1] * b1[1]))
+        a0, a1, (n, d) = a
+        b0, b1, (m, e) = b
+        d0 = _sub(a0, b0)
+        return (d0, _sub(a1, b1), _sum3(n, d, -m, e, -d0[0] * b1[0], d0[1] * b1[1]))
+
+    def lsub(self, a, b):
+        """−b + a = (a₀−b₀, a₁−b₁, a₂−b₂−b₀·(a₁−b₁))."""
+        a0, a1, (n, d) = a
+        b0, b1, (m, e) = b
+        d1 = _sub(a1, b1)
+        return (_sub(a0, b0), d1, _sum3(n, d, -m, e, -b0[0] * d1[0], b0[1] * d1[1]))
 
     def cmp(self, a, b):
         return _cmp(a[0], b[0]) or _cmp(a[1], b[1]) or _cmp(a[2], b[2])
@@ -637,7 +654,12 @@ class _PairGroup(LGroup):
         return (self.first.neg(a[0]), self.second.neg(a[1]))
 
     def sub(self, a, b):
-        return (self.first.sub(a[0], b[0]), self.second.sub(a[1], b[1]))
+        (a0, a1), (b0, b1) = a, b
+        return (self.first.sub(a0, b0), self.second.sub(a1, b1))
+
+    def lsub(self, a, b):
+        (a0, a1), (b0, b1) = a, b
+        return (self.first.lsub(a0, b0), self.second.lsub(a1, b1))
 
     def eq(self, a, b):
         """Structural on exact payloads; factor-wise when a factor compares
@@ -914,6 +936,10 @@ class ScalingSemidirect(_FloatPairGroup):
         h = 1.0 / b[0]
         return (a[0] * h, h * a[1] + -b[1] / b[0])
 
+    def lsub(self, a, b):
+        # add(neg(b), a) with the same float expressions, so bit-identical
+        return (1.0 / b[0] * a[0], a[0] * (-b[1] / b[0]) + a[1])
+
     def validate(self, a):
         super().validate(a)
         if a[0] <= 0:
@@ -946,6 +972,10 @@ class ExpSemidirect(_FloatPairGroup):
         # add(a, neg(b)) with the same float expressions, so bit-identical
         e = math.exp(-b[0])
         return (a[0] + -b[0], e * a[1] + -e * b[1])
+
+    def lsub(self, a, b):
+        # add(neg(b), a) with the same float expressions, so bit-identical
+        return (-b[0] + a[0], math.exp(a[0]) * (-math.exp(-b[0]) * b[1]) + a[1])
 
     def halve(self, a):
         return (a[0] / 2.0, a[1] / (math.exp(a[0] / 2.0) + 1.0))

@@ -634,7 +634,7 @@ def dyadic_ladder(algebra: GammaPMV, root: SquareRootMap, depth: int) -> list:
     group = algebra.group
     rungs = [r0]
     for _ in range(depth - 1):
-        nxt = group.add(root(rungs[-1]), group.neg(r0))
+        nxt = group.sub(root(rungs[-1]), r0)
         if not algebra.contains(nxt):
             raise LadderError("ladder rung left the interval [0, u]")
         rungs.append(nxt)

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 import pseudomv as pmv
 from pseudomv.cli import (
     FLOAT_TOLERANCE_CEILING,
+    GROUP_DEPTH_CEILING,
     LITERAL_DIGITS_CEILING,
     SAMPLES_CEILING,
     SpecFileError,
@@ -572,6 +573,35 @@ def test_ladder_command(tmp_path):
     assert payload["ladder"] == ["1/2", "1/4", "1/8", "1/16", "1/32"]
 
 
+def nested_gamma(levels):
+    """A Γ spec whose group is ``len(levels) + 1`` levels deep: each
+    (constructor, atom, atom_first) of ``levels``, from the outside in,
+    pairs an atom with the rest, and the innermost rest is ``Q``.  A lex
+    keeps its atom as the head, which must be linearly ordered.  The unit
+    is (1, ..., 1), one coordinate per atom."""
+    text = "Q"
+    for ctor, atom, atom_first in reversed(levels):
+        text = f"{ctor}({atom},{text})" if atom_first or ctor == "lex" else f"{ctor}({text},{atom})"
+    unit = "(" + ",".join(["1"] * (len(levels) + 1)) + ")"
+    return {"gamma": {"group": text, "unit": unit}}
+
+
+@pytest.mark.parametrize("command, depth, code", [
+    (["analyze", "--samples", "40"], GROUP_DEPTH_CEILING, 0),
+    (["ladder"], GROUP_DEPTH_CEILING, 0),
+    (["analyze", "--samples", "40"], GROUP_DEPTH_CEILING + 1, 3),
+    (["ladder"], GROUP_DEPTH_CEILING + 1, 3),
+    (["quotient", "--ideal", "0"], GROUP_DEPTH_CEILING + 1, 3),
+], ids=["analyze-at", "ladder-at", "analyze-past", "ladder-past", "quotient-past"])
+def test_group_depth_ceiling(tmp_path, command, depth, code):
+    spec = nested_gamma([("lex", "Q", True)] * (depth - 1))
+    proc = run_cli(command[0], write(tmp_path, "deep.json", spec), *command[1:])
+    assert proc.returncode == code, proc.stderr
+    if code == 3:
+        assert proc.stderr.startswith("error:")
+        assert f"deeper than {GROUP_DEPTH_CEILING} levels" in proc.stderr
+
+
 def test_ladder_needs_gamma(tmp_path):
     proc = run_cli("ladder", write(tmp_path, "c.json", CHAIN3), "--depth", "3")
     assert proc.returncode == 3
@@ -819,3 +849,21 @@ def test_main_fuzz_parse_errors_exit_3(document, command):
     code, err = run_main(document, command)
     assert code == 3
     assert err.startswith("error:") and "Traceback" not in err
+
+
+#: Group expressions nested up to twice GROUP_DEPTH_CEILING, for
+#: ``nested_gamma``.
+nesting_levels = st.integers(0, 2 * GROUP_DEPTH_CEILING).flatmap(lambda n: st.lists(
+    st.tuples(st.sampled_from(["lex", "prod"]), st.sampled_from(["Q", "D", "H(2)"]), st.booleans()),
+    min_size=n, max_size=n))
+
+
+@settings(max_examples=30, deadline=None)
+@given(nesting_levels, st.sampled_from([["analyze", "--samples", "2"], ["ladder", "--depth", "2"]]))
+def test_main_fuzz_nested_groups_exit_3_past_the_ceiling(levels, command):
+    # every atom halves 1, so each carrier within the ceiling has a strict root
+    code, err = run_main(nested_gamma(levels), command)
+    if len(levels) + 1 > GROUP_DEPTH_CEILING:
+        assert code == 3 and err.startswith("error:") and f"deeper than {GROUP_DEPTH_CEILING}" in err
+    else:
+        assert code == 0, err

@@ -217,9 +217,9 @@ def abs_cmp(group, a, b):
 
 
 def derived(cls, tolerance):
-    """``cls`` with ``abs_cmp`` and LGroup's derived sub, eq, leq, lt, meet
-    and join in place of its kernels."""
-    spec = {op: getattr(LGroup, op) for op in ("sub", "eq", "leq", "lt", "meet", "join")}
+    """``cls`` with ``abs_cmp`` and LGroup's derived sub, lsub, eq, leq, lt,
+    meet and join in place of its kernels."""
+    spec = {op: getattr(LGroup, op) for op in ("sub", "lsub", "eq", "leq", "lt", "meet", "join")}
     return type(f"Derived{cls.__name__}", (cls,), dict(spec, cmp=abs_cmp))(tolerance)
 
 
@@ -230,7 +230,7 @@ def same_float(x, y):
 
 any_coordinate = st.one_of(st.sampled_from([0.0, -0.0, 1.0, math.inf, -math.inf, math.nan]),
                            st.floats(-4, 4), st.floats())
-FLOAT_ELEMENTS = {   # sub needs what neg accepts: h > 0 on the scaling group, no exp overflow
+FLOAT_ELEMENTS = {   # sub and lsub need what neg takes: h > 0 on the scaling group, no exp overflow
     pmv.ScalingSemidirect: st.tuples(st.floats(1e-3, 1e3), st.floats(-1e6, 1e6)),
     pmv.ExpSemidirect: st.tuples(st.floats(-50, 50), st.floats(-1e6, 1e6)),
 }
@@ -257,6 +257,7 @@ def test_float_kernels_match_derived_definitions(cls, tolerance, data):
         assert getattr(fast, op)(a, b) is getattr(spec, op)(a, b), op
     x, y = data.draw(FLOAT_ELEMENTS[cls]), data.draw(FLOAT_ELEMENTS[cls])
     assert all(map(same_float, fast.sub(x, y), spec.sub(x, y))), (x, y)
+    assert all(map(same_float, fast.lsub(x, y), spec.lsub(x, y))), (x, y)
 
 
 #: Units of Γ on the float groups: first coordinate above the zero's, or
@@ -351,10 +352,23 @@ def test_fused_gamma_kernels_match_generic(cls, tolerance, data):
     assert all(map(same_float, m.sample(ScriptedRandom(r)), want))
 
 
-def test_exp_unit_past_the_float_range_keeps_the_composition():
-    # e^{u₀} overflows, so the fused ∼ has no constant; Γ builds as before
+def test_exp_unit_past_the_float_range_binds_kernels_that_match_the_composition():
+    # e^{u₀} overflows: Γ still binds its kernels, and each returns what the
+    # composition returns, or raises OverflowError exactly where it does
     m = pmv.gamma(pmv.ExpSemidirect(), (800.0, 0.0))
-    assert "tilde" not in vars(m) and m.leq(m.zero, m.one)
+    assert {"oplus", "neg", "tilde", "odot"} <= set(vars(m)) and m.leq(m.zero, m.one)
+    rng = random.Random(0)
+    points = [m.zero, m.one] + [m.sample(rng) for _ in range(300)]
+    overflows = 0
+    for x, y in zip(points, points[1:] + points[:1]):
+        for op, args in (("neg", (x,)), ("tilde", (x,)), ("oplus", (x, y)), ("odot", (x, y))):
+            got, want = _outcome(getattr(m, op), *args), _outcome(getattr(GammaPMV, op), m, *args)
+            overflows += want[0] is OverflowError
+            if want[0] == "value":
+                assert got[0] == "value" and all(map(same_float, got[1], want[1])), (op, args)
+            else:
+                assert got == want, (op, args)
+    assert overflows    # past e^{709} the composition overflows, and so do the kernels
 
 
 def _cli_stdout(argv):
@@ -383,7 +397,7 @@ def test_fused_gamma_kernels_change_no_report(tmp_path, monkeypatch, command):
     ("heis", "(1,0,0)", True), ("lex(Q,heis)", "(1,0,0,0)", True), ("prod(D,Z)", "(1,2)", True),
     ("semi_numeric", "(2,0)", True), (pmv.ExpSemidirect(), "(1,0)", True),
     ("prod(Q,semi_numeric)", "(1,2,0)", False), ("lex(semi_numeric,Q)", "(2,0,1)", False),
-    ("lex(Q,semi_numeric)", "(1,2,0)", False), (pmv.ExpSemidirect(), "(800,0)", False),
+    ("lex(Q,semi_numeric)", "(1,2,0)", False), (pmv.ExpSemidirect(), "(800,0)", True),
 ], ids=lambda v: getattr(v, "dsl", str(v)))
 def test_gamma_binds_kernels_exactly_on_the_fused_carriers(group, unit, binds):
     # a fused carrier cannot fall back to Γ's composed methods unnoticed, and
@@ -959,8 +973,9 @@ def test_heisenberg_kernels_match_operators(a, b):
     assert h.flatten(h.add(x, y)) == heis_add(a, b)
     assert h.flatten(h.neg(x)) == heis_neg(a)
     assert h.flatten(h.sub(x, y)) == heis_add(a, heis_neg(b))
+    assert h.flatten(h.lsub(x, y)) == heis_add(heis_neg(b), a)
     assert h.sub(x, y) == h.add(x, h.neg(y))
-    assert all(map(reduced_pair, h.add(x, y) + h.neg(x) + h.sub(x, y)))
+    assert all(map(reduced_pair, h.add(x, y) + h.neg(x) + h.sub(x, y) + h.lsub(x, y)))
     assert h.cmp(x, y) == (a > b) - (a < b)
 
 
@@ -1036,7 +1051,8 @@ def spec_op(g, op, *xs):
                 spec_op(g.second, op, *(x[1] for x in xs)))
     if isinstance(g, pmv.HeisenbergGroup):
         formulas = {"add": heis_add, "neg": heis_neg,
-                    "sub": lambda a, b: heis_add(a, heis_neg(b))}
+                    "sub": lambda a, b: heis_add(a, heis_neg(b)),
+                    "lsub": lambda a, b: heis_add(heis_neg(b), a)}
         return g.from_flat(formulas[op](*map(g.flatten, xs)))
     return getattr(g, op)(*xs)
 
@@ -1068,6 +1084,7 @@ def test_exact_fast_paths_match_derived_definitions(name, data):
                 assert got == want if g.exact else spec_cmp(g, got, want) == 0, op
     assert g.add(a, b) == spec_op(g, "add", a, b)
     assert g.sub(a, b) == spec_op(g, "sub", a, b)
+    assert g.lsub(a, b) == spec_op(g, "lsub", a, b)
     assert g.neg(a) == spec_op(g, "neg", a)
 
 
